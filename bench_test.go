@@ -295,6 +295,11 @@ func BenchmarkVerify(b *testing.B) { experiments.BenchVerify(b) }
 // as the perf trajectory's baseline.
 func BenchmarkVerifyReference(b *testing.B) { experiments.BenchVerifyReference(b) }
 
+// BenchmarkVerifyExhaustive verifies a two-i8-parameter rotate pair by
+// full enumeration (65,536 vectors) per op: the columnar exhaustive tier
+// and the intrinsic batch kernel.
+func BenchmarkVerifyExhaustive(b *testing.B) { experiments.BenchVerifyExhaustive(b) }
+
 // BenchmarkVerifyBatch is the tiered checker reused across calls (the CEGIS
 // steady state): pure lane-batched verification with everything warm.
 func BenchmarkVerifyBatch(b *testing.B) { experiments.BenchVerifyBatch(b) }

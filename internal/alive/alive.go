@@ -174,14 +174,15 @@ type TierStats struct {
 	Fallback int
 }
 
-func (t *TierStats) count(tier int) {
+// count attributes n checked vectors to tier.
+func (t *TierStats) count(tier, n int) {
 	switch tier {
 	case TierPool:
-		t.PoolChecked++
+		t.PoolChecked += n
 	case TierSpecial:
-		t.SpecialChecked++
+		t.SpecialChecked += n
 	case TierRandom:
-		t.RandomChecked++
+		t.RandomChecked += n
 	}
 }
 
@@ -335,6 +336,7 @@ func (c *Checker) Verify() Result {
 		}
 	}
 	gen := newInputGen(c.src, c.opts)
+	defer gen.release()
 	res.Exhaustive = gen.exhaustive
 	if c.se.Program().Batchable() && c.te.Program().Batchable() {
 		return c.verifyBatched(gen, res)
@@ -342,7 +344,7 @@ func (c *Checker) Verify() Result {
 	for gen.next() {
 		res.Checked++
 		tier := gen.tier()
-		res.Tiers.count(tier)
+		res.Tiers.count(tier, 1)
 		res.Tiers.Fallback++
 		if ce := c.checkVector(gen.inputs, gen.memBytes); ce != nil {
 			res.Verdict = Incorrect
@@ -406,7 +408,7 @@ func (c *Checker) verifyBatched(gen *inputGen, res Result) Result {
 		}
 	}
 	for {
-		n := gen.nextBatch(c.bArgs, c.bTiers, fill)
+		n, tier := gen.nextBatch(c.bArgs, c.bTiers, fill)
 		if n == 0 {
 			break
 		}
@@ -422,10 +424,10 @@ func (c *Checker) verifyBatched(gen *inputGen, res Result) Result {
 		if err := c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems); err != nil {
 			panic(err)
 		}
-		for i := 0; i < n; i++ {
-			res.Checked++
-			res.Tiers.count(int(c.bTiers[i]))
-			res.Tiers.Batched++
+		// Scan in generation order up to the first violation, then count
+		// the scanned prefix once.
+		i, diff := 0, ""
+		for ; i < n; i++ {
 			rs, rt := &c.srcRes[i], &c.tgtRes[i]
 			if !rs.Completed || rs.UB {
 				continue // out of budget or source UB: target unconstrained
@@ -433,33 +435,52 @@ func (c *Checker) verifyBatched(gen *inputGen, res Result) Result {
 			if !rt.Completed {
 				continue
 			}
-			diff := ""
-			if !rt.UB && (retVoid || refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
-				if len(c.ptrParams) > 0 {
-					diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i])
+			if rt.UB || (!retVoid && !refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
+				break
+			}
+			if len(c.ptrParams) > 0 {
+				if diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i]); diff != "" {
+					break
 				}
-				if diff == "" {
-					continue
-				}
 			}
-			inputs := cloneRVals(c.bArgs[i])
-			for j, pi := range c.ptrParams {
-				inputs[pi].Lanes[0] = c.ptrSave[j][i]
-			}
-			var memCopy [][]byte
-			if c.bFills != nil {
-				memCopy = cloneByteSlices(c.bFills[i])
-			}
-			ce := &CounterExample{Params: c.src.Params,
-				Inputs: inputs, Memory: memCopy,
-				SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
-				SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
-			res.Verdict = Incorrect
-			res.CE = ce
-			res.Tiers.KillTier = int(c.bTiers[i])
-			c.deposit(ce)
-			return res
 		}
+		checked := i
+		if i < n {
+			checked++
+		}
+		res.Checked += checked
+		res.Tiers.Batched += checked
+		if tier != TierNone {
+			res.Tiers.count(tier, checked)
+		} else {
+			for _, t := range c.bTiers[:checked] {
+				res.Tiers.count(int(t), 1)
+			}
+		}
+		if i == n {
+			continue
+		}
+		rs, rt := &c.srcRes[i], &c.tgtRes[i]
+		inputs := cloneRVals(c.bArgs[i])
+		for j, pi := range c.ptrParams {
+			inputs[pi].Lanes[0] = c.ptrSave[j][i]
+		}
+		var memCopy [][]byte
+		if c.bFills != nil {
+			memCopy = cloneByteSlices(c.bFills[i])
+		}
+		ce := &CounterExample{Params: c.src.Params,
+			Inputs: inputs, Memory: memCopy,
+			SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
+			SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
+		if tier == TierNone {
+			tier = int(c.bTiers[i])
+		}
+		res.Verdict = Incorrect
+		res.CE = ce
+		res.Tiers.KillTier = tier
+		c.deposit(ce)
+		return res
 	}
 	res.Verdict = Correct
 	return res
@@ -692,11 +713,12 @@ func ReferenceVerify(src, tgt *ir.Func, opts Options) Result {
 		return Result{Verdict: Unsupported, Err: err}
 	}
 	gen := newInputGen(src, opts)
+	defer gen.release()
 	res := Result{Exhaustive: gen.exhaustive}
 	for gen.next() {
 		res.Checked++
 		tier := gen.tier()
-		res.Tiers.count(tier)
+		res.Tiers.count(tier, 1)
 		res.Tiers.Fallback++
 		if ce := checkOne(src, tgt, gen.params, gen.inputs, gen.memBytes, opts); ce != nil {
 			res.Verdict = Incorrect

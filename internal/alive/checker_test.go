@@ -146,6 +146,9 @@ func TestCheckerCounterexampleIsStable(t *testing.T) {
 // TestVerifySteadyStateAllocs pins the perf contract of the tentpole: a full
 // sampled Verify over the clamp window stays under a small constant
 // allocation budget (the seed path allocated ~30k times for the same work).
+// An exhaustive rotate pair — the columnar exhaustive tier feeding the
+// intrinsic batch kernel — allocates nothing per batch: its i8 instance
+// runs 1,025 batches and its i4 instance 5, for the same allocation count.
 func TestVerifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by the race runtime")
@@ -159,6 +162,33 @@ func TestVerifySteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 200 {
 		t.Fatalf("Verify allocates %.0f times per call, want O(1) (<200)", allocs)
+	}
+
+	rotate := func(w int) (allocs float64, batches int) {
+		src := parser.MustParseFunc(fmt.Sprintf(`define i%[1]d @src(i%[1]d %%x, i%[1]d %%y) {
+  %%r = call i%[1]d @llvm.fshl.i%[1]d(i%[1]d %%x, i%[1]d %%x, i%[1]d %%y)
+  %%a = call i%[1]d @llvm.abs.i%[1]d(i%[1]d %%r, i1 false)
+  ret i%[1]d %%a
+}`, w))
+		tgt := parser.MustParseFunc(fmt.Sprintf(`define i%[1]d @tgt(i%[1]d %%x, i%[1]d %%y) {
+  %%n = sub i%[1]d 0, %%y
+  %%r = call i%[1]d @llvm.fshr.i%[1]d(i%[1]d %%x, i%[1]d %%x, i%[1]d %%n)
+  %%a = call i%[1]d @llvm.abs.i%[1]d(i%[1]d %%r, i1 false)
+  ret i%[1]d %%a
+}`, w))
+		c := NewChecker(src, tgt, Options{Seed: 2})
+		r := c.Verify()
+		if r.Verdict != Correct || !r.Exhaustive {
+			t.Fatalf("i%d rotate pair: verdict %v, exhaustive %v", w, r.Verdict, r.Exhaustive)
+		}
+		return testing.AllocsPerRun(5, func() { c.Verify() }),
+			(r.Checked + interp.BatchWidth - 1) / interp.BatchWidth
+	}
+	wide, wideBatches := rotate(8)
+	narrow, narrowBatches := rotate(4)
+	if wide != narrow {
+		t.Fatalf("exhaustive Verify allocates %.0f times over %d batches but %.0f over %d: allocations grow with batches",
+			wide, wideBatches, narrow, narrowBatches)
 	}
 }
 

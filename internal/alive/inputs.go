@@ -3,6 +3,7 @@ package alive
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -22,7 +23,7 @@ import (
 type inputGen struct {
 	params     []*ir.Param
 	opts       Options
-	rng        *rand.Rand
+	rng        *rand.Rand // seeded on first use; see random
 	exhaustive bool
 
 	fills    [][][]byte // initial memories, one entry per pointer param
@@ -31,6 +32,7 @@ type inputGen struct {
 	widths   []int      // per-param scalar lane width (hoisted type dispatch)
 	masks    []uint64   // per-param lane mask
 	isPtr    []bool     // per-param pointer flag
+	numPtrs  int
 
 	phase int
 	c     uint64 // exhaustive counter
@@ -55,21 +57,27 @@ const (
 	phDone
 )
 
+// rngPool recycles the generators' random sources. Reseeding a rand.Rand
+// puts it in exactly the state rand.New(rand.NewSource(seed)) starts in, so
+// the sequence is unchanged; only the ~5 KiB source allocation per Verify
+// is saved.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// newInputGen builds the generator for f's parameters. Call release once
+// the sequence is no longer needed.
 func newInputGen(f *ir.Func, opts Options) *inputGen {
 	g := &inputGen{params: f.Params, opts: opts}
-	g.rng = rand.New(rand.NewSource(int64(opts.Seed) ^ 0x5eed))
 
 	totalBits := 0
-	numPtrs := 0
 	for _, p := range f.Params {
 		if ir.IsPtr(p.Ty) {
-			numPtrs++
+			g.numPtrs++
 			continue
 		}
 		totalBits += ir.ScalarBits(ir.Elem(p.Ty)) * ir.Lanes(p.Ty)
 	}
 	g.exhaustive = totalBits <= opts.MaxExhaustiveBits
-	g.fills = g.memoryFills(numPtrs, g.rng)
+	g.fills = g.memoryFills(g.numPtrs)
 
 	g.tables = make([][]uint64, len(f.Params))
 	g.widths = make([]int, len(f.Params))
@@ -99,6 +107,28 @@ func newInputGen(f *ir.Func, opts Options) *inputGen {
 	return g
 }
 
+// random returns the generator's rng, seeding it on first use. Seeding
+// recomputes the source's whole 607-word state, and sequences that end
+// before their first random draw — exhaustive runs refuted before the
+// poison trials — skip it. The draws, and so the sequence, are the same
+// either way.
+func (g *inputGen) random() *rand.Rand {
+	if g.rng == nil {
+		g.rng = rngPool.Get().(*rand.Rand)
+		g.rng.Seed(int64(g.opts.Seed) ^ 0x5eed)
+	}
+	return g.rng
+}
+
+// release returns the generator's random source to rngPool; g must not
+// be used afterwards.
+func (g *inputGen) release() {
+	if g.rng != nil {
+		rngPool.Put(g.rng)
+		g.rng = nil
+	}
+}
+
 // next advances to the following input vector, refreshing g.inputs and
 // g.memBytes in place. It reports false when the sequence is exhausted.
 func (g *inputGen) next() bool {
@@ -114,7 +144,7 @@ func (g *inputGen) next() bool {
 			// different slot between calls, so fill-iteration vectors must
 			// not rely on the previous slot's contents. The values are a
 			// pure function of c, so the emitted sequence is unchanged.
-			g.setFromCounter(g.c)
+			g.setFromCounter(g.c, g.inputs)
 			g.memBytes = g.fills[g.fi]
 			g.fi++
 			if g.fi >= len(g.fills) {
@@ -143,9 +173,9 @@ func (g *inputGen) next() bool {
 				continue
 			}
 			for i := range g.params {
-				g.setSpecial(i, g.rng.Intn(g.specials+1))
+				g.setSpecial(i, g.random().Intn(g.specials+1))
 			}
-			g.memBytes = g.fills[g.rng.Intn(len(g.fills))]
+			g.memBytes = g.fills[g.random().Intn(len(g.fills))]
 			g.k++
 			return true
 		case phRandom:
@@ -156,7 +186,7 @@ func (g *inputGen) next() bool {
 			for i := range g.params {
 				g.setRandom(i)
 			}
-			g.memBytes = g.fills[g.rng.Intn(len(g.fills))]
+			g.memBytes = g.fills[g.random().Intn(len(g.fills))]
 			g.k++
 			return true
 		case phPoison:
@@ -205,27 +235,45 @@ func (g *inputGen) bind(args []interp.RVal) {
 // nextBatch fills up to len(slots) consecutive vectors of the generated
 // sequence, writing each vector's arguments directly through the per-slot
 // views (the batched checker points these at the evaluators' input columns,
-// so generation lands straight in the batch arena with no staging Envs) and
-// recording each slot's scheduler tier. fill, when non-nil, runs after each
-// slot is emitted so the caller can snapshot g.memBytes into that slot's
-// per-lane memory. Generation stays vector-major inside the batch — the rng
-// draw order is part of the sequence contract (same-seed campaigns replay
-// byte-identically) — only the destination is columnwise. Returns the
-// number of slots filled; fewer than len(slots) means the sequence ended.
-func (g *inputGen) nextBatch(slots [][]interp.RVal, tiers []int8, fill func(slot int)) int {
-	n := 0
+// so generation lands straight in the batch arena with no staging Envs).
+// fill, when non-nil, runs after each slot is emitted so the caller can
+// snapshot g.memBytes into that slot's per-lane memory. Generation stays
+// vector-major inside the batch — the rng draw order is part of the
+// sequence contract (same-seed campaigns replay byte-identically) — only
+// the destination is columnwise.
+//
+// It returns the number of slots filled (fewer than len(slots) means the
+// sequence ended) and their tier. Every vector of an exhaustive sequence is
+// TierSpecial, so such batches return that as tier and leave tiers
+// untouched; sampled sequences return TierNone with each slot's tier in
+// tiers[:n]. The exhaustive phase of a signature without pointer
+// parameters — the bulk of all verified vectors — is written straight from
+// the counter into the slots, with no per-vector phase dispatch.
+func (g *inputGen) nextBatch(slots [][]interp.RVal, tiers []int8, fill func(slot int)) (n, tier int) {
+	if g.phase == phExhaust && g.numPtrs == 0 {
+		for n < len(slots) && g.c < g.cmax {
+			g.setFromCounter(g.c, slots[n])
+			g.c++
+			n++
+		}
+	}
 	for n < len(slots) {
 		g.bind(slots[n])
 		if !g.next() {
 			break
 		}
-		tiers[n] = int8(g.tier())
+		if !g.exhaustive {
+			tiers[n] = int8(g.tier())
+		}
 		if fill != nil {
 			fill(n)
 		}
 		n++
 	}
-	return n
+	if g.exhaustive {
+		return n, TierSpecial
+	}
+	return n, TierNone
 }
 
 // tier attributes the vector the latest next() emitted to a scheduler tier:
@@ -238,11 +286,11 @@ func (g *inputGen) tier() int {
 	return TierSpecial
 }
 
-// setFromCounter maps the bits of c onto the non-pointer arguments.
-func (g *inputGen) setFromCounter(c uint64) {
+// setFromCounter maps the bits of c onto the non-pointer arguments of args.
+func (g *inputGen) setFromCounter(c uint64, args []interp.RVal) {
 	bit := uint(0)
 	for i := range g.params {
-		lanes := g.inputs[i].Lanes
+		lanes := args[i].Lanes
 		if g.isPtr[i] {
 			lanes[0] = interp.Word{} // replaced by the region base
 			continue
@@ -267,10 +315,10 @@ func (g *inputGen) setSpecial(i, k int) {
 
 // setRandom writes a uniformly random argument for param i.
 func (g *inputGen) setRandom(i int) {
-	mask := g.masks[i]
+	mask, rng := g.masks[i], g.random()
 	lanes := g.inputs[i].Lanes
 	for l := range lanes {
-		lanes[l] = interp.Word{V: g.rng.Uint64() & mask}
+		lanes[l] = interp.Word{V: rng.Uint64() & mask}
 	}
 }
 
@@ -284,7 +332,7 @@ func (g *inputGen) setPoison(i int) {
 
 // memoryFills builds the initial memories tried per input vector: an
 // all-zero fill, a ramp, and seeded random fills.
-func (g *inputGen) memoryFills(numPtrs int, rng *rand.Rand) [][][]byte {
+func (g *inputGen) memoryFills(numPtrs int) [][][]byte {
 	if numPtrs == 0 {
 		return [][][]byte{nil}
 	}
@@ -304,7 +352,7 @@ func (g *inputGen) memoryFills(numPtrs int, rng *rand.Rand) [][][]byte {
 		mk(func(i int) byte { return byte(i) }),
 	}
 	for len(fills) < g.opts.MemFills {
-		fills = append(fills, mk(func(int) byte { return byte(rng.Intn(256)) }))
+		fills = append(fills, mk(func(int) byte { return byte(g.random().Intn(256)) }))
 	}
 	return fills[:g.opts.MemFills]
 }

@@ -13,8 +13,9 @@ import (
 // eagerVec is one pre-materialized input vector of the historic eager
 // generator, replicated below as the equivalence reference.
 type eagerVec struct {
-	args []interp.RVal
-	mem  [][]byte
+	args   []interp.RVal
+	mem    [][]byte
+	random bool // drawn in the random-sampling phase (TierRandom)
 }
 
 // eagerQueue is a verbatim replica of the pre-streaming inputGen: it builds
@@ -114,7 +115,7 @@ func eagerQueue(f *ir.Func, opts Options) ([]eagerVec, bool) {
 			for i, p := range f.Params {
 				args[i] = randomArg(p.Ty, rng)
 			}
-			queue = append(queue, eagerVec{args: args, mem: fills[rng.Intn(len(fills))]})
+			queue = append(queue, eagerVec{args: args, mem: fills[rng.Intn(len(fills))], random: true})
 		}
 	}
 	for i, p := range f.Params {
@@ -149,16 +150,42 @@ func fmtVec(args []interp.RVal, mem [][]byte) string {
 	return s
 }
 
+// sameVec reports whether args and mem hold exactly the eager vector e:
+// every lane's bits and poison mark, and every memory byte.
+func sameVec(args []interp.RVal, mem [][]byte, e eagerVec) bool {
+	for i := range args {
+		for l, w := range args[i].Lanes {
+			if w != e.args[i].Lanes[l] {
+				return false
+			}
+		}
+	}
+	if len(mem) != len(e.mem) {
+		return false
+	}
+	for j := range mem {
+		if string(mem[j]) != string(e.mem[j]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestStreamingInputGenMatchesEagerReference locks the streaming generator
 // to the historic eager queue: same length, same values, same memory fills,
-// same order, for a spread of signatures and seeds.
+// same order, for a spread of signatures and seeds — both through next()
+// and through nextBatch with 1, 7 and 64 slots, whose batches straddle the
+// exhaustive→poison boundary. Pointer signatures keep nextBatch's
+// per-vector path; the others take its columnar exhaustive tier.
 func TestStreamingInputGenMatchesEagerReference(t *testing.T) {
 	funcs := []string{
 		`define i8 @f(i8 %x, i8 %y) { %r = add i8 %x, %y ret i8 %r }`,                               // exhaustive
+		`define <2 x i8> @f(<2 x i8> %v) { ret <2 x i8> %v }`,                                       // exhaustive vector
 		`define i8 @f(i32 %x) { %r = trunc i32 %x to i8 ret i8 %r }`,                                // sampled scalar
 		`define i1 @f(double %x) { %r = fcmp ord double %x, %x ret i1 %r }`,                         // float corners
 		`define <4 x i8> @f(<4 x i8> %v, <4 x i8> %w) { %r = and <4 x i8> %v, %w ret <4 x i8> %r }`, // sampled vector
 		`define i8 @f(ptr %p) { %r = load i8, ptr %p ret i8 %r }`,                                   // exhaustive + memory
+		`define i8 @f(ptr %p, i4 %x) { %r = load i8, ptr %p ret i8 %r }`,                            // exhaustive + memory + int
 		`define i16 @f(ptr %p, ptr %q, i32 %x) { %r = trunc i32 %x to i16 ret i16 %r }`,             // sampled + two regions
 		`define i8 @f() { ret i8 7 }`,                                                               // no params
 	}
@@ -186,6 +213,59 @@ func TestStreamingInputGenMatchesEagerReference(t *testing.T) {
 			if i != len(want) {
 				t.Fatalf("func %d seed %d: streaming emitted %d vectors, eager %d", fi, seed, i, len(want))
 			}
+			g.release()
+			for _, width := range []int{1, 7, 64} {
+				checkBatches(t, f, opts, width, want)
+			}
 		}
+	}
+}
+
+// checkBatches drains a fresh generator through nextBatch with width slots
+// and requires the eager queue's vectors, memory fills and tiers in order.
+func checkBatches(t *testing.T, f *ir.Func, opts Options, width int, want []eagerVec) {
+	t.Helper()
+	g := newInputGen(f, opts)
+	defer g.release()
+	slots := make([][]interp.RVal, width)
+	for s := range slots {
+		slots[s] = make([]interp.RVal, len(f.Params))
+		for i, p := range f.Params {
+			slots[s][i] = interp.RVal{Ty: p.Ty, Lanes: make([]interp.Word, ir.Lanes(p.Ty))}
+		}
+	}
+	tiers := make([]int8, width)
+	mems := make([][][]byte, width)
+	i := 0
+	for {
+		n, tier := g.nextBatch(slots, tiers, func(s int) { mems[s] = g.memBytes })
+		if n == 0 {
+			break
+		}
+		for s := 0; s < n; s++ {
+			if i >= len(want) {
+				t.Fatalf("%s width %d: nextBatch emits more than %d vectors", f, width, len(want))
+			}
+			if !sameVec(slots[s], mems[s], want[i]) {
+				t.Fatalf("%s width %d vector %d differs:\ngot  %s\nwant %s", f, width, i,
+					fmtVec(slots[s], mems[s]), fmtVec(want[i].args, want[i].mem))
+			}
+			gotTier := tier
+			if tier == TierNone {
+				gotTier = int(tiers[s])
+			}
+			wantTier := TierSpecial
+			if want[i].random {
+				wantTier = TierRandom
+			}
+			if gotTier != wantTier {
+				t.Fatalf("%s width %d vector %d: tier %d, want %d", f, width, i, gotTier, wantTier)
+			}
+			mems[s] = nil
+			i++
+		}
+	}
+	if i != len(want) {
+		t.Fatalf("%s width %d: nextBatch emitted %d vectors, eager %d", f, width, i, len(want))
 	}
 }

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,5 +302,105 @@ func TestParMapOrdered(t *testing.T) {
 	}
 	if len(ParMap(context.Background(), 3, nil, func(_ context.Context, _ int, v int) int { return v })) != 0 {
 		t.Fatal("empty input must give empty output")
+	}
+}
+
+// holdClient stalls the provider for one window until a rule ID is
+// learned, forcing a later witness of that rule to finish its width sweep
+// first.
+type holdClient struct {
+	llm.Client
+	window string // prompt substring that identifies the held window
+	ruleID string
+	eng    *Engine
+	held   atomic.Bool
+}
+
+func (c *holdClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	if len(req.Messages) > 1 && strings.Contains(req.Messages[1].Content, c.window) && !c.held.Swap(true) {
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+			if c.learned() {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return c.Client.Complete(ctx, req)
+}
+
+func (c *holdClient) learned() bool {
+	for _, r := range c.eng.Learned() {
+		if r.ID == c.ruleID {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRulebookIdenticalAcrossWorkerCounts pins the learned-rule witness
+// choice: when several witness pairs generalize to one rule ID, the
+// rulebook keeps the earliest sequence's witness, so a corpus campaign
+// encodes the byte-identical rulebook at 1 and 8 workers (CI runs this
+// under -race). The 8-worker run holds the earliest witness's window until
+// a later witness has learned the rule, the schedule under which keeping
+// the first-finished sweep's witness changes the rulebook.
+func TestRulebookIdenticalAcrossWorkerCounts(t *testing.T) {
+	const seed = 1017462712
+	run := func(workers int, wrap func(llm.Client) *holdClient) ([]byte, []Result) {
+		var client llm.Client = llm.NewSim("Gemini2.0T", seed)
+		var hold *holdClient
+		if wrap != nil {
+			hold = wrap(client)
+			client = hold
+		}
+		e := New(client, Config{
+			Workers: workers,
+			Rounds:  4,
+			Learn:   true,
+			Verify:  alive.Options{Samples: 1024, Seed: seed},
+		})
+		if hold != nil {
+			hold.eng = e
+		}
+		ex := extract.New(extract.Options{})
+		results, _ := e.RunAll(context.Background(),
+			Corpus(corpus.Options{Seed: seed, ModulesPerProject: 1}, ex))
+		data, err := e.Rulebook().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hold != nil && !hold.held.Load() {
+			t.Fatal("the held window was never proposed for")
+		}
+		return data, results
+	}
+	serial, results := run(1, nil)
+
+	// Find a rule ID reached from two different witnesses; the first
+	// result carrying it is the earliest witness.
+	first := map[string]Result{}
+	var early Result
+	for _, r := range results {
+		if r.Learned == nil {
+			continue
+		}
+		f, ok := first[r.Learned.ID]
+		if !ok {
+			first[r.Learned.ID] = r
+			continue
+		}
+		if f.Learned.SrcIR != r.Learned.SrcIR {
+			early = f
+			break
+		}
+	}
+	if early.Learned == nil {
+		t.Fatal("no rule ID has two witnesses — the check is vacuous")
+	}
+	parallel, _ := run(8, func(c llm.Client) *holdClient {
+		return &holdClient{Client: c, window: early.Src.String(), ruleID: early.Learned.ID}
+	})
+	if !bytes.Equal(serial, parallel) {
+		t.Fatalf("rulebook at 8 workers differs from 1 worker:\n%s\nvs\n%s", serial, parallel)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/alive"
@@ -207,7 +208,11 @@ type Engine struct {
 	// by witness-pair hash, learned collects distinct rules by ID.
 	lmu     sync.Mutex
 	lcache  map[uint64]*learnEntry
-	learned map[string]*generalize.Rule
+	learned map[string]learnedRule
+
+	// runs numbers the engine's Runs, so learned can order witnesses
+	// across runs of a reused engine.
+	runs atomic.Int64
 
 	// Quarantine: windows whose processing panicked, keyed by 16-hex window
 	// hash (see runSeqIsolated). A quarantined window produced an
@@ -222,6 +227,15 @@ type Engine struct {
 type learnEntry struct {
 	once sync.Once
 	rule *generalize.Rule
+}
+
+// learnedRule is the rulebook entry for one rule ID: the rule as learned
+// from the earliest witness — lowest run, then lowest sequence index —
+// that generalized to the ID.
+type learnedRule struct {
+	rule *generalize.Rule
+	run  int64
+	idx  int
 }
 
 type verifyKey struct{ src, cand uint64 }
@@ -279,7 +293,7 @@ func New(client llm.Client, cfg Config) *Engine {
 		vcache:  make(map[verifyKey]*verifyEntry),
 		seen:    make(map[uint64]bool),
 		lcache:  make(map[uint64]*learnEntry),
-		learned: make(map[string]*generalize.Rule),
+		learned: make(map[string]learnedRule),
 	}
 }
 
@@ -291,7 +305,7 @@ func (e *Engine) Learned() []*generalize.Rule {
 	defer e.lmu.Unlock()
 	out := make([]*generalize.Rule, 0, len(e.learned))
 	for _, r := range e.learned {
-		out = append(out, r)
+		out = append(out, r.rule)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -316,6 +330,7 @@ func (e *Engine) CEPool() *alive.CEPool { return e.cfg.Verify.Pool }
 
 // item is one unit of scheduled work.
 type item struct {
+	run int64 // the Run the item belongs to, numbered from 1
 	idx int
 	seq *extract.Sequence
 }
@@ -333,6 +348,7 @@ type item struct {
 // them (call Stats.Reset between runs for per-run numbers).
 func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, *Stats) {
 	out := make(chan Result)
+	run := e.runs.Add(1)
 	items := make(chan item, e.cfg.QueueSize)
 	results := make(chan Result, e.cfg.QueueSize)
 
@@ -359,7 +375,7 @@ func (e *Engine) Run(ctx context.Context, src Source) (<-chan Result, *Stats) {
 				return
 			}
 			select {
-			case items <- item{idx: idx, seq: seq}:
+			case items <- item{run: run, idx: idx, seq: seq}:
 			case <-ctx.Done():
 				return
 			}
@@ -493,16 +509,19 @@ func (e *Engine) runSeq(ctx context.Context, it item) Result {
 	agg.Usage = usage
 	agg.RoundOutcomes = roundOutcomes
 	if e.cfg.Learn && agg.Outcome == Found && agg.Cand != nil {
-		agg.Learned = e.learn(agg.Src, agg.Cand, it.seq)
+		agg.Learned = e.learn(agg.Src, agg.Cand, it)
 	}
 	return agg
 }
 
 // learn runs the post-verify generalize hook on one Found witness pair,
 // singleflighted across workers and rounds by the pair's structural hash:
-// only the first sighting pays for the width sweep, and rules that hash to
-// an already-learned ID collapse onto the existing instance.
-func (e *Engine) learn(src, cand *ir.Func, seq *extract.Sequence) *generalize.Rule {
+// only the first sighting pays for the width sweep, and every sighting of
+// the pair returns its rule (a copy naming the sequence's origin when it
+// has one). Pairs can generalize to the same rule ID; the rulebook keeps
+// the rule of the earliest sequence, so its bytes do not depend on which
+// worker's sweep finished first.
+func (e *Engine) learn(src, cand *ir.Func, it item) *generalize.Rule {
 	key := ir.Hash(src) ^ bits.RotateLeft64(ir.Hash(cand), 1)
 	e.lmu.Lock()
 	ent, hit := e.lcache[key]
@@ -518,21 +537,24 @@ func (e *Engine) learn(src, cand *ir.Func, seq *extract.Sequence) *generalize.Ru
 			res = generalize.Generalize(src, cand, e.cfg.Generalize)
 		})
 		e.stats.recordStage(StageGeneralize, time.Since(start).Seconds())
-		if err != nil || res.Rule == nil {
-			// A timed-out sweep learns nothing; the finding itself stands.
-			return
+		// A timed-out sweep learns nothing; the finding itself stands.
+		if err == nil {
+			ent.rule = res.Rule
 		}
-		e.lmu.Lock()
-		defer e.lmu.Unlock()
-		if prev, dup := e.learned[res.Rule.ID]; dup {
-			ent.rule = prev
-			return
-		}
-		if seq != nil && seq.Module != "" {
-			res.Rule.Origin = seq.Module + ":" + seq.Func
-		}
-		e.learned[res.Rule.ID] = res.Rule
-		ent.rule = res.Rule
 	})
-	return ent.rule
+	rule := ent.rule
+	if rule == nil {
+		return nil
+	}
+	if seq := it.seq; seq != nil && seq.Module != "" {
+		withOrigin := *rule
+		withOrigin.Origin = seq.Module + ":" + seq.Func
+		rule = &withOrigin
+	}
+	e.lmu.Lock()
+	defer e.lmu.Unlock()
+	if cur, dup := e.learned[rule.ID]; !dup || it.run < cur.run || it.run == cur.run && it.idx < cur.idx {
+		e.learned[rule.ID] = learnedRule{rule: rule, run: it.run, idx: it.idx}
+	}
+	return rule
 }

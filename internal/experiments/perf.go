@@ -251,12 +251,29 @@ const perfSweepTgt = `define i16 @tgt(i16 %x, i16 %y) {
   ret i16 %r
 }`
 
+// perfRotSrc/perfRotTgt rotate left by %y as a right rotate by -%y: two
+// i8 parameters, so verification enumerates all 65,536 input vectors
+// through the intrinsic batch kernel.
+const perfRotSrc = `define i8 @src(i8 %x, i8 %y) {
+  %r = call i8 @llvm.fshl.i8(i8 %x, i8 %x, i8 %y)
+  %a = call i8 @llvm.abs.i8(i8 %r, i1 false)
+  ret i8 %a
+}`
+
+const perfRotTgt = `define i8 @tgt(i8 %x, i8 %y) {
+  %n = sub i8 0, %y
+  %r = call i8 @llvm.fshr.i8(i8 %x, i8 %x, i8 %n)
+  %a = call i8 @llvm.abs.i8(i8 %r, i1 false)
+  ret i8 %a
+}`
+
 var (
 	perfOnce                     sync.Once
 	perfClampSrcF, perfClampTgtF *ir.Func
 	perfSweepSrcF, perfSweepTgtF *ir.Func
 	perfMBSrcF, perfMBTgtF       *ir.Func
 	perfMemSrcF, perfMemTgtF     *ir.Func
+	perfRotSrcF, perfRotTgtF     *ir.Func
 )
 
 func perfFuncs() {
@@ -269,6 +286,8 @@ func perfFuncs() {
 		perfMBTgtF = parser.MustParseFunc(perfMultiBlockTgt)
 		perfMemSrcF = parser.MustParseFunc(perfMemSrc)
 		perfMemTgtF = parser.MustParseFunc(perfMemTgt)
+		perfRotSrcF = parser.MustParseFunc(perfRotSrc)
+		perfRotTgtF = parser.MustParseFunc(perfRotTgt)
 	})
 }
 
@@ -283,6 +302,23 @@ func BenchVerify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if r := alive.Verify(perfClampSrcF, perfClampTgtF, opts); r.Verdict != alive.Correct {
+			b.Fatal("verification regressed")
+		}
+	}
+}
+
+// BenchVerifyExhaustive measures one Verify of a two-i8-parameter rotate
+// pair, the shape of most verified vectors in a learning campaign: the full
+// 65,536-vector exhaustive enumeration through the columnar input tier and
+// the intrinsic batch kernel, with a fresh Checker per call as the engine
+// builds one.
+func BenchVerifyExhaustive(b *testing.B) {
+	perfFuncs()
+	opts := alive.Options{Seed: 1, Programs: interp.NewCache()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := alive.Verify(perfRotSrcF, perfRotTgtF, opts); r.Verdict != alive.Correct || !r.Exhaustive {
 			b.Fatal("verification regressed")
 		}
 	}

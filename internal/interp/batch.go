@@ -58,7 +58,7 @@ const (
 	bkICmp
 	bkSelect
 	bkConvInt
-	bkMinMax
+	bkIntrinsic
 	bkFreeze
 )
 
@@ -198,11 +198,8 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 		return bkFreeze
 	case ci.in.Op == ir.OpZExt, ci.in.Op == ir.OpSExt, ci.in.Op == ir.OpTrunc:
 		return bkConvInt
-	case ci.in.Op == ir.OpCall:
-		switch ir.IntrinsicBase(ci.in.Callee) {
-		case "umin", "umax", "smin", "smax":
-			return bkMinMax
-		}
+	case ci.intr.isInt() && len(ci.args) >= ci.intr.minArgs():
+		return bkIntrinsic
 	}
 	return bkGeneric
 }
@@ -486,19 +483,11 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 					kill(b, "reached unreachable")
 				}
 			}
-		case bkIntBin:
-			batchIntBin(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B, kill)
-		case bkICmp:
-			batchICmp(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-		case bkSelect:
-			batchSelect(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-		case bkConvInt:
-			batchConvInt(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-		case bkMinMax:
-			batchMinMax(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-		case bkFreeze:
-			batchFreeze(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-		default: // bkGeneric: shared evalOp kernels, one vector at a time.
+		default:
+			if bs.kernel(gi, ci, B, kill) {
+				break
+			}
+			// bkGeneric: shared evalOp kernels, one vector at a time.
 			na := len(ci.args)
 			for b := 0; b < B; b++ {
 				if !bs.alive[b] {
@@ -525,7 +514,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				if p.hasMem {
 					mem = bs.mems[b]
 				}
-				if ub, why := evalOp(ci.in, dst, args, mem, &bs.sc); ub {
+				if ub, why := evalOp(ci.in, ci.intr, dst, args, mem, &bs.sc); ub {
 					kill(b, why)
 				}
 			}
@@ -776,20 +765,8 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 				if wave == 0 {
 					break
 				}
-				switch bs.kinds[gi] {
-				case bkIntBin:
-					batchIntBin(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B, kill)
-				case bkICmp:
-					batchICmp(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-				case bkSelect:
-					batchSelect(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-				case bkConvInt:
-					batchConvInt(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-				case bkMinMax:
-					batchMinMax(ci.in, bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-				case bkFreeze:
-					batchFreeze(bs.bdst[gi], bs.bargs[gi], bs.alive, B)
-				default: // bkGeneric: shared evalOp kernels, one lane at a time.
+				if !bs.kernel(int(gi), ci, B, kill) {
+					// bkGeneric: shared evalOp kernels, one lane at a time.
 					na := len(ci.args)
 					for m := wave; m != 0; m &= m - 1 {
 						b := bits.TrailingZeros64(m)
@@ -809,7 +786,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						if p.hasMem {
 							mem = bs.mems[b]
 						}
-						if ub, why := evalOp(ci.in, dst, args, mem, &bs.sc); ub {
+						if ub, why := evalOp(ci.in, ci.intr, dst, args, mem, &bs.sc); ub {
 							kill(b, why)
 						}
 					}
@@ -824,6 +801,29 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 			kill(bits.TrailingZeros64(m), "block fell through without terminator")
 		}
 	}
+}
+
+// kernel runs instruction gi's specialized batch kernel over the alive
+// lanes, reporting false when its kind has none (bkGeneric).
+func (bs *batchState) kernel(gi int, ci *cinstr, B int, kill func(int, string)) bool {
+	dst, args := bs.bdst[gi], bs.bargs[gi]
+	switch bs.kinds[gi] {
+	case bkIntBin:
+		batchIntBin(ci.in, dst, args, bs.alive, B, kill)
+	case bkICmp:
+		batchICmp(ci.in, dst, args, bs.alive, B)
+	case bkSelect:
+		batchSelect(dst, args, bs.alive, B)
+	case bkConvInt:
+		batchConvInt(ci.in, dst, args, bs.alive, B)
+	case bkIntrinsic:
+		batchIntrinsic(ci.intr, ci.in, dst, args, bs.alive, B)
+	case bkFreeze:
+		batchFreeze(dst, args, bs.alive, B)
+	default:
+		return false
+	}
+	return true
 }
 
 // batchConstUB reproduces checkArgs for straight-line programs, where every
@@ -1154,38 +1154,28 @@ func batchConvInt(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) 
 	}
 }
 
-func batchMinMax(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) {
+// zeroRun stands in for the operands an intrinsic call omits (abs/ctlz/cttz
+// without their flag immediate), so batchIntrinsic reads them as the zero
+// Word exactly like evalCall. Read-only.
+var zeroRun [BatchWidth]Word
+
+// batchIntrinsic runs a scalar integer intrinsic through intLane, the same
+// per-lane code evalCall uses.
+func batchIntrinsic(id intrinsic, in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) {
 	w := ir.ScalarBits(ir.Elem(in.Ty))
 	mask := ir.MaskW(w)
-	base := ir.IntrinsicBase(in.Callee)
-	xs, ys := args[0][:B], args[1][:B]
+	xs, ys, zs := args[0][:B], zeroRun[:B], zeroRun[:B]
+	if len(args) > 1 {
+		ys = args[1][:B]
+	}
+	if len(args) > 2 {
+		zs = args[2][:B]
+	}
 	alive = alive[:B]
 	dst = dst[:B]
 	for b := 0; b < B; b++ {
-		if !alive[b] {
-			continue
-		}
-		x, y := xs[b], ys[b]
-		if x.Poison || y.Poison {
-			dst[b] = Word{Poison: true}
-			continue
-		}
-		xv, yv := x.V&mask, y.V&mask
-		var take bool
-		switch base {
-		case "umin":
-			take = xv < yv
-		case "umax":
-			take = xv > yv
-		case "smin":
-			take = ir.SignExt(xv, w) < ir.SignExt(yv, w)
-		default: // smax
-			take = ir.SignExt(xv, w) > ir.SignExt(yv, w)
-		}
-		if take {
-			dst[b] = Word{V: xv}
-		} else {
-			dst[b] = Word{V: yv}
+		if alive[b] {
+			dst[b] = intLane(id, w, mask, xs[b], ys[b], zs[b])
 		}
 	}
 }

@@ -95,10 +95,42 @@ var fuzzFlags = map[string][]string{
 	"lshr": {"", "exact"}, "ashr": {"", "exact"}, "or": {"", "disjoint"},
 }
 
+// fuzzIntrinsic returns the right-hand side of a random call to one of the
+// scalar integer intrinsics at width w, drawing value operands from operand
+// (which may return literals, including poison). Flagged intrinsics get
+// both flag values; bswap is only emitted at i16 and wider; the funnel
+// shifts sometimes get a literal shift amount at or above the width.
+func fuzzIntrinsic(rng *rand.Rand, w int, operand func() string) string {
+	names := []string{"umin", "umax", "smin", "smax", "uadd.sat", "usub.sat",
+		"sadd.sat", "ssub.sat", "abs", "ctlz", "cttz", "ctpop", "bitreverse",
+		"fshl", "fshr", "bswap"}
+	if w < 16 {
+		names = names[:len(names)-1]
+	}
+	name := names[rng.Intn(len(names))]
+	ty := fmt.Sprintf("i%d", w)
+	call := func(args ...string) string {
+		return fmt.Sprintf("call %s @llvm.%s.%s(%s)", ty, name, ty, strings.Join(args, ", "))
+	}
+	switch name {
+	case "abs", "ctlz", "cttz":
+		return call(ty+" "+operand(), "i1 "+[]string{"false", "true"}[rng.Intn(2)])
+	case "ctpop", "bitreverse", "bswap":
+		return call(ty + " " + operand())
+	case "fshl", "fshr":
+		sh := operand()
+		if rng.Intn(3) == 0 {
+			sh = fmt.Sprintf("%d", w+rng.Intn(2*w))
+		}
+		return call(ty+" "+operand(), ty+" "+operand(), ty+" "+sh)
+	}
+	return call(ty+" "+operand(), ty+" "+operand())
+}
+
 // genStraightLine emits a random straight-line scalar function: a chain of
 // integer binaries (with random poison flags), icmps, selects, conversions,
-// freezes and min/max/ctpop intrinsics over parameters, earlier values and
-// literal constants.
+// freezes and integer intrinsic calls over parameters, earlier values and
+// literal constants (poison among them).
 func genStraightLine(rng *rand.Rand) string {
 	widths := []int{8, 16, 32, 64}
 	nParams := 1 + rng.Intn(3)
@@ -182,14 +214,13 @@ func genStraightLine(rng *rand.Rand) string {
 		case 7: // freeze
 			fmt.Fprintf(&sb, "  %s = freeze i%d %s\n", name, w, pick(w))
 			vals = append(vals, val{name, w})
-		default: // intrinsic
-			base := []string{"umin", "umax", "smin", "smax"}[rng.Intn(4)]
-			if rng.Intn(5) == 0 {
-				fmt.Fprintf(&sb, "  %s = call i%d @llvm.ctpop.i%d(i%d %s)\n", name, w, w, w, pick(w))
-			} else {
-				fmt.Fprintf(&sb, "  %s = call i%d @llvm.%s.i%d(i%d %s, i%d %s)\n",
-					name, w, base, w, w, pick(w), w, pick(w))
-			}
+		default: // intrinsic, sometimes over a poison literal
+			fmt.Fprintf(&sb, "  %s = %s\n", name, fuzzIntrinsic(rng, w, func() string {
+				if rng.Intn(10) == 0 {
+					return "poison"
+				}
+				return pick(w)
+			}))
 			vals = append(vals, val{name, w})
 		}
 	}
@@ -303,9 +334,10 @@ func sameMemory(a, b *Memory) string {
 	return ""
 }
 
-// emitFuzzOps appends n random scalar integer ops of width w, drawing
-// operands from pool (plus occasional literals), and returns the value
-// names it defined. Names are prefixed so blocks never collide.
+// emitFuzzOps appends n random scalar integer ops of width w — binaries and
+// intrinsic calls — drawing operands from pool (plus occasional literals),
+// and returns the value names it defined. Names are prefixed so blocks
+// never collide.
 func emitFuzzOps(sb *strings.Builder, rng *rand.Rand, w int, pool []string, prefix string, n int) []string {
 	ops := []string{"add", "sub", "mul", "xor", "and", "or", "udiv", "sdiv",
 		"urem", "srem", "shl", "lshr", "add nsw", "sub nuw", "mul nsw"}
@@ -318,7 +350,13 @@ func emitFuzzOps(sb *strings.Builder, rng *rand.Rand, w int, pool []string, pref
 		if rng.Intn(3) == 0 {
 			b = fmt.Sprintf("%d", rng.Intn(8))
 		}
-		fmt.Fprintf(sb, "  %s = %s i%d %s, %s\n", name, ops[rng.Intn(len(ops))], w, a, b)
+		if rng.Intn(4) == 0 {
+			fmt.Fprintf(sb, "  %s = %s\n", name, fuzzIntrinsic(rng, w, func() string {
+				return cur[rng.Intn(len(cur))]
+			}))
+		} else {
+			fmt.Fprintf(sb, "  %s = %s i%d %s, %s\n", name, ops[rng.Intn(len(ops))], w, a, b)
+		}
 		cur = append(cur, name)
 		defined = append(defined, name)
 	}
@@ -329,7 +367,9 @@ func emitFuzzOps(sb *strings.Builder, rng *rand.Rand, w int, pool []string, pref
 // arms diverge per input, a phi join (sometimes against a literal), an
 // occasional deliberate cross-block use of an arm-only value (unbound on
 // the other path), and half the time a counted loop whose trip count — and
-// therefore DynInstrs — depends on the inputs.
+// therefore DynInstrs — depends on the inputs. The loop body runs an
+// intrinsic call whose result is sometimes read after the loop, so lanes
+// that already exited must keep their values while the rest iterate.
 func genMultiBlock(rng *rand.Rand) string {
 	w := []int{8, 16, 32}[rng.Intn(3)]
 	var sb strings.Builder
@@ -365,10 +405,20 @@ func genMultiBlock(rng *rand.Rand) string {
 		fmt.Fprintf(&sb, "  %%acc = phi i%d [ %s, %%join ], [ %%accn, %%body ]\n", w, last)
 		fmt.Fprintf(&sb, "  %%lc = icmp ult i%d %%i, %%bound\n", w)
 		sb.WriteString("  br i1 %lc, label %body, label %exit\nbody:\n")
-		fmt.Fprintf(&sb, "  %%accn = add i%d %%acc, %%i\n", w)
+		fmt.Fprintf(&sb, "  %%acci = %s\n", fuzzIntrinsic(rng, w, func() string {
+			return []string{"%acc", "%i", "%bound"}[rng.Intn(3)]
+		}))
+		fmt.Fprintf(&sb, "  %%accn = add i%d %%acci, %%i\n", w)
 		fmt.Fprintf(&sb, "  %%inext = add i%d %%i, 1\n", w)
 		sb.WriteString("  br label %head\nexit:\n")
-		fmt.Fprintf(&sb, "  ret i%d %%acc\n}", w)
+		if rng.Intn(2) == 0 {
+			// Read the body's intrinsic result after the loop: a kernel
+			// that wrote lanes outside the wave would change it for lanes
+			// that exited early (zero-trip lanes hit an unbound use).
+			fmt.Fprintf(&sb, "  %%r = xor i%d %%acc, %%acci\n  ret i%d %%r\n}", w, w)
+		} else {
+			fmt.Fprintf(&sb, "  ret i%d %%acc\n}", w)
+		}
 	} else {
 		fmt.Fprintf(&sb, "  ret i%d %s\n}", w, last)
 	}

@@ -102,6 +102,9 @@ type cinstr struct {
 	// (-1 when the label names no block).
 	succ [2]int32
 
+	// intr is the resolved intrinsic of an OpCall (intrNone otherwise).
+	intr intrinsic
+
 	// phiPred holds, per incoming phi edge, the index of the predecessor
 	// block the label names (-2 when the label names no block, so it can
 	// never match a real predecessor).
@@ -199,6 +202,8 @@ func Compile(fn *ir.Func) *Program {
 			switch in.Op {
 			case ir.OpLoad, ir.OpStore, ir.OpGEP:
 				p.hasMem = true
+			case ir.OpCall:
+				ci.intr = lookupIntrinsic(in.Callee)
 			case ir.OpBr:
 				p.straight = false
 				for k := range in.Labels {

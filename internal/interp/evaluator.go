@@ -210,7 +210,7 @@ func (ev *Evaluator) Run(env Env) Result {
 						return Result{UB: true, UBReason: why, Completed: true, DynInstrs: steps}
 					}
 				}
-				if ub, why := evalOp(ci.in, ev.idst[gi], ev.iargs[gi], mem, &ev.sc); ub {
+				if ub, why := evalOp(ci.in, ci.intr, ev.idst[gi], ev.iargs[gi], mem, &ev.sc); ub {
 					return Result{UB: true, UBReason: why, Completed: true, DynInstrs: steps}
 				}
 				if ci.dst >= 0 && !p.straight {

@@ -201,7 +201,7 @@ func (st *state) eval(in *ir.Instr) (RVal, bool, string) {
 		args[i] = v
 	}
 	out := RVal{Ty: in.Ty, Lanes: make([]Word, resultLanes(in, args))}
-	if ub, why := evalOp(in, out.Lanes, args, st.mem, &st.sc); ub {
+	if ub, why := evalOp(in, lookupIntrinsic(in.Callee), out.Lanes, args, st.mem, &st.sc); ub {
 		return RVal{}, true, why
 	}
 	return out, false, ""

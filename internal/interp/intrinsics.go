@@ -7,163 +7,210 @@ import (
 	"repro/internal/ir"
 )
 
-// evalCall evaluates the intrinsic subset, writing result lanes into dst.
-// All supported intrinsics are pure. Shared by Exec and the compiled
-// Evaluator like the other kernels.
-func evalCall(in *ir.Instr, dst []Word, args []RVal) (bool, string) {
-	base := ir.IntrinsicBase(in.Callee)
-	w := ir.ScalarBits(ir.Elem(in.Ty))
-	mask := ir.MaskW(w)
+// intrinsic identifies a supported intrinsic by its base name. Compile
+// resolves every call's callee once, so the compiled engines never re-parse
+// intrinsic names on the execution path.
+type intrinsic uint8
 
-	bin := func(f func(x, y uint64) (uint64, bool)) (bool, string) {
-		for i := range dst {
-			x, y := args[0].Lanes[i], args[1].Lanes[i]
-			if x.Poison || y.Poison {
-				dst[i] = Word{Poison: true}
-				continue
-			}
-			v, poison := f(x.V&mask, y.V&mask)
-			dst[i] = Word{V: v & mask, Poison: poison}
-		}
-		return false, ""
-	}
-	un := func(f func(x uint64) (uint64, bool)) (bool, string) {
-		for i := range dst {
-			x := args[0].Lanes[i]
-			if x.Poison {
-				dst[i] = Word{Poison: true}
-				continue
-			}
-			v, poison := f(x.V & mask)
-			dst[i] = Word{V: v & mask, Poison: poison}
-		}
-		return false, ""
-	}
-	// flagArg reads the trailing i1 immediate of abs/ctlz/cttz.
-	flagArg := func(idx int) bool {
-		if len(args) <= idx {
-			return false
-		}
-		return args[idx].Lanes[0].V&1 == 1
-	}
+const (
+	intrNone intrinsic = iota
 
-	switch base {
+	// Integer intrinsics, evaluated lane by lane by intLane.
+	intrUMin
+	intrUMax
+	intrSMin
+	intrSMax
+	intrAbs
+	intrCtpop
+	intrCtlz
+	intrCttz
+	intrBswap
+	intrBitreverse
+	intrUAddSat
+	intrUSubSat
+	intrSAddSat
+	intrSSubSat
+	intrFshl
+	intrFshr
+
+	// Floating-point intrinsics.
+	intrFabs
+	intrMinnum
+	intrMaxnum
+)
+
+// lookupIntrinsic resolves a callee name, intrNone if unsupported.
+func lookupIntrinsic(callee string) intrinsic {
+	switch ir.IntrinsicBase(callee) {
 	case "umin":
-		return bin(func(x, y uint64) (uint64, bool) {
-			if x < y {
-				return x, false
-			}
-			return y, false
-		})
+		return intrUMin
 	case "umax":
-		return bin(func(x, y uint64) (uint64, bool) {
-			if x > y {
-				return x, false
-			}
-			return y, false
-		})
+		return intrUMax
 	case "smin":
-		return bin(func(x, y uint64) (uint64, bool) {
-			if ir.SignExt(x, w) < ir.SignExt(y, w) {
-				return x, false
-			}
-			return y, false
-		})
+		return intrSMin
 	case "smax":
-		return bin(func(x, y uint64) (uint64, bool) {
-			if ir.SignExt(x, w) > ir.SignExt(y, w) {
-				return x, false
-			}
-			return y, false
-		})
+		return intrSMax
 	case "abs":
-		poisonOnMin := flagArg(1)
-		return un(func(x uint64) (uint64, bool) {
-			s := ir.SignExt(x, w)
-			if s == minSigned(w) {
-				return x, poisonOnMin
-			}
-			if s < 0 {
-				return uint64(-s), false
-			}
-			return x, false
-		})
+		return intrAbs
 	case "ctpop":
-		return un(func(x uint64) (uint64, bool) { return uint64(bits.OnesCount64(x)), false })
+		return intrCtpop
 	case "ctlz":
-		zeroPoison := flagArg(1)
-		return un(func(x uint64) (uint64, bool) {
-			if x == 0 {
-				return uint64(w), zeroPoison
-			}
-			return uint64(bits.LeadingZeros64(x) - (64 - w)), false
-		})
+		return intrCtlz
 	case "cttz":
-		zeroPoison := flagArg(1)
-		return un(func(x uint64) (uint64, bool) {
-			if x == 0 {
-				return uint64(w), zeroPoison
-			}
-			return uint64(bits.TrailingZeros64(x)), false
-		})
+		return intrCttz
 	case "bswap":
-		return un(func(x uint64) (uint64, bool) {
-			return bits.ReverseBytes64(x) >> uint(64-w), false
-		})
+		return intrBswap
 	case "bitreverse":
-		return un(func(x uint64) (uint64, bool) {
-			return bits.Reverse64(x) >> uint(64-w), false
-		})
+		return intrBitreverse
 	case "uadd.sat":
-		return bin(func(x, y uint64) (uint64, bool) {
-			s := (x + y) & mask
-			if s < x {
-				return mask, false
-			}
-			return s, false
-		})
+		return intrUAddSat
 	case "usub.sat":
-		return bin(func(x, y uint64) (uint64, bool) {
-			if y > x {
-				return 0, false
-			}
-			return x - y, false
-		})
+		return intrUSubSat
 	case "sadd.sat":
-		return bin(func(x, y uint64) (uint64, bool) {
-			s := ir.SignExt(x, w) + ir.SignExt(y, w)
-			return clampSigned(s, w), false
-		})
+		return intrSAddSat
 	case "ssub.sat":
-		return bin(func(x, y uint64) (uint64, bool) {
-			s := ir.SignExt(x, w) - ir.SignExt(y, w)
-			return clampSigned(s, w), false
-		})
-	case "fshl", "fshr":
-		for i := range dst {
-			a, b, s := args[0].Lanes[i], args[1].Lanes[i], args[2].Lanes[i]
-			if a.Poison || b.Poison || s.Poison {
-				dst[i] = Word{Poison: true}
-				continue
-			}
-			sh := s.V % uint64(w)
-			concat := func(hi, lo uint64) uint64 {
-				// Conceptual 2w-bit value hi:lo.
-				if sh == 0 {
-					if base == "fshl" {
-						return hi & mask
-					}
-					return lo & mask
-				}
-				if base == "fshl" {
-					return ((hi << sh) | (lo >> uint(uint64(w)-sh))) & mask
-				}
-				return ((lo >> sh) | (hi << uint(uint64(w)-sh))) & mask
-			}
-			dst[i] = Word{V: concat(a.V&mask, b.V&mask)}
-		}
-		return false, ""
+		return intrSSubSat
+	case "fshl":
+		return intrFshl
+	case "fshr":
+		return intrFshr
 	case "fabs":
+		return intrFabs
+	case "minnum":
+		return intrMinnum
+	case "maxnum":
+		return intrMaxnum
+	}
+	return intrNone
+}
+
+// isInt reports whether id is an integer intrinsic (evaluated by intLane).
+func (id intrinsic) isInt() bool { return id >= intrUMin && id <= intrFshr }
+
+// hasFlag reports whether id takes a trailing i1 immediate (abs's
+// int_min_is_poison, ctlz/cttz's is_zero_poison) as its optional second
+// operand.
+func (id intrinsic) hasFlag() bool { return id == intrAbs || id == intrCtlz || id == intrCttz }
+
+// binaryIntrinsics is the set of two-operand integer intrinsics.
+const binaryIntrinsics = 1<<intrUMin | 1<<intrUMax | 1<<intrSMin | 1<<intrSMax |
+	1<<intrUAddSat | 1<<intrUSubSat | 1<<intrSAddSat | 1<<intrSSubSat
+
+// minArgs is the number of value operands the integer intrinsic id reads.
+func (id intrinsic) minArgs() int {
+	switch {
+	case id == intrFshl || id == intrFshr:
+		return 3
+	case binaryIntrinsics>>id&1 == 1:
+		return 2
+	}
+	return 1
+}
+
+// intLane evaluates one lane of the integer intrinsic id at width w (mask =
+// ir.MaskW(w)). x, y, z are the lane's operands in order; for the flagged
+// intrinsics y is the i1 immediate (the zero Word when absent). Operands
+// id does not take are ignored. Exec, Run and RunBatch all evaluate integer
+// intrinsics through this one function.
+func intLane(id intrinsic, w int, mask uint64, x, y, z Word) Word {
+	switch id {
+	case intrFshl, intrFshr:
+		if x.Poison || y.Poison || z.Poison {
+			return Word{Poison: true}
+		}
+		// Conceptual 2w-bit value hi:lo, shifted by the amount modulo w.
+		hi, lo := x.V&mask, y.V&mask
+		sh := z.V % uint64(w)
+		switch {
+		case sh == 0 && id == intrFshl:
+			return Word{V: hi}
+		case sh == 0:
+			return Word{V: lo}
+		case id == intrFshl:
+			return Word{V: ((hi << sh) | (lo >> uint(uint64(w)-sh))) & mask}
+		}
+		return Word{V: ((lo >> sh) | (hi << uint(uint64(w)-sh))) & mask}
+	}
+	if x.Poison || y.Poison && binaryIntrinsics>>id&1 == 1 {
+		return Word{Poison: true}
+	}
+	xv, yv := x.V&mask, y.V&mask
+	var v uint64
+	poison := false
+	switch id {
+	case intrUMin:
+		v = yv
+		if xv < yv {
+			v = xv
+		}
+	case intrUMax:
+		v = yv
+		if xv > yv {
+			v = xv
+		}
+	case intrSMin:
+		v = yv
+		if ir.SignExt(xv, w) < ir.SignExt(yv, w) {
+			v = xv
+		}
+	case intrSMax:
+		v = yv
+		if ir.SignExt(xv, w) > ir.SignExt(yv, w) {
+			v = xv
+		}
+	case intrAbs:
+		switch sign := mask>>1 + 1; {
+		case xv == sign: // the minimum signed value
+			v, poison = xv, y.V&1 == 1
+		case xv&sign != 0:
+			v = -xv
+		default:
+			v = xv
+		}
+	case intrCtpop:
+		v = uint64(bits.OnesCount64(xv))
+	case intrCtlz:
+		if xv == 0 {
+			v, poison = uint64(w), y.V&1 == 1
+		} else {
+			v = uint64(bits.LeadingZeros64(xv) - (64 - w))
+		}
+	case intrCttz:
+		if xv == 0 {
+			v, poison = uint64(w), y.V&1 == 1
+		} else {
+			v = uint64(bits.TrailingZeros64(xv))
+		}
+	case intrBswap:
+		v = bits.ReverseBytes64(xv) >> uint(64-w)
+	case intrBitreverse:
+		v = bits.Reverse64(xv) >> uint(64-w)
+	case intrUAddSat:
+		v = (xv + yv) & mask
+		if v < xv {
+			v = mask
+		}
+	case intrUSubSat:
+		if yv <= xv {
+			v = xv - yv
+		}
+	case intrSAddSat:
+		v = clampSigned(ir.SignExt(xv, w)+ir.SignExt(yv, w), w)
+	case intrSSubSat:
+		v = clampSigned(ir.SignExt(xv, w)-ir.SignExt(yv, w), w)
+	}
+	return Word{V: v & mask, Poison: poison}
+}
+
+// evalCall evaluates a call of the resolved intrinsic id, writing result
+// lanes into dst. All supported intrinsics are pure. Shared by Exec and the
+// compiled Evaluator like the other kernels.
+func evalCall(id intrinsic, in *ir.Instr, dst []Word, args []RVal) (bool, string) {
+	w := ir.ScalarBits(ir.Elem(in.Ty))
+	switch id {
+	case intrNone:
+		return true, "unsupported intrinsic @" + in.Callee
+	case intrFabs:
 		for i := range dst {
 			x := args[0].Lanes[i]
 			if x.Poison {
@@ -173,7 +220,7 @@ func evalCall(in *ir.Instr, dst []Word, args []RVal) (bool, string) {
 			dst[i] = Word{V: storeFloat(w, math.Abs(loadFloat(w, x.V)))}
 		}
 		return false, ""
-	case "minnum", "maxnum":
+	case intrMinnum, intrMaxnum:
 		for i := range dst {
 			x, y := args[0].Lanes[i], args[1].Lanes[i]
 			if x.Poison || y.Poison {
@@ -187,7 +234,7 @@ func evalCall(in *ir.Instr, dst []Word, args []RVal) (bool, string) {
 				r = fy
 			case math.IsNaN(fy):
 				r = fx
-			case base == "minnum":
+			case id == intrMinnum:
 				r = math.Min(fx, fy)
 			default:
 				r = math.Max(fx, fy)
@@ -196,7 +243,25 @@ func evalCall(in *ir.Instr, dst []Word, args []RVal) (bool, string) {
 		}
 		return false, ""
 	}
-	return true, "unsupported intrinsic @" + in.Callee
+	// Integer intrinsics: the flag immediate is read once, from lane 0;
+	// value operands lane by lane.
+	mask := ir.MaskW(w)
+	var flag Word
+	if id.hasFlag() && len(args) > 1 {
+		flag = args[1].Lanes[0]
+	}
+	n := id.minArgs()
+	for i := range dst {
+		x, y, z := args[0].Lanes[i], flag, Word{}
+		if n >= 2 {
+			y = args[1].Lanes[i]
+		}
+		if n == 3 {
+			z = args[2].Lanes[i]
+		}
+		dst[i] = intLane(id, w, mask, x, y, z)
+	}
+	return false, ""
 }
 
 func clampSigned(s int64, w int) uint64 {
@@ -213,11 +278,5 @@ func clampSigned(s int64, w int) uint64 {
 // SupportedIntrinsic reports whether the interpreter can evaluate calls to
 // the given callee.
 func SupportedIntrinsic(callee string) bool {
-	switch ir.IntrinsicBase(callee) {
-	case "umin", "umax", "smin", "smax", "abs", "ctpop", "ctlz", "cttz",
-		"bswap", "bitreverse", "uadd.sat", "usub.sat", "sadd.sat", "ssub.sat",
-		"fshl", "fshr", "fabs", "minnum", "maxnum":
-		return true
-	}
-	return false
+	return lookupIntrinsic(callee) != intrNone
 }

@@ -68,9 +68,10 @@ func resultLanes(in *ir.Instr, args []RVal) int {
 
 // evalOp executes one non-control-flow, non-phi instruction: the result
 // lanes are written into dst (len(dst) = resultLanes for the tree-walker,
-// the register's static lane count for the compiled evaluator). It reports
-// undefined behaviour exactly like the historic state.eval did.
-func evalOp(in *ir.Instr, dst []Word, args []RVal, mem *Memory, sc *scratch) (bool, string) {
+// the register's static lane count for the compiled evaluator). intr is the
+// resolved intrinsic of a call (lookupIntrinsic). It reports undefined
+// behaviour exactly like the historic state.eval did.
+func evalOp(in *ir.Instr, intr intrinsic, dst []Word, args []RVal, mem *Memory, sc *scratch) (bool, string) {
 	switch {
 	case in.Op.IsIntBinary():
 		return evalIntBinary(in, dst, args[0], args[1])
@@ -118,7 +119,7 @@ func evalOp(in *ir.Instr, dst []Word, args []RVal, mem *Memory, sc *scratch) (bo
 	case in.Op == ir.OpStore:
 		return evalStore(in, args[0], args[1], mem, sc)
 	case in.Op == ir.OpCall:
-		return evalCall(in, dst, args)
+		return evalCall(intr, in, dst, args)
 	case in.Op == ir.OpExtractElt:
 		vec, idx := args[0], args[1].Lanes[0]
 		if idx.Poison || idx.V >= uint64(len(vec.Lanes)) {
