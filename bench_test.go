@@ -305,9 +305,8 @@ func BenchmarkVerifyExhaustive(b *testing.B) { experiments.BenchVerifyExhaustive
 func BenchmarkVerifyBatch(b *testing.B) { experiments.BenchVerifyBatch(b) }
 
 // BenchmarkVerifyMultiBlock measures the reused checker on a branchy pair
-// (an abs-value diamond vs its branch-free form): since the masked
-// multi-block scheduler landed, these vectors run lane-batched instead of
-// through the per-vector fallback.
+// (an abs-value diamond vs its branch-free form) under the masked
+// multi-block scheduler.
 func BenchmarkVerifyMultiBlock(b *testing.B) { experiments.BenchVerifyMultiBlock(b) }
 
 // BenchmarkVerifyMemory measures the reused checker on a load/store pair:
@@ -335,11 +334,6 @@ func BenchmarkAliveVerifyClamp(b *testing.B) {
 // BenchmarkInterpExec measures the reference tree-walker on the clamp
 // window (body shared with the `lpo-bench -json` snapshot).
 func BenchmarkInterpExec(b *testing.B) { experiments.BenchInterpExec(b) }
-
-// BenchmarkInterpCompiled is BenchmarkInterpExec through the compile-once
-// evaluator: the per-execution cost once the window is compiled (body shared
-// with the `lpo-bench -json` snapshot).
-func BenchmarkInterpCompiled(b *testing.B) { experiments.BenchInterpCompiled(b) }
 
 // BenchmarkInterpBatch executes one lane batch (interp.BatchWidth vectors)
 // of the clamp window per op through a warm evaluator (body shared with the

@@ -71,9 +71,6 @@ func main() {
 		}
 		fmt.Printf("%-24s pool %d, special %d, random %d\n",
 			"tier_kills", snap.TierKills.Pool, snap.TierKills.Special, snap.TierKills.Random)
-		fmt.Printf("%-24s %.1f%% (%d batched, %d fallback)\n",
-			"batch_coverage", 100*snap.BatchCoverage.Coverage,
-			snap.BatchCoverage.Batched, snap.BatchCoverage.Fallback)
 		if *against != "" {
 			refData, err := os.ReadFile(*against)
 			if err != nil {

@@ -10,9 +10,8 @@
 //
 // The -stats flag prints the tiered scheduler's behaviour for each check:
 // how many input vectors every tier executed (pool replays / special values
-// / random samples), which tier found the counterexample, the batch
-// coverage (vectors run lane-batched versus the per-vector fallback), and
-// the pool's deposit counters — so the scheduler is observable from the CLI.
+// / random samples), which tier found the counterexample, and the pool's
+// deposit counters — so the scheduler is observable from the CLI.
 //
 // Usage:
 //
@@ -166,12 +165,6 @@ func printTierStats(res alive.Result) {
 	}
 	fmt.Printf("  tiers: %d executed (pool %d, special %d, random %d), killed by: %s\n",
 		res.Checked, t.PoolChecked, t.SpecialChecked, t.RandomChecked, killed)
-	coverage := 100.0
-	if res.Checked > 0 {
-		coverage = 100 * float64(t.Batched) / float64(res.Checked)
-	}
-	fmt.Printf("  batch coverage: %.1f%% (%d batched, %d per-vector fallback)\n",
-		coverage, t.Batched, t.Fallback)
 }
 
 func parseWidths(s string) ([]int, error) {

@@ -98,9 +98,9 @@
 // value is numbered into a dense register slot, constants are materialized
 // into an immutable pool, and block successors and phi edges are resolved to
 // indices. An interp.Evaluator executes the Program over any number of
-// input vectors with reusable scratch storage (register arena, operand
-// views, store/bitcast buffers), so a steady-state run performs zero
-// allocations per execution. Both the evaluator and the reference
+// input vectors with reusable scratch storage (a lane-batched register
+// arena, operand views, store/bitcast buffers), so a steady-state run
+// performs zero allocations per execution. Both the evaluator and the reference
 // tree-walker (interp.Exec, kept for one-shot callers and as the semantic
 // baseline) call the same per-opcode kernels, and differential tests pin
 // them bit-identical — values, poison lanes, UB reasons, step counts and
@@ -111,9 +111,11 @@
 // scalar or vector, with or without memory, with full poison semantics —
 // and skips per-run defined-register bookkeeping and block dispatch.
 // Multi-block functions (phis, loops) run on the same register machine with
-// those guards enabled; the one construct the register machine does not
-// model (vector constants with runtime elements) is marked unbatchable at
-// compile time (Program.Batchable, with BatchFallbackReason naming why).
+// those guards enabled. Vector constants with runtime elements
+// (`splat (i8 %x)`, `<i8 %a, i8 1>`) get a register of their own that the
+// consuming instruction gathers lane by lane before its kernel runs, their
+// unbound-element guards joining its ordered checks — so every program
+// runs on the batch engine, with no per-vector fallback.
 // interp.Cache memoizes Programs by structural hash: the engine installs
 // one cache per campaign shared by its verify stage and the generalize
 // width sweeps, and the Souper/Minotaur CEGIS loops reuse compiled
@@ -134,7 +136,7 @@
 // block keeps a bitmask of lanes waiting to execute it, the scheduler
 // always resumes the lowest-numbered runnable block so lanes that diverged
 // at a branch reconverge at the join, and per-lane step budgets, phi
-// predecessors and defined-register guards match single-vector Run exactly
+// predecessors and defined-register guards match Exec exactly
 // — a lane that exhausts its budget or trips UB simply drops out of every
 // later mask. Memory-touching programs batch over per-lane memory slabs
 // (interp.BatchMems): one lane-strided allocation per declared region,
@@ -148,7 +150,7 @@
 // scalar integer intrinsics — umin/umax/smin/smax, abs, ctpop, ctlz, cttz,
 // bswap, bitreverse, the four saturating add/sub and fshl/fshr — share one
 // lane-masked batch kernel whose per-lane code is the very function Exec
-// and Run evaluate them with, so the three engines cannot diverge on them.
+// evaluates them with, so the two engines cannot diverge on them.
 // interp.Cache is bounded (clock eviction
 // over a few thousand programs, Stats for hit/miss/eviction counters), so
 // campaign-long caches stay a few MB.
@@ -158,9 +160,12 @@
 // counterexamples (alive.CEPool — campaign-scoped and concurrency-safe:
 // every falsified candidate deposits the refuting input, CEGIS-style, so
 // repeat offenders die in a handful of executions); tier 1 runs the
-// exhaustive/special-value phases and tier 2 the random phases, both
-// streamed through the lane-batched evaluators whenever both programs
-// compile batchable — straight-line or branchy, with or without memory.
+// exhaustive/special-value phases and tier 2 the random phases. All three
+// stream through the lane-batched evaluators with one fill, RunBatchFilled
+// and in-order scan: tier-0 vectors carry their pooled memory into the
+// per-lane slabs, and a pooled vector with a poison pointer base (possible
+// only in a pool loaded from a store) runs on the reference path at its
+// place in the order.
 // The input generator emits columnwise (inputGen.nextBatch binds each
 // output vector to a different ArgColumn slot before drawing it, keeping
 // the vector-major rng draw order that same-seed reproducibility pins).
@@ -168,19 +173,17 @@
 // learning campaign almost every verified vector, since each learned rule
 // is re-verified by full enumeration at i8 — skips even that: the counter
 // is written straight into the input columns by the same counter-to-lanes
-// writer the per-vector path uses, and the checker counts tiers once per
+// writer the generator's other phases use, and the checker counts tiers once per
 // batch. The generator's rng comes from a pool and is seeded on first
 // draw, so a Verify allocates no random source and an exhaustive run
 // refuted before its poison trials never seeds one. Memory fills land
 // directly in the per-lane slabs, and refuted pairs
-// restore the raw generated pointer words and initial region bytes so the
-// counterexample text stays byte-identical to the per-vector path (and to
-// alive.ReferenceVerify, the retained Exec-per-input baseline). Result.Tiers
-// reports per-tier executions, the killing tier and the batched/fallback
-// split (Batched + Fallback == Checked — tier-0 pool replays are always
-// per-vector, everything else batches unless a program is unbatchable);
-// `lpo-verify -stats` prints them, engine.Stats aggregates them campaign-
-// wide as BatchCoverage, and GET /v1/stats serves them.
+// restore the raw input pointer words and initial region bytes so the
+// counterexample text stays byte-identical to alive.ReferenceVerify, the
+// retained Exec-per-input baseline. Result.Tiers reports per-tier
+// executions and the killing tier; `lpo-verify -stats` prints them,
+// engine.Stats aggregates them campaign-wide (TierKills, VerifyExecs), and
+// GET /v1/stats serves them.
 // alive.VerifyWidths reseeds each width of a sweep with earlier widths'
 // counterexamples rescaled to the new width; the engine installs one CEPool
 // per campaign beside its program cache (Stats.TierKills aggregates the
@@ -202,22 +205,20 @@
 //
 // `lpo-bench -json FILE` records the hot-path numbers as a machine-readable
 // snapshot so later PRs have a trajectory to compare against. The format
-// (schema "lpo-bench-perf/3") is one JSON object: "schema", "go_max_procs",
+// (schema "lpo-bench-perf/6") is one JSON object: "schema", "go_max_procs",
 // "go_version", "benchmarks" — an array of {name, ns_per_op, allocs_per_op,
 // bytes_per_op, iterations} for the workloads verify_checker,
 // verify_reference, verify_batch, verify_multiblock, verify_memory,
-// verify_widths, interp_exec, interp_compiled, interp_batch,
+// verify_widths, interp_exec, interp_batch,
 // opt_dispatch_all_rules and opt_run_o3 (mirrored by the root-level
 // BenchmarkVerify*/BenchmarkInterp* benchmarks; interp_batch measures one
 // whole BatchWidth-vector batch per op, verify_multiblock/verify_memory
 // exercise the masked scheduler and the per-lane slabs on a reused
 // checker) — "tier_kills", the {pool, special, random} kill counters of a
 // fixed refute-twice-then-verify script that makes counterexample sharing
-// CI-observable — and "batch_coverage", the {batched, fallback, coverage}
-// split of a deterministic corpus self-verification sweep. CI uploads the
-// snapshot as an artifact on every run and fails if any tracked workload
-// regresses past 2x ns/op or grows past 2x allocs/op against the committed
-// reference, if the sweep's batched share drops below 95%, or if
+// CI-observable. CI uploads the snapshot as an artifact on every run and
+// fails if any tracked workload regresses past 2x ns/op or grows past 2x
+// allocs/op against the committed reference, or if
 // "ingest_speedup" — the ratio of the store_commit workload's ns/op to
 // ingest_throughput's, both measured in the same run — drops below 10x
 // (`lpo-bench -json out.json -against BENCH_8.json`, tolerances via

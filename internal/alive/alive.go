@@ -18,10 +18,11 @@
 // Verification is the discovery loop's inner loop, so it is built around a
 // compile-once Checker: both functions are compiled to interp Programs
 // (optionally via a shared Options.Programs cache), input vectors stream
-// lazily through two reusable Evaluators, and a CounterExample is
-// materialized only on an actual violation — a steady-state Verify performs
-// O(1) amortized allocations per input vector. ReferenceVerify keeps the
-// historic Exec-per-input path as the semantic baseline.
+// lazily through two reusable Evaluators in lane batches, and a
+// CounterExample is materialized only on an actual violation — a
+// steady-state Verify performs O(1) amortized allocations per input vector.
+// ReferenceVerify keeps the historic Exec-per-input path as the semantic
+// baseline.
 package alive
 
 import (
@@ -166,12 +167,6 @@ type TierStats struct {
 	SpecialChecked int // tier 1: exhaustive enumeration and special values
 	RandomChecked  int // tier 2: random samples
 	KillTier       int // Tier* constant of the violating vector, TierNone if none
-
-	// Batched and Fallback split Checked by execution path: vectors run on
-	// the lane-batched fast path versus per-vector execution (tier-0
-	// replays and non-batchable programs). Batched+Fallback == Checked.
-	Batched  int
-	Fallback int
 }
 
 // count attributes n checked vectors to tier.
@@ -208,34 +203,29 @@ type Checker struct {
 	opts     Options
 	sigErr   string
 
-	se, te           *interp.Evaluator
-	srcMem, tgtMem   *interp.Memory
-	srcRegs, tgtRegs []*interp.Region // pointer-param regions, in param order
-	ptrParams        []int            // param indices of pointer type
-	args             []interp.RVal    // per-vector argument buffer
-	baseArgs         []interp.RVal    // prebuilt region-base pointers per param
+	se, te    *interp.Evaluator
+	ptrParams []int // param indices of pointer type
 
 	winKey  uint64 // pool key of the source window (lazy)
 	haveKey bool
 	seeds   []PoolVector // extra tier-0 vectors (width-sweep reseeding)
 
-	// Lane-batched streaming state, built lazily when both programs are
-	// batchable (everything except dynamic-vector-constant programs). The
-	// generator writes each vector directly into the source evaluator's
-	// input columns (bArgs views them per batch slot), the columns are
-	// bulk-copied into the target evaluator, and both sides run with
-	// RunBatchFilled — no per-vector staging or scatter at all. Pairs with
-	// pointer parameters additionally carry per-lane slab memories: each
-	// batch slot's regions are reset to that vector's initial fill before
-	// the runs and diffed lane against lane afterwards.
+	// Lane-batched streaming state. Every vector — tier-0 replays and the
+	// generated sequence alike — is written directly into the source
+	// evaluator's input columns (bArgs views them per batch slot), the
+	// columns are bulk-copied into the target evaluator, and both sides run
+	// with RunBatchFilled — no per-vector staging or scatter at all. Pairs
+	// with pointer parameters additionally carry per-lane slab memories:
+	// each batch slot's regions are reset to that vector's initial memory
+	// before the runs and diffed lane against lane afterwards.
 	bArgs            [][]interp.RVal // per batch slot: views into srcCols
 	srcCols, tgtCols [][]interp.Word // per param: the evaluators' input columns
 	bTiers           []int8
 	srcRes           []interp.Result
 	tgtRes           []interp.Result
 	srcBM, tgtBM     *interp.BatchMems // per-lane memories (pointer params only)
-	bFills           [][][]byte        // per slot: initial region fill, per ptr param
-	ptrSave          [][]interp.Word   // per ptr param: raw generated words, per slot
+	bMem             [][][]byte        // per slot: initial memory, per ptr param (borrowed)
+	ptrSave          [][]interp.Word   // per ptr param: raw input pointer words, per slot
 }
 
 // NewChecker compiles src and tgt (through opts.Programs when set) and
@@ -249,23 +239,12 @@ func NewChecker(src, tgt *ir.Func, opts Options) *Checker {
 	}
 	c.se = interp.NewEvaluator(opts.Programs.Program(src))
 	c.te = interp.NewEvaluator(opts.Programs.Program(tgt))
-	c.args = make([]interp.RVal, len(src.Params))
-	c.baseArgs = make([]interp.RVal, len(src.Params))
 	for i, p := range src.Params {
-		if !ir.IsPtr(p.Ty) {
-			continue
-		}
-		c.ptrParams = append(c.ptrParams, i)
-		c.baseArgs[i] = interp.Scalar(ir.Ptr, regionBase(i))
-	}
-	if len(c.ptrParams) > 0 {
-		c.srcMem, c.tgtMem = interp.NewMemory(), interp.NewMemory()
-		for _, i := range c.ptrParams {
-			p := src.Params[i]
-			c.srcRegs = append(c.srcRegs, c.srcMem.AddRegion(p.Nm, regionBase(i), opts.MemSize))
-			c.tgtRegs = append(c.tgtRegs, c.tgtMem.AddRegion(p.Nm, regionBase(i), opts.MemSize))
+		if ir.IsPtr(p.Ty) {
+			c.ptrParams = append(c.ptrParams, i)
 		}
 	}
+	c.initBatch()
 	return c
 }
 
@@ -292,14 +271,13 @@ func (c *Checker) windowKey() uint64 {
 
 // Verify runs the tiered scheduler: tier 0 replays pooled/seeded
 // counterexamples for this source window, then the generated input sequence
-// streams through — lane-batched when both programs take the batch fast
-// path — with the exhaustive/special phases attributed to tier 1 and the
-// random phases to tier 2. The generated sequence, the first violating
-// vector and the resulting counterexample are identical to the historic
-// per-vector path (and to ReferenceVerify); only tier 0 can find a
-// violation earlier, and only when a previous candidate for the same window
-// already failed on that input. Any violation deposits its vector into
-// Options.Pool. Verify may be called repeatedly (e.g. with the checker
+// streams through, with the exhaustive/special phases attributed to tier 1
+// and the random phases to tier 2. Both run lane-batched through the same
+// fill, run and in-order scan, so the first violating vector, Checked and
+// the counterexample are identical to ReferenceVerify; only tier 0 can find
+// a violation earlier, and only when a previous candidate for the same
+// window already failed on that input. Any violation deposits its vector
+// into Options.Pool. Verify may be called repeatedly (e.g. with the checker
 // reused across CEGIS rounds).
 func (c *Checker) Verify() Result {
 	if c.sigErr != "" {
@@ -311,42 +289,39 @@ func (c *Checker) Verify() Result {
 	if c.opts.Pool != nil || len(c.seeds) > 0 {
 		key := c.windowKey()
 		pooled := c.opts.Pool.Vectors(key)
-		for vi, pv := range append(pooled, c.seeds...) {
-			if !c.compatible(pv) {
-				continue
+		vecs := append(pooled, c.seeds...)
+		if vi, ce := c.replay(vecs, &res); ce != nil {
+			res.Verdict = Incorrect
+			res.CE = ce
+			res.Tiers.KillTier = TierPool
+			// Seed-sourced kills (width-sweep reseeds) are new to this
+			// window and worth pooling; a pool-sourced kill is already
+			// stored — mark it referenced instead so the per-window clock
+			// keeps vectors that still earn their slot.
+			if vi >= len(pooled) {
+				c.opts.Pool.Add(key, ce.Inputs, ce.Memory)
+			} else {
+				c.opts.Pool.Touch(key, vecs[vi].Inputs, vecs[vi].Mem)
 			}
-			res.Checked++
-			res.Tiers.PoolChecked++
-			res.Tiers.Fallback++
-			if ce := c.checkVector(pv.Inputs, pv.Mem); ce != nil {
-				res.Verdict = Incorrect
-				res.CE = ce
-				res.Tiers.KillTier = TierPool
-				// Seed-sourced kills (width-sweep reseeds) are new to this
-				// window and worth pooling; a pool-sourced kill is already
-				// stored — mark it referenced instead so the per-window
-				// clock keeps vectors that still earn their slot.
-				if vi >= len(pooled) {
-					c.opts.Pool.Add(key, ce.Inputs, ce.Memory)
-				} else {
-					c.opts.Pool.Touch(key, pv.Inputs, pv.Mem)
-				}
-				return res
-			}
+			return res
 		}
 	}
 	gen := newInputGen(c.src, c.opts)
 	defer gen.release()
 	res.Exhaustive = gen.exhaustive
-	if c.se.Program().Batchable() && c.te.Program().Batchable() {
-		return c.verifyBatched(gen, res)
+	var fill func(int)
+	if len(c.ptrParams) > 0 {
+		fill = func(b int) { c.fillMem(b, gen.memBytes) }
 	}
-	for gen.next() {
-		res.Checked++
-		tier := gen.tier()
-		res.Tiers.count(tier, 1)
-		res.Tiers.Fallback++
-		if ce := c.checkVector(gen.inputs, gen.memBytes); ce != nil {
+	for {
+		n, tier := gen.nextBatch(c.bArgs, c.bTiers, fill)
+		if n == 0 {
+			break
+		}
+		if i, ce := c.runBatch(n, tier, &res); ce != nil {
+			if tier == TierNone {
+				tier = int(c.bTiers[i])
+			}
 			res.Verdict = Incorrect
 			res.CE = ce
 			res.Tiers.KillTier = tier
@@ -356,6 +331,55 @@ func (c *Checker) Verify() Result {
 	}
 	res.Verdict = Correct
 	return res
+}
+
+// replay runs tier 0 over the checker-compatible vectors of vecs, in order,
+// batch by batch. A vector with a poison pointer base changes the region
+// layout, so it runs on the reference path at its place in the order (the
+// generator never emits one, but pooled vectors may come from a store). It
+// returns the index in vecs of the first violating vector and its
+// counterexample, or -1 and nil.
+func (c *Checker) replay(vecs []PoolVector, res *Result) (int, *CounterExample) {
+	var slotVec [interp.BatchWidth]int // batch slot -> index in vecs
+	n := 0
+	for vi, pv := range vecs {
+		if !c.compatible(pv) {
+			continue
+		}
+		poisonBase := false
+		for _, pi := range c.ptrParams {
+			poisonBase = poisonBase || pv.Inputs[pi].AnyPoison()
+		}
+		if !poisonBase {
+			for i := range pv.Inputs {
+				copy(c.bArgs[n][i].Lanes, pv.Inputs[i].Lanes)
+			}
+			if len(c.ptrParams) > 0 {
+				c.fillMem(n, pv.Mem)
+			}
+			slotVec[n] = vi
+			if n++; n < interp.BatchWidth {
+				continue
+			}
+		}
+		// Run the filled slots: the batch is full, or the poison-base
+		// vector must run after them.
+		if i, ce := c.runBatch(n, TierPool, res); ce != nil {
+			return slotVec[i], ce
+		}
+		n = 0
+		if poisonBase {
+			res.Checked++
+			res.Tiers.PoolChecked++
+			if ce := checkOne(c.src, c.tgt, c.src.Params, pv.Inputs, pv.Mem, c.opts); ce != nil {
+				return vi, ce
+			}
+		}
+	}
+	if i, ce := c.runBatch(n, TierPool, res); ce != nil {
+		return slotVec[i], ce
+	}
+	return -1, nil
 }
 
 // compatible reports whether a pooled/seeded vector fits this checker's
@@ -381,121 +405,97 @@ func (c *Checker) deposit(ce *CounterExample) {
 	}
 }
 
-// verifyBatched streams the generator through both compiled programs in
-// lane batches of interp.BatchWidth. Violations are scanned in generation
-// order within each batch, so the first violating vector — and therefore
-// Checked and the counterexample — match the per-vector path bit for bit.
-// Pointer-parameter pairs run against per-lane slab memories: the fill
-// hook snapshots each vector's initial memory into its lane (and saves the
-// raw generated pointer words for counterexample fidelity) before the
-// columns' pointer slots are pinned to the fixed region bases.
-func (c *Checker) verifyBatched(gen *inputGen, res Result) Result {
-	c.initBatch()
-	retVoid := ir.IsVoid(c.src.Ret)
-	fpBits := retFPBits(c.src.Ret)
-	var fill func(int)
+// runBatch executes the first n filled batch slots on both programs and
+// scans them in fill order up to the first violation, adding the scanned
+// vectors to res.Checked and to tier's counter (TierNone: each slot's
+// bTiers entry). It returns the violating slot and its counterexample, or
+// n and nil.
+func (c *Checker) runBatch(n, tier int, res *Result) (int, *CounterExample) {
+	if n == 0 {
+		return 0, nil
+	}
+	for k := range c.srcCols {
+		lanesPerVec := len(c.srcCols[k]) / interp.BatchWidth
+		copy(c.tgtCols[k][:n*lanesPerVec], c.srcCols[k][:n*lanesPerVec])
+	}
 	var srcMems, tgtMems []*interp.Memory
 	if len(c.ptrParams) > 0 {
 		srcMems, tgtMems = c.srcBM.Mems, c.tgtBM.Mems
-		fill = func(b int) {
-			for j, pi := range c.ptrParams {
-				c.ptrSave[j][b] = c.srcCols[pi][b]
-				c.srcCols[pi][b] = interp.Word{V: regionBase(pi)}
-				copy(c.bFills[b][j], gen.memBytes[j])
-				c.srcBM.ResetLane(j, b, gen.memBytes[j])
-				c.tgtBM.ResetLane(j, b, gen.memBytes[j])
-			}
-		}
 	}
-	for {
-		n, tier := gen.nextBatch(c.bArgs, c.bTiers, fill)
-		if n == 0 {
-			break
+	c.se.RunBatchFilled(n, c.srcRes[:n], srcMems)
+	c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems)
+	retVoid := ir.IsVoid(c.src.Ret)
+	fpBits := retFPBits(c.src.Ret)
+	i, diff := 0, ""
+	for ; i < n; i++ {
+		rs, rt := &c.srcRes[i], &c.tgtRes[i]
+		if !rs.Completed || rs.UB {
+			continue // out of budget or source UB: target unconstrained
 		}
-		for k := range c.srcCols {
-			lanesPerVec := len(c.srcCols[k]) / interp.BatchWidth
-			copy(c.tgtCols[k][:n*lanesPerVec], c.srcCols[k][:n*lanesPerVec])
-		}
-		// The gate above checked Batchable on both programs, so neither call
-		// can fail; a non-nil error here is a bug in the gate.
-		if err := c.se.RunBatchFilled(n, c.srcRes[:n], srcMems); err != nil {
-			panic(err)
-		}
-		if err := c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems); err != nil {
-			panic(err)
-		}
-		// Scan in generation order up to the first violation, then count
-		// the scanned prefix once.
-		i, diff := 0, ""
-		for ; i < n; i++ {
-			rs, rt := &c.srcRes[i], &c.tgtRes[i]
-			if !rs.Completed || rs.UB {
-				continue // out of budget or source UB: target unconstrained
-			}
-			if !rt.Completed {
-				continue
-			}
-			if rt.UB || (!retVoid && !refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
-				break
-			}
-			if len(c.ptrParams) > 0 {
-				if diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i]); diff != "" {
-					break
-				}
-			}
-		}
-		checked := i
-		if i < n {
-			checked++
-		}
-		res.Checked += checked
-		res.Tiers.Batched += checked
-		if tier != TierNone {
-			res.Tiers.count(tier, checked)
-		} else {
-			for _, t := range c.bTiers[:checked] {
-				res.Tiers.count(int(t), 1)
-			}
-		}
-		if i == n {
+		if !rt.Completed {
 			continue
 		}
-		rs, rt := &c.srcRes[i], &c.tgtRes[i]
-		inputs := cloneRVals(c.bArgs[i])
-		for j, pi := range c.ptrParams {
-			inputs[pi].Lanes[0] = c.ptrSave[j][i]
+		if rt.UB || (!retVoid && !refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
+			break
 		}
-		var memCopy [][]byte
-		if c.bFills != nil {
-			memCopy = cloneByteSlices(c.bFills[i])
+		if len(c.ptrParams) > 0 {
+			if diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i]); diff != "" {
+				break
+			}
 		}
-		ce := &CounterExample{Params: c.src.Params,
-			Inputs: inputs, Memory: memCopy,
-			SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
-			SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
-		if tier == TierNone {
-			tier = int(c.bTiers[i])
-		}
-		res.Verdict = Incorrect
-		res.CE = ce
-		res.Tiers.KillTier = tier
-		c.deposit(ce)
-		return res
 	}
-	res.Verdict = Correct
-	return res
+	// Count the scanned prefix, violating vector included, once.
+	checked := i
+	if i < n {
+		checked++
+	}
+	res.Checked += checked
+	if tier != TierNone {
+		res.Tiers.count(tier, checked)
+	} else {
+		for _, t := range c.bTiers[:checked] {
+			res.Tiers.count(int(t), 1)
+		}
+	}
+	if i == n {
+		return n, nil
+	}
+	rs, rt := &c.srcRes[i], &c.tgtRes[i]
+	inputs := cloneRVals(c.bArgs[i])
+	for j, pi := range c.ptrParams {
+		inputs[pi].Lanes[0] = c.ptrSave[j][i]
+	}
+	var mem [][]byte
+	if len(c.ptrParams) > 0 {
+		mem = cloneByteSlices(c.bMem[i])
+	}
+	return i, &CounterExample{Params: c.src.Params,
+		Inputs: inputs, Memory: mem,
+		SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
+		SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
 }
 
-// initBatch wires the generator-facing argument views straight into the
-// source evaluator's input columns (one RVal view per batch slot and
-// parameter), so filling a batch writes the arena directly and the target
-// side needs only one bulk column copy per parameter. Pairs with pointer
-// parameters also build the per-lane slab memories, the per-slot fill
-// snapshots behind counterexamples, and the raw-pointer-word save area.
-func (c *Checker) initBatch() {
-	if c.bArgs != nil {
-		return
+// fillMem completes batch slot b of a pointer-parameter pair: it saves the
+// slot's raw pointer words (counterexamples report them), pins the pointer
+// arguments to their region bases, and resets the slot's regions on both
+// sides to mem, which it borrows until the slot is refilled.
+func (c *Checker) fillMem(b int, mem [][]byte) {
+	for j, pi := range c.ptrParams {
+		c.ptrSave[j][b] = c.srcCols[pi][b]
+		c.srcCols[pi][b] = interp.Word{V: regionBase(pi)}
+		c.srcBM.ResetLane(j, b, mem[j])
+		c.tgtBM.ResetLane(j, b, mem[j])
 	}
+	c.bMem[b] = mem
+}
+
+// initBatch wires the per-slot argument views straight into the source
+// evaluator's input columns (one RVal view per batch slot and parameter),
+// so filling a batch writes the arena directly and the target side needs
+// only one bulk column copy per parameter. Pairs with pointer parameters
+// also build the per-lane slab memories, the per-slot memory references
+// behind counterexamples, and the raw-pointer-word save area.
+func (c *Checker) initBatch() {
 	np := len(c.src.Params)
 	c.bTiers = make([]int8, interp.BatchWidth)
 	c.srcRes = make([]interp.Result, interp.BatchWidth)
@@ -503,17 +503,8 @@ func (c *Checker) initBatch() {
 	c.srcCols = make([][]interp.Word, np)
 	c.tgtCols = make([][]interp.Word, np)
 	for i := range c.src.Params {
-		// Verify gated on Batchable for both programs, so neither call can
-		// fail here.
-		col, err := c.se.ArgColumn(i)
-		if err != nil {
-			panic(err)
-		}
-		c.srcCols[i] = col
-		if col, err = c.te.ArgColumn(i); err != nil {
-			panic(err)
-		}
-		c.tgtCols[i] = col
+		c.srcCols[i] = c.se.ArgColumn(i)
+		c.tgtCols[i] = c.te.ArgColumn(i)
 	}
 	c.bArgs = make([][]interp.RVal, interp.BatchWidth)
 	vals := make([]interp.RVal, interp.BatchWidth*np)
@@ -539,78 +530,7 @@ func (c *Checker) initBatch() {
 	for j := range c.ptrSave {
 		c.ptrSave[j] = make([]interp.Word, interp.BatchWidth)
 	}
-	c.bFills = make([][][]byte, interp.BatchWidth)
-	fillBuf := make([]byte, interp.BatchWidth*len(c.ptrParams)*c.opts.MemSize)
-	for b := range c.bFills {
-		fl := make([][]byte, len(c.ptrParams))
-		for j := range fl {
-			off := (b*len(c.ptrParams) + j) * c.opts.MemSize
-			fl[j] = fillBuf[off : off+c.opts.MemSize : off+c.opts.MemSize]
-		}
-		c.bFills[b] = fl
-	}
-}
-
-// checkVector runs both compiled functions on one concrete input vector and
-// checks the refinement obligation, materializing a counterexample only on
-// violation. inputs and memBytes are borrowed from the generator and cloned
-// if retained.
-func (c *Checker) checkVector(inputs []interp.RVal, memBytes [][]byte) *CounterExample {
-	for _, i := range c.ptrParams {
-		if inputs[i].AnyPoison() {
-			// A poison pointer base changes the region layout; defer to the
-			// reference path for exactness (the generator never emits this).
-			return checkOne(c.src, c.tgt, c.src.Params, inputs, memBytes, c.opts)
-		}
-	}
-	copy(c.args, inputs)
-	for _, i := range c.ptrParams {
-		c.args[i] = c.baseArgs[i]
-	}
-	resetRegions(c.srcRegs, memBytes)
-	rs := c.se.Run(interp.Env{Args: c.args, Mem: c.srcMem})
-	if !rs.Completed {
-		return nil // out of budget: inconclusive, skip this input
-	}
-	if rs.UB {
-		return nil // source UB: target unconstrained
-	}
-	resetRegions(c.tgtRegs, memBytes)
-	rt := c.te.Run(interp.Env{Args: c.args, Mem: c.tgtMem})
-	if !rt.Completed {
-		return nil
-	}
-	violation := func() *CounterExample {
-		return &CounterExample{Params: c.src.Params,
-			Inputs: cloneRVals(inputs), Memory: cloneByteSlices(memBytes),
-			SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
-			SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason}
-	}
-	if rt.UB {
-		return violation()
-	}
-	if !retRefines(c.src.Ret, rs.Ret, rt.Ret) {
-		return violation()
-	}
-	if c.srcMem != nil {
-		if diff := memDiff(c.srcMem, c.tgtMem); diff != "" {
-			ce := violation()
-			ce.MemDiff = diff
-			return ce
-		}
-	}
-	return nil
-}
-
-// resetRegions restores the prebuilt regions to the given initial contents
-// and clears their poison shadows.
-func resetRegions(regs []*interp.Region, memBytes [][]byte) {
-	for j, r := range regs {
-		copy(r.Data, memBytes[j])
-		for i := range r.Poison {
-			r.Poison[i] = false
-		}
-	}
+	c.bMem = make([][][]byte, interp.BatchWidth)
 }
 
 func cloneRVals(vals []interp.RVal) []interp.RVal {
@@ -719,7 +639,6 @@ func ReferenceVerify(src, tgt *ir.Func, opts Options) Result {
 		res.Checked++
 		tier := gen.tier()
 		res.Tiers.count(tier, 1)
-		res.Tiers.Fallback++
 		if ce := checkOne(src, tgt, gen.params, gen.inputs, gen.memBytes, opts); ce != nil {
 			res.Verdict = Incorrect
 			res.CE = ce

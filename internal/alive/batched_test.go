@@ -7,9 +7,9 @@ import (
 	"repro/internal/parser"
 )
 
-// batchedPairs are (src, tgt, wantCorrect) triples whose shapes used to
-// force the per-vector fallback: memory access, multi-block control flow,
-// and both at once. All are batchable now.
+// batchedPairs are (src, tgt, wantCorrect) triples over the shapes the
+// batch engine must get exactly right: memory access, multi-block control
+// flow, and both at once.
 var batchedPairs = []struct {
 	name    string
 	src     string
@@ -93,11 +93,10 @@ zero:
 		false},
 }
 
-// TestBatchedMatchesReferenceOnMemoryAndBranches is the tentpole's
-// differential: memory-touching and multi-block pairs — the shapes that
-// used to fall back to per-vector execution — run entirely on the
-// lane-batched path and must agree with ReferenceVerify on verdict, counts
-// and byte-identical counterexample text.
+// TestBatchedMatchesReferenceOnMemoryAndBranches is the differential over
+// memory-touching and multi-block pairs: they must agree with
+// ReferenceVerify on verdict, counts and byte-identical counterexample
+// text.
 func TestBatchedMatchesReferenceOnMemoryAndBranches(t *testing.T) {
 	for _, tc := range batchedPairs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,44 +115,34 @@ func TestBatchedMatchesReferenceOnMemoryAndBranches(t *testing.T) {
 				}
 				t.Fatalf("verdict %v, want correct=%v%s", fast.Verdict, tc.correct, extra)
 			}
-			if fast.Tiers.Fallback != 0 || fast.Tiers.Batched != fast.Checked {
-				t.Fatalf("pair should run fully batched: batched %d fallback %d checked %d",
-					fast.Tiers.Batched, fast.Tiers.Fallback, fast.Checked)
-			}
 		})
 	}
 }
 
-// TestBatchCoverageCounters pins the Batched/Fallback split: the two always
-// sum to Checked, batchable pairs run fully batched, and dynamic-vector
-// programs (the one remaining fallback class) count every vector as
-// fallback.
-func TestBatchCoverageCounters(t *testing.T) {
-	for _, tc := range batchedPairs {
-		src := parser.MustParseFunc(tc.src)
+// TestDynamicVectorPairsMatchReference covers pairs with vector constants
+// whose elements are computed at run time — once the only programs that
+// ran per vector, now gathered lane by lane in the batch engine: verdict,
+// counts and counterexample text must equal ReferenceVerify.
+func TestDynamicVectorPairsMatchReference(t *testing.T) {
+	src := parser.MustParseFunc(
+		`define <2 x i8> @src(<2 x i8> %v, i8 %x) { %r = add <2 x i8> %v, splat (i8 %x) ret <2 x i8> %r }`)
+	for _, tc := range []struct {
+		tgt     string
+		correct bool
+	}{
+		{`define <2 x i8> @tgt(<2 x i8> %v, i8 %x) { %r = add <2 x i8> splat (i8 %x), %v ret <2 x i8> %r }`, true},
+		{`define <2 x i8> @tgt(<2 x i8> %v, i8 %x) { %r = add <2 x i8> %v, <i8 %x, i8 1> ret <2 x i8> %r }`, false},
+		{`define <2 x i8> @tgt(<2 x i8> %v, i8 %x) { %r = add nuw <2 x i8> %v, <i8 %x, i8 %x> ret <2 x i8> %r }`, false},
+	} {
 		tgt := parser.MustParseFunc(tc.tgt)
-		res := Verify(src, tgt, Options{Seed: 9, Samples: 64})
-		if res.Tiers.Batched+res.Tiers.Fallback != res.Checked {
-			t.Fatalf("%s: batched %d + fallback %d != checked %d",
-				tc.name, res.Tiers.Batched, res.Tiers.Fallback, res.Checked)
+		opts := Options{Seed: 9, Samples: 64}
+		fast := Verify(src, tgt, opts)
+		if diff := resultsEqual(fast, ReferenceVerify(src, tgt, opts)); diff != "" {
+			t.Fatalf("%s: batched and reference disagree: %s", tc.tgt, diff)
 		}
-	}
-
-	// A dynamic vector constant keeps the program on the per-vector path.
-	dyn := parser.MustParseFunc(
-		`define <2 x i8> @f(<2 x i8> %v, i8 %x) { %r = add <2 x i8> %v, splat (i8 %x) ret <2 x i8> %r }`)
-	res := Verify(dyn, dyn, Options{Seed: 9, Samples: 64})
-	if res.Verdict != Correct {
-		t.Fatalf("reflexive verify must hold, got %v", res.Verdict)
-	}
-	if res.Tiers.Batched != 0 || res.Tiers.Fallback != res.Checked || res.Checked == 0 {
-		t.Fatalf("dynamic-vector pair should be all fallback: batched %d fallback %d checked %d",
-			res.Tiers.Batched, res.Tiers.Fallback, res.Checked)
-	}
-
-	ref := ReferenceVerify(dyn, dyn, Options{Seed: 9, Samples: 64})
-	if ref.Tiers.Fallback != ref.Checked {
-		t.Fatalf("reference path counts every vector as fallback: %+v", ref.Tiers)
+		if got := fast.Verdict == Correct; got != tc.correct {
+			t.Fatalf("%s: verdict %v, want correct=%v", tc.tgt, fast.Verdict, tc.correct)
+		}
 	}
 }
 

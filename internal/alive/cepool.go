@@ -296,8 +296,9 @@ func CEFilterVector(ce *CounterExample, srcEval *interp.Evaluator) (args []inter
 			return nil, interp.RVal{}, false, false
 		}
 	}
-	r := srcEval.Run(interp.Env{Args: ce.Inputs})
-	if r.Completed && !r.UB && !r.Ret.AnyPoison() {
+	out := make([]interp.Result, 1)
+	srcEval.RunBatch([]interp.Env{{Args: ce.Inputs}}, out)
+	if r := out[0]; r.Completed && !r.UB && !r.Ret.AnyPoison() {
 		return ce.Inputs, r.Ret.Clone(), true, true
 	}
 	return ce.Inputs, interp.RVal{}, false, true

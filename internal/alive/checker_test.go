@@ -149,6 +149,9 @@ func TestCheckerCounterexampleIsStable(t *testing.T) {
 // An exhaustive rotate pair — the columnar exhaustive tier feeding the
 // intrinsic batch kernel — allocates nothing per batch: its i8 instance
 // runs 1,025 batches and its i4 instance 5, for the same allocation count.
+// Tier 0 allocates nothing per replayed vector either: a pooled pair —
+// scalar and with pooled memory — allocates the same per Verify with 1 and
+// with 32 pooled vectors.
 func TestVerifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by the race runtime")
@@ -189,6 +192,39 @@ func TestVerifySteadyStateAllocs(t *testing.T) {
 	if wide != narrow {
 		t.Fatalf("exhaustive Verify allocates %.0f times over %d batches but %.0f over %d: allocations grow with batches",
 			wide, wideBatches, narrow, narrowBatches)
+	}
+
+	for _, pair := range [][2]string{
+		{clampSrc, clampTgt},
+		{`define i8 @src(ptr %p, i8 %x) { %v = load i8, ptr %p %r = add i8 %v, %x ret i8 %r }`,
+			`define i8 @tgt(ptr %p, i8 %x) { %v = load i8, ptr %p %r = add i8 %x, %v ret i8 %r }`},
+	} {
+		src, tgt := parser.MustParseFunc(pair[0]), parser.MustParseFunc(pair[1])
+		pooled := func(n int) float64 {
+			pool := NewCEPool()
+			for i := 0; i < n; i++ {
+				var in []interp.RVal
+				var mem [][]byte
+				for _, p := range src.Params {
+					if ir.IsPtr(p.Ty) {
+						in = append(in, interp.Scalar(ir.Ptr, 0))
+						mem = append(mem, []byte{byte(i), byte(i >> 8)})
+					} else {
+						in = append(in, interp.Scalar(p.Ty, uint64(i)*7919))
+					}
+				}
+				pool.Add(WindowKey(src), in, mem)
+			}
+			c := NewChecker(src, tgt, Options{Seed: 2, Samples: 64, Pool: pool})
+			if r := c.Verify(); r.Verdict != Correct || r.Tiers.PoolChecked != n {
+				t.Fatalf("%s with %d pooled: verdict %v, pool checked %d", src.Name, n, r.Verdict, r.Tiers.PoolChecked)
+			}
+			return testing.AllocsPerRun(5, func() { c.Verify() })
+		}
+		if one, full := pooled(1), pooled(defaultPoolCap); one != full {
+			t.Fatalf("%s: Verify allocates %.0f times with 1 pooled vector but %.0f with %d: tier 0 allocates per vector",
+				src.Name, one, full, defaultPoolCap)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package alive
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -127,4 +128,149 @@ func TestVerifyWidthsReseedsPool(t *testing.T) {
 // package cannot import).
 func rewidthFunc(f *ir.Func, w int) (*ir.Func, error) {
 	return parser.ParseFunc(strings.ReplaceAll(f.String(), "i8", ir.IntT(w).String()))
+}
+
+// tier0Pairs are the pairs the batched tier-0 test replays vectors
+// through. Each refutes exactly the vectors whose %x is 200 (-56 as i8)
+// or, for poison-kill, whose pointer base is poison. The pointer pairs
+// read byte 20 of the region — past the end of the 8-byte pooled memories,
+// so it must read as zero — after an earlier vector in the same batch slot
+// stored %x there.
+var tier0Pairs = []struct {
+	name, src, tgt string
+	ptr            bool
+	kills          []int // positions of the killing vector; -1: none
+}{
+	{"scalar",
+		`define i8 @src(i8 %x, i8 %y) { %r = add i8 %x, %y ret i8 %r }`,
+		`define i8 @tgt(i8 %x, i8 %y) {
+  %c = icmp eq i8 %x, -56
+  %a = add i8 %x, %y
+  %r = select i1 %c, i8 0, i8 %a
+  ret i8 %r
+}`, false, []int{0, 63, 64, 71, -1}},
+	{"pooled-memory",
+		`define i8 @src(ptr %p, i8 %x) {
+  %q = getelementptr i8, ptr %p, i64 20
+  %t = load i8, ptr %q
+  %v = load i8, ptr %p
+  store i8 %x, ptr %q
+  %r = add i8 %v, %t
+  ret i8 %r
+}`,
+		`define i8 @tgt(ptr %p, i8 %x) {
+  %q = getelementptr i8, ptr %p, i64 20
+  %t = load i8, ptr %q
+  %v = load i8, ptr %p
+  store i8 %x, ptr %q
+  %r = add i8 %v, %t
+  %c = icmp eq i8 %x, -56
+  %r1 = add i8 %r, 1
+  %o = select i1 %c, i8 %r1, i8 %r
+  ret i8 %o
+}`, true, []int{0, 63, 64, 71, -1}},
+	{"poison-kill",
+		`define i8 @src(ptr %p, i8 %x) { ret i8 %x }`,
+		`define i8 @tgt(ptr %p, i8 %x) { %v = load i8, ptr %p ret i8 %x }`,
+		true, []int{40}},
+}
+
+// TestTier0BatchedMatchesInOrderCheckOne pins the batched tier 0: a window
+// pool filled to its cap of 32 plus 40 seeds (72 replays, crossing the
+// 64-lane batch boundary), with the killing vector first, last in the first
+// batch, first in the second, and last, must report the Checked count, kill
+// tier and counterexample text of an in-order checkOne loop, and leave the
+// pool exactly as that loop's Touch (pool-sourced kill) or Add
+// (seed-sourced kill) does. Pointer pairs carry pooled memory and a
+// poison-pointer-base vector at position 40, which runs on the reference
+// path at its place in the order.
+func TestTier0BatchedMatchesInOrderCheckOne(t *testing.T) {
+	const nPooled, nVecs, poisonAt = defaultPoolCap, 72, 40
+	for _, tc := range tier0Pairs {
+		src := parser.MustParseFunc(tc.src)
+		tgt := parser.MustParseFunc(tc.tgt)
+		opts := Options{Seed: 3, Samples: 32}
+		key := WindowKey(src)
+		for _, killAt := range tc.kills {
+			vecs := make([]PoolVector, nVecs)
+			for i := range vecs {
+				x := uint64(i) + 1
+				if i == killAt {
+					x = 200
+				}
+				v := PoolVector{Inputs: []interp.RVal{interp.Scalar(ir.I8, x), interp.Scalar(ir.I8, 1)}}
+				if tc.ptr {
+					v.Inputs = []interp.RVal{interp.Scalar(ir.Ptr, 0x1234+x), interp.Scalar(ir.I8, x)}
+					if i == poisonAt {
+						v.Inputs[0] = interp.PoisonRV(ir.Ptr)
+					}
+					v.Mem = [][]byte{{byte(i), 1, 2, 3, 4, 5, 6, 7}}
+				}
+				vecs[i] = v
+			}
+			pool, refPool := NewCEPool(), NewCEPool()
+			for _, v := range vecs[:nPooled] {
+				pool.Add(key, v.Inputs, v.Mem)
+				refPool.Add(key, v.Inputs, v.Mem)
+			}
+			opts.Pool = pool
+			c := NewChecker(src, tgt, opts)
+			c.Seed(vecs[nPooled:])
+			res := c.Verify()
+
+			label := fmt.Sprintf("%s/kill@%d", tc.name, killAt)
+			checked, refCE := 0, (*CounterExample)(nil)
+			for vi, v := range vecs {
+				checked++
+				if refCE = checkOne(src, tgt, src.Params, v.Inputs, v.Mem, opts.withDefaults()); refCE != nil {
+					if vi >= nPooled {
+						refPool.Add(key, refCE.Inputs, refCE.Memory)
+					} else {
+						refPool.Touch(key, v.Inputs, v.Mem)
+					}
+					break
+				}
+			}
+			if refCE == nil {
+				if killAt >= 0 {
+					t.Fatalf("%s: reference loop found no violation", label)
+				}
+				if res.Tiers.PoolChecked != nVecs || res.Tiers.KillTier == TierPool {
+					t.Fatalf("%s: tier 0 checked %d (kill tier %d), want all %d without a kill",
+						label, res.Tiers.PoolChecked, res.Tiers.KillTier, nVecs)
+				}
+				continue
+			}
+			if res.Verdict != Incorrect || res.Tiers.KillTier != TierPool ||
+				res.Checked != checked || res.Tiers.PoolChecked != checked {
+				t.Fatalf("%s: verdict %v, kill tier %d, checked %d (pool %d), want a pool kill after %d",
+					label, res.Verdict, res.Tiers.KillTier, res.Checked, res.Tiers.PoolChecked, checked)
+			}
+			if got, want := res.CE.Format(), refCE.Format(); got != want {
+				t.Fatalf("%s: counterexample text:\n%s\nwant:\n%s", label, got, want)
+			}
+			if diff := samePoolState(pool, refPool, key); diff != "" {
+				t.Fatalf("%s: pool after Verify differs from the reference loop's: %s", label, diff)
+			}
+		}
+	}
+}
+
+// samePoolState compares two pools' counters and, for one window, the
+// stored vectors, their order and their clock reference bits.
+func samePoolState(a, b *CEPool, key uint64) string {
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
+		return fmt.Sprintf("stats %+v vs %+v", sa, sb)
+	}
+	ba, bb := a.buckets[key], b.buckets[key]
+	if len(ba.slots) != len(bb.slots) || ba.hand != bb.hand {
+		return fmt.Sprintf("%d slots (hand %d) vs %d (hand %d)", len(ba.slots), ba.hand, len(bb.slots), bb.hand)
+	}
+	for i := range ba.slots {
+		if ba.slots[i].hash != bb.slots[i].hash || ba.slots[i].ref != bb.slots[i].ref {
+			return fmt.Sprintf("slot %d: hash %x ref %v vs hash %x ref %v",
+				i, ba.slots[i].hash, ba.slots[i].ref, bb.slots[i].hash, bb.slots[i].ref)
+		}
+	}
+	return ""
 }

@@ -38,11 +38,9 @@ type Stats struct {
 
 	// Tiered-verification counters (see alive.TierStats): how many refuted
 	// candidates each scheduler tier killed, and the total input vectors
-	// the verify stage executed, split by execution path (lane-batched
-	// versus per-vector fallback).
+	// the verify stage executed.
 	poolKills, specialKills, randomKills int
 	verifyExecs                          int
-	batchedExecs, fallbackExecs          int
 
 	// Lift-coverage counters (wasm frontend): how many functions the wasm
 	// lifter saw across submitted modules, how many made it into the
@@ -117,15 +115,12 @@ func (s *Stats) recordDegraded() {
 }
 
 // recordVerify tallies one actual (non-cached) verification: the tier that
-// killed the candidate (alive.TierNone..TierRandom), how many input vectors
-// ran, and how they split between the lane-batched path and the per-vector
-// fallback.
+// killed the candidate (alive.TierNone..TierRandom) and how many input
+// vectors ran.
 func (s *Stats) recordVerify(checked int, tiers alive.TierStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.verifyExecs += checked
-	s.batchedExecs += tiers.Batched
-	s.fallbackExecs += tiers.Fallback
 	switch tiers.KillTier {
 	case alive.TierPool:
 		s.poolKills++
@@ -258,24 +253,11 @@ func (s *Stats) VerifyExecs() int {
 	return s.verifyExecs
 }
 
-// BatchExecs splits VerifyExecs by execution path: vectors run on the
-// lane-batched interpreter versus the per-vector fallback (tier-0 replays
-// and non-batchable programs). batched+fallback == VerifyExecs.
+// BatchExecs splits VerifyExecs by execution path. Every vector runs on
+// the lane-batched interpreter, so it returns (VerifyExecs, 0); the split
+// is kept for callers that report it.
 func (s *Stats) BatchExecs() (batched, fallback int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batchedExecs, s.fallbackExecs
-}
-
-// BatchCoverage is the fraction of verify executions that ran lane-batched,
-// in [0, 1]; it reports 1 when nothing has run yet.
-func (s *Stats) BatchCoverage() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.verifyExecs == 0 {
-		return 1
-	}
-	return float64(s.batchedExecs) / float64(s.verifyExecs)
+	return s.VerifyExecs(), 0
 }
 
 // LearnedFindings is the number of Found results backed by a learned rule
@@ -302,7 +284,6 @@ func (s *Stats) Reset() {
 	s.degraded = 0
 	s.poolKills, s.specialKills, s.randomKills = 0, 0, 0
 	s.verifyExecs = 0
-	s.batchedExecs, s.fallbackExecs = 0, 0
 	s.lift = wasm.LiftStats{}
 }
 
@@ -335,8 +316,6 @@ func (s *Stats) Print(w io.Writer) {
 	if s.verifyExecs > 0 {
 		fmt.Fprintf(w, "verify executions: %d vectors (kills: pool %d, special %d, random %d)\n",
 			s.verifyExecs, s.poolKills, s.specialKills, s.randomKills)
-		fmt.Fprintf(w, "batch coverage: %.1f%% (%d batched, %d per-vector fallback)\n",
-			100*float64(s.batchedExecs)/float64(s.verifyExecs), s.batchedExecs, s.fallbackExecs)
 	}
 	if s.lift.Funcs > 0 {
 		fmt.Fprintf(w, "wasm lift coverage: %s\n", s.lift.String())

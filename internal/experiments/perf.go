@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/alive"
-	"repro/internal/corpus"
 	"repro/internal/generalize"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -30,8 +29,10 @@ import (
 // wasm_decode / wasm_lift workloads (the WebAssembly frontend over the
 // embedded fixture corpus). Version 5 adds the store ingest workloads
 // (store_commit / store_group_commit / ingest_throughput) and the
-// ingest_speedup ratio the CI guard holds a floor on.
-const PerfSchema = "lpo-bench-perf/5"
+// ingest_speedup ratio the CI guard holds a floor on. Version 6 retires the
+// interp_compiled workload and the batch_coverage record: the per-vector
+// evaluator is gone, so every verified vector runs lane-batched.
+const PerfSchema = "lpo-bench-perf/6"
 
 // PerfBench is one measured workload of the perf snapshot (see doc.go,
 // "Performance", for the schema).
@@ -59,26 +60,14 @@ type PerfTierKills struct {
 	Random  int64 `json:"random"`
 }
 
-// PerfBatchCoverage records how a corpus self-verification sweep split
-// between the lane-batched execution path and the per-vector fallback (see
-// measureBatchCoverage). The split is deterministic for the fixed seed, so
-// a change that silently knocks program shapes off the batched path is
-// CI-visible even when every ns/op still passes.
-type PerfBatchCoverage struct {
-	Batched  int64   `json:"batched"`
-	Fallback int64   `json:"fallback"`
-	Coverage float64 `json:"coverage"` // Batched / (Batched + Fallback)
-}
-
 // PerfSnapshot is the machine-readable performance record emitted by
 // `lpo-bench -json` so successive PRs have a trajectory to compare against.
 type PerfSnapshot struct {
-	Schema        string            `json:"schema"`
-	GoMaxProcs    int               `json:"go_max_procs"`
-	GoVersion     string            `json:"go_version"`
-	Benches       []PerfBench       `json:"benchmarks"`
-	TierKills     PerfTierKills     `json:"tier_kills"`
-	BatchCoverage PerfBatchCoverage `json:"batch_coverage"`
+	Schema     string        `json:"schema"`
+	GoMaxProcs int           `json:"go_max_procs"`
+	GoVersion  string        `json:"go_version"`
+	Benches    []PerfBench   `json:"benchmarks"`
+	TierKills  PerfTierKills `json:"tier_kills"`
 	// IngestSpeedup is store_commit ns/op divided by ingest_throughput
 	// ns/op: how many times faster a submission becomes durable on the
 	// scaled path (group commit + shards + client batching, 8 concurrent
@@ -146,17 +135,6 @@ func ComparePerf(cur, ref *PerfSnapshot, nsTolerance, allocTolerance float64) []
 			cur.TierKills.Pool, cur.TierKills.Special, cur.TierKills.Random,
 			ref.TierKills.Pool, ref.TierKills.Special, ref.TierKills.Random))
 	}
-	// Batch coverage is an absolute floor, not a relative tolerance: the
-	// corpus sweep must keep >95% of its verify executions on the
-	// lane-batched path. The gate only arms once a reference snapshot has
-	// recorded the sweep (older schemas decode with a zero record).
-	if ref.BatchCoverage.Batched+ref.BatchCoverage.Fallback > 0 &&
-		cur.BatchCoverage.Coverage < minBatchCoverage {
-		regressions = append(regressions, fmt.Sprintf(
-			"batch_coverage: %.1f%% of corpus verify executions ran lane-batched (%d batched, %d fallback), floor is %.0f%%",
-			100*cur.BatchCoverage.Coverage, cur.BatchCoverage.Batched,
-			cur.BatchCoverage.Fallback, 100*minBatchCoverage))
-	}
 	// The ingest speedup is a floor too: the scaled submission path must
 	// stay at least minIngestSpeedup times faster than one-fsync-per-finding.
 	// Both sides of the ratio are measured in the same run on the same disk,
@@ -169,10 +147,6 @@ func ComparePerf(cur, ref *PerfSnapshot, nsTolerance, allocTolerance float64) []
 	}
 	return regressions
 }
-
-// minBatchCoverage is the absolute floor ComparePerf enforces on the corpus
-// sweep's lane-batched execution share.
-const minBatchCoverage = 0.95
 
 // minIngestSpeedup is the floor ComparePerf enforces on the scaled ingest
 // path's advantage over the one-fsync-per-finding baseline.
@@ -429,23 +403,10 @@ func BenchInterpExec(b *testing.B) {
 	}
 }
 
-// BenchInterpCompiled is BenchInterpExec through a warm compiled evaluator:
-// the per-execution cost once the window is compiled.
-func BenchInterpCompiled(b *testing.B) {
-	perfFuncs()
-	ev := interp.NewEvaluator(interp.Compile(perfClampSrcF))
-	env := interp.Env{Args: []interp.RVal{interp.Scalar(ir.I32, 1234)}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.Run(env)
-	}
-}
-
 // BenchInterpBatch executes one lane batch (interp.BatchWidth input
 // vectors) of the clamp window through a warm evaluator per op — divide
-// ns/op by interp.BatchWidth for the per-vector cost the batched verifier
-// pays, against interp_compiled's per-vector dispatch cost.
+// ns/op by interp.BatchWidth for the per-vector cost the verifier pays,
+// against interp_exec's tree-walking cost.
 func BenchInterpBatch(b *testing.B) {
 	perfFuncs()
 	ev := interp.NewEvaluator(interp.Compile(perfClampSrcF))
@@ -665,7 +626,6 @@ var perfWorkloads = []struct {
 	{"verify_memory", BenchVerifyMemory},
 	{"verify_widths", BenchVerifyWidths},
 	{"interp_exec", BenchInterpExec},
-	{"interp_compiled", BenchInterpCompiled},
 	{"interp_batch", BenchInterpBatch},
 	{"wasm_decode", BenchWasmDecode},
 	{"wasm_lift", BenchWasmLift},
@@ -680,7 +640,7 @@ var perfWorkloads = []struct {
 // returns the snapshot. Workload names map 1:1 onto the root-level
 // benchmarks (BenchmarkVerify, BenchmarkVerifyReference,
 // BenchmarkVerifyBatch, BenchmarkVerifyWidths, BenchmarkInterpExec,
-// BenchmarkInterpCompiled, BenchmarkInterpBatch and the opt dispatch pair),
+// BenchmarkInterpBatch and the opt dispatch pair),
 // which delegate to the same Bench* functions.
 func RunPerfSnapshot() *PerfSnapshot {
 	snap := &PerfSnapshot{Schema: PerfSchema, GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
@@ -695,7 +655,6 @@ func RunPerfSnapshot() *PerfSnapshot {
 		})
 	}
 	snap.TierKills = measureTierKills()
-	snap.BatchCoverage = measureBatchCoverage()
 	var baseNs, scaledNs float64
 	for _, b := range snap.Benches {
 		switch b.Name {
@@ -709,36 +668,6 @@ func RunPerfSnapshot() *PerfSnapshot {
 		snap.IngestSpeedup = baseNs / scaledNs
 	}
 	return snap
-}
-
-// measureBatchCoverage self-verifies a fixed slice of the generated corpus
-// — the shapes a real extraction produces, including branches, memory
-// access and vectors — and records how the executed input vectors split
-// between the lane-batched path and the per-vector fallback. The sweep is
-// deterministic for the fixed seed; ComparePerf fails CI when the batched
-// share drops below minBatchCoverage.
-func measureBatchCoverage() PerfBatchCoverage {
-	projects := corpus.Generate(corpus.Options{Seed: 7, ModulesPerProject: 1, FuncsPerModule: 8})
-	opts := alive.Options{Samples: 96, Seed: 7, Programs: interp.NewCache()}
-	var cov PerfBatchCoverage
-	n := 0
-	for _, p := range projects {
-		for _, m := range p.Modules {
-			for _, f := range m.Funcs {
-				if n >= 48 {
-					break
-				}
-				n++
-				res := alive.Verify(f, f, opts)
-				cov.Batched += int64(res.Tiers.Batched)
-				cov.Fallback += int64(res.Tiers.Fallback)
-			}
-		}
-	}
-	if total := cov.Batched + cov.Fallback; total > 0 {
-		cov.Coverage = float64(cov.Batched) / float64(total)
-	}
-	return cov
 }
 
 // measureTierKills runs a fixed script of refuted verifications through one

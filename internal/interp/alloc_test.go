@@ -10,8 +10,8 @@ import (
 var raceEnabled bool
 
 // TestEvaluatorSteadyStateAllocs pins the compile-once contract: running a
-// compiled straight-line window allocates nothing once the evaluator is
-// warm.
+// compiled straight-line window on one vector allocates nothing once the
+// evaluator is warm.
 func TestEvaluatorSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted by the race runtime")
@@ -24,13 +24,14 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
   ret i8 %5
 }`)
 	ev := NewEvaluator(Compile(f))
-	env := Env{Args: []RVal{Scalar(ir.I32, 1234)}}
-	ev.Run(env)
+	envs := []Env{{Args: []RVal{Scalar(ir.I32, 1234)}}}
+	out := make([]Result, 1)
+	ev.RunBatch(envs, out)
 	allocs := testing.AllocsPerRun(200, func() {
-		ev.Run(env)
+		ev.RunBatch(envs, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state Run allocates %.1f times per execution, want 0", allocs)
+		t.Fatalf("steady-state one-vector RunBatch allocates %.1f times per execution, want 0", allocs)
 	}
 }
 
@@ -50,18 +51,13 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 }`)
 	ev := NewEvaluator(Compile(f))
 	for i := range f.Params {
-		col, err := ev.ArgColumn(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		col := ev.ArgColumn(i)
 		for b := range col {
 			col[b] = Word{V: uint64(b*(i+3)) & 0xFFFF}
 		}
 	}
 	out := make([]Result, BatchWidth)
-	if err := ev.RunBatchFilled(BatchWidth, out, nil); err != nil {
-		t.Fatal(err)
-	}
+	ev.RunBatchFilled(BatchWidth, out, nil)
 	for gi, ci := range ev.p.code {
 		if ci.in.Op == ir.OpCall && ev.bs.kinds[gi] != bkIntrinsic {
 			t.Fatalf("%s runs on batch kind %d, want the intrinsic kernel", ci.in, ev.bs.kinds[gi])

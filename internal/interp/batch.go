@@ -1,19 +1,17 @@
 package interp
 
-// Lane-batched execution: RunBatch streams many input vectors through one
-// compiled Program, executing each instruction across the whole batch before
-// moving to the next. The batch dimension is laid out structure-of-arrays in
-// a dedicated register arena (for the dominant scalar registers every
-// instruction's operands and results are contiguous runs of BatchWidth
-// words), so the per-instruction dispatch that dominates Evaluator.Run is
-// paid once per batch instead of once per vector. Undefined behaviour,
-// poison, return values and step accounting are tracked per lane (= per
-// input vector) and are bit-identical to running Evaluator.Run on each
-// vector in isolation — guarded by the randomized differential tests in
-// batch_test.go.
+// Lane-batched execution, the one compiled engine: RunBatch streams many
+// input vectors through one compiled Program, executing each instruction
+// across the whole batch before moving to the next. The batch dimension is
+// laid out structure-of-arrays in the evaluator's register arena (for the
+// dominant scalar registers every instruction's operands and results are
+// contiguous runs of BatchWidth words), so per-instruction dispatch is paid
+// once per batch instead of once per vector. Undefined behaviour, poison,
+// return values and step accounting are tracked per lane (= per input
+// vector) and are bit-identical to running Exec on each vector in isolation
+// — guarded by the randomized differential tests in batch_test.go.
 //
-// Two batched execution modes cover every register-machine-modeled program
-// (Program.Batchable):
+// Two execution modes cover every program:
 //
 //   - Straight-line programs — the shape of essentially every extracted
 //     peephole window — run runBatchCore: one pass over the code with no
@@ -26,11 +24,10 @@ package interp
 //     re-runs loop bodies until every lane has exited. UB, poison, Ret and
 //     step accounting are tracked per lane throughout.
 //
-// Memory-touching programs batch too: each lane carries its own Memory
-// (callers with many lanes back them with lane-strided BatchMems slabs).
-// Only dynamic-vector-constant programs — which the register machine
-// cannot model at all — still fall back to per-vector Run with cloned
-// return values, so RunBatch is safe to call on any program.
+// Memory-touching programs carry one Memory per lane (callers with many
+// lanes back them with lane-strided BatchMems slabs), and vector constants
+// with run-time elements are gathered lane by lane into their own
+// registers before the consuming instruction runs.
 
 import (
 	"fmt"
@@ -67,9 +64,8 @@ const (
 // operands view a column prefilled with the broadcast constant — so the
 // kernels' inner loops index plain slices with no per-element dispatch.
 
-// batchState is the Evaluator's lazily-built batch scratch: the
-// structure-of-arrays register arena plus per-lane liveness and budget
-// tracking. Built once per evaluator on the first RunBatch.
+// batchState is the Evaluator's batch scratch: the structure-of-arrays
+// register arena plus per-lane liveness and budget tracking.
 type batchState struct {
 	words  []Word // register arena, BatchWidth vectors per register lane
 	kinds  []batchKind
@@ -89,12 +85,8 @@ type batchState struct {
 	waiting []uint64 // per block: lanes parked on its entry
 }
 
-// batch returns the evaluator's batch state, building it on first use.
-func (ev *Evaluator) batch() *batchState {
-	if ev.bs != nil {
-		return ev.bs
-	}
-	p := ev.p
+// newBatchState builds the batch scratch for p.
+func newBatchState(p *Program, emptyMem *Memory) *batchState {
 	bs := &batchState{
 		words: make([]Word, p.arenaLen*BatchWidth),
 		kinds: make([]batchKind, len(p.code)),
@@ -104,7 +96,7 @@ func (ev *Evaluator) batch() *batchState {
 		mems:  make([]*Memory, BatchWidth),
 	}
 	for b := range bs.mems {
-		bs.mems[b] = ev.emptyMem
+		bs.mems[b] = emptyMem
 	}
 	if !p.straight {
 		bs.steps = make([]int, BatchWidth)
@@ -146,7 +138,7 @@ func (ev *Evaluator) batch() *batchState {
 				col, ok := constCols[^slot]
 				if !ok {
 					col = make([]Word, BatchWidth)
-					w := p.consts[^slot].rv.Lanes[0]
+					w := p.consts[^slot].Lanes[0]
 					for j := range col {
 						col[j] = w
 					}
@@ -160,7 +152,6 @@ func (ev *Evaluator) batch() *batchState {
 		bs.bdst[gi] = bs.words[base : base+BatchWidth : base+BatchWidth]
 	}
 	bs.argBuf = make([]RVal, maxArgs)
-	ev.bs = bs
 	return bs
 }
 
@@ -183,7 +174,7 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 			if p.regLanes[slot] != 1 {
 				return bkGeneric
 			}
-		} else if e := &p.consts[^slot]; e.ub || len(e.rv.Lanes) != 1 {
+		} else if len(p.consts[^slot].Lanes) != 1 {
 			return bkGeneric
 		}
 	}
@@ -207,23 +198,12 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 // RunBatch executes the program on every environment and writes one Result
 // per input into out (which must be at least as long as envs). Semantics per
 // vector — values, poison lanes, UB reasons, step accounting — are
-// bit-identical to calling Run on each environment in order. Returned Ret
-// values may alias the evaluator's batch scratch and are valid only until
-// the next RunBatch/Run; clone to retain them.
+// bit-identical to Exec on each environment. Returned Ret values may alias
+// the evaluator's batch scratch and are valid only until the next run;
+// clone to retain them.
 func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 	if len(out) < len(envs) {
 		panic("interp: RunBatch needs len(out) >= len(envs)")
-	}
-	if !ev.p.Batchable() {
-		// Per-vector fallback: dynamic-vector-constant programs, which Run
-		// itself delegates to Exec. Rets are cloned because Run reuses its
-		// scratch across calls.
-		for i := range envs {
-			r := ev.Run(envs[i])
-			r.Ret = r.Ret.Clone()
-			out[i] = r
-		}
-		return
 	}
 	for base := 0; base < len(envs); base += BatchWidth {
 		hi := base + BatchWidth
@@ -234,44 +214,28 @@ func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 	}
 }
 
-// batchableErr names why the program cannot use the column-streaming entry
-// points, so callers see the fallback class instead of a bare panic.
-func (ev *Evaluator) batchableErr(what string) error {
-	return fmt.Errorf("interp: %s requires a batchable program: %s falls back to per-vector execution: %s",
-		what, ev.p.fn.Name, ev.p.BatchFallbackReason())
-}
-
 // ArgColumn returns the batch arena's input column for parameter i: vector
 // b's lanes occupy [b*L, (b+1)*L) of the returned run, the exact layout the
 // batch kernels read. Callers streaming many batches (the alive checker)
 // write inputs directly into the columns and execute with RunBatchFilled,
-// eliding the per-vector Env staging and scatter entirely. It fails for
-// non-Batchable programs, naming the fallback reason.
-func (ev *Evaluator) ArgColumn(i int) ([]Word, error) {
-	if !ev.p.Batchable() {
-		return nil, ev.batchableErr("ArgColumn")
-	}
-	bs := ev.batch()
+// eliding the per-vector Env staging and scatter entirely.
+func (ev *Evaluator) ArgColumn(i int) []Word {
 	r := ev.p.paramReg[i]
 	L := int(ev.p.regLanes[r])
 	base := int(ev.p.regOff[r]) * BatchWidth
-	return bs.words[base : base+L*BatchWidth : base+L*BatchWidth], nil
+	return ev.bs.words[base : base+L*BatchWidth : base+L*BatchWidth]
 }
 
 // RunBatchFilled executes the first n batch lanes against inputs the caller
 // already wrote into the ArgColumn runs, with default step budgets. mems
 // optionally carries one memory per lane (nil entries and a nil slice mean
 // no memory, as for an Env without Mem). Results are written like RunBatch.
-// It fails for non-Batchable programs, naming the fallback reason; n must
-// be <= BatchWidth.
-func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) error {
-	if !ev.p.Batchable() {
-		return ev.batchableErr("RunBatchFilled")
-	}
+// n must be <= BatchWidth.
+func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) {
 	if n > BatchWidth || len(out) < n {
 		panic("interp: RunBatchFilled bounds")
 	}
-	bs := ev.batch()
+	bs := ev.bs
 	for b := 0; b < n; b++ {
 		bs.alive[b] = true
 	}
@@ -289,7 +253,6 @@ func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) error {
 	} else {
 		ev.runBatchBlocks(n, out, nil)
 	}
-	return nil
 }
 
 // runBatchChunk executes one chunk of at most BatchWidth environments on the
@@ -298,7 +261,7 @@ func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) error {
 // stay valid until the next RunBatch).
 func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 	p := ev.p
-	bs := ev.batch()
+	bs := ev.bs
 	B := len(envs)
 	live := 0
 	minMax := defaultMaxSteps
@@ -317,9 +280,8 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 		live++
 	}
 
-	// Scatter the arguments into the batch arena, zero-padding short lanes
-	// exactly like Run. Scalar parameters (the dominant case) take the
-	// direct-store path.
+	// Scatter the arguments into the batch arena, zero-padding short lanes.
+	// Scalar parameters (the dominant case) take the direct-store path.
 	allAlive := live == B
 	for i, r := range p.paramReg {
 		L := int(p.regLanes[r])
@@ -411,17 +373,23 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 				break
 			}
 		}
-		// In straight-line programs runtime checks only guard constants
-		// that failed to materialize, so a triggered check is uniform
-		// across the batch.
+		// In straight-line programs every register read is bound, so the
+		// only runtime checks guard operands that always fault: the first
+		// one fires, uniformly across the batch.
 		if len(ci.checks) > 0 {
-			if ub, why := batchConstUB(p, ci); ub {
-				for b := 0; b < B; b++ {
-					if bs.alive[b] {
-						kill(b, why)
-					}
+			why := ci.checks[0].why()
+			for b := 0; b < B; b++ {
+				if bs.alive[b] {
+					kill(b, why)
 				}
-				break
+			}
+			break
+		}
+		if len(ci.gathers) > 0 {
+			for b := 0; b < B; b++ {
+				if bs.alive[b] {
+					ev.gatherLane(ci, b)
+				}
 			}
 		}
 		switch bs.kinds[gi] {
@@ -437,7 +405,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 					retL = p.regLanes[slot]
 					retBase = p.regOff[slot] * BatchWidth
 				} else {
-					constRet = p.consts[^slot].rv
+					constRet = p.consts[^slot]
 				}
 			}
 			for b := 0; b < B; b++ {
@@ -501,7 +469,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 						args[k] = RVal{Ty: ci.in.Args[k].Type(),
 							Lanes: bs.words[base+b*L : base+(b+1)*L : base+(b+1)*L]}
 					} else {
-						args[k] = p.consts[^slot].rv
+						args[k] = p.consts[^slot]
 					}
 				}
 				var dst []Word
@@ -540,7 +508,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 // edges re-run loop bodies until every lane has exited. Per-lane step
 // counts, budgets, defined-register masks and predecessor blocks keep the
 // semantics — including UB reasons and DynInstrs — bit-identical to running
-// Run per vector. envs is only consulted for per-lane step budgets and may
+// Exec per vector. envs is only consulted for per-lane step budgets and may
 // be nil (default budgets).
 func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 	p := ev.p
@@ -581,21 +549,26 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 		wave &^= 1 << uint(b)
 	}
 	// checkLanes applies one instruction's runtime guards lane by lane, in
-	// operand order, mirroring Evaluator.checkArgs.
+	// operand order, then gathers its dynamic vector operands for the
+	// surviving lanes.
 	checkLanes := func(ci *cinstr) {
-		for _, k := range ci.checks {
-			if wave == 0 {
-				return
+		for gi := range ci.checks {
+			g := &ci.checks[gi]
+			m := wave
+			if g.reg >= 0 {
+				m &^= defs[g.reg]
 			}
-			slot := ci.args[k]
-			if slot >= 0 {
-				for m := wave &^ defs[slot]; m != 0; m &= m - 1 {
-					kill(bits.TrailingZeros64(m), "use of unbound value "+ci.in.Args[k].Ident())
-				}
-			} else if e := &p.consts[^slot]; e.ub {
-				for m := wave; m != 0; m &= m - 1 {
-					kill(bits.TrailingZeros64(m), e.why)
-				}
+			if m == 0 {
+				continue
+			}
+			why := g.why()
+			for ; m != 0; m &= m - 1 {
+				kill(bits.TrailingZeros64(m), why)
+			}
+		}
+		if len(ci.gathers) > 0 {
+			for m := wave; m != 0; m &= m - 1 {
+				ev.gatherLane(ci, bits.TrailingZeros64(m))
 			}
 		}
 	}
@@ -653,7 +626,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 							bs.alive[b] = false
 						}
 					} else {
-						rv := p.consts[^slot].rv
+						rv := p.consts[^slot]
 						for m := wave; m != 0; m &= m - 1 {
 							b := bits.TrailingZeros64(m)
 							out[b] = Result{Completed: true, DynInstrs: steps[b], Ret: rv}
@@ -694,7 +667,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 					if slot >= 0 {
 						c = laneView(slot, b)[0]
 					} else {
-						c = p.consts[^slot].rv.Lanes[0]
+						c = p.consts[^slot].Lanes[0]
 					}
 					if c.Poison {
 						kill(b, "branch on poison")
@@ -735,21 +708,28 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 						kill(b, "phi has no incoming edge from "+pn)
 						continue
 					}
+					// Only the taken edge's operand is evaluated, so only
+					// its guards apply.
+					bound := true
+					for gi := range ci.checks {
+						if g := &ci.checks[gi]; g.k == int32(idx) && (g.reg < 0 || defs[g.reg]&(1<<uint(b)) == 0) {
+							kill(b, g.why())
+							bound = false
+							break
+						}
+					}
+					if !bound {
+						continue
+					}
 					slot := ci.args[idx]
 					var src []Word
 					if slot >= 0 {
-						if defs[slot]&(1<<uint(b)) == 0 {
-							kill(b, "use of unbound value "+ci.in.Args[idx].Ident())
-							continue
-						}
+						// Gathering every dynamic operand is harmless: each
+						// has its own register, and gathers never fault.
+						ev.gatherLane(ci, b)
 						src = laneView(slot, b)
 					} else {
-						e := &p.consts[^slot]
-						if e.ub {
-							kill(b, e.why)
-							continue
-						}
-						src = e.rv.Lanes
+						src = p.consts[^slot].Lanes
 					}
 					if ci.dst >= 0 {
 						dst := laneView(ci.dst, b)
@@ -775,7 +755,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 							if slot >= 0 {
 								args[k] = RVal{Ty: ci.in.Args[k].Type(), Lanes: laneView(slot, b)}
 							} else {
-								args[k] = p.consts[^slot].rv
+								args[k] = p.consts[^slot]
 							}
 						}
 						var dst []Word
@@ -826,18 +806,21 @@ func (bs *batchState) kernel(gi int, ci *cinstr, B int, kill func(int, string)) 
 	return true
 }
 
-// batchConstUB reproduces checkArgs for straight-line programs, where every
-// guarded operand is a constant-pool entry (an unbound-register guard would
-// have cleared the straight flag at compile time).
-func batchConstUB(p *Program, ci *cinstr) (bool, string) {
-	for _, k := range ci.checks {
-		if slot := ci.args[k]; slot < 0 {
-			if e := &p.consts[^slot]; e.ub {
-				return true, e.why
+// gatherLane assembles lane b of every dynamic vector operand of ci: each
+// element is lane 0 of its source register or a constant.
+func (ev *Evaluator) gatherLane(ci *cinstr, b int) {
+	p, words := ev.p, ev.bs.words
+	for gi := range ci.gathers {
+		g := &ci.gathers[gi]
+		dst := words[int(p.regOff[g.reg])*BatchWidth+b*int(p.regLanes[g.reg]):]
+		for l, e := range g.elems {
+			if e.reg < 0 {
+				dst[l] = e.w
+			} else {
+				dst[l] = words[int(p.regOff[e.reg])*BatchWidth+b*int(p.regLanes[e.reg])]
 			}
 		}
 	}
-	return false, ""
 }
 
 // The batch kernels below mirror the shared per-opcode kernels element for

@@ -26,7 +26,7 @@ func sameResult(a, b Result) string {
 
 // batchEnvs builds one fresh environment per vector, with independent
 // memories for pointer parameters (filled deterministically per vector so
-// the per-vector fallback still sees distinct states).
+// lanes see distinct states).
 func batchEnvs(f *ir.Func, vectors [][]RVal, maxSteps int) []Env {
 	envs := make([]Env, len(vectors))
 	for vi, args := range vectors {
@@ -52,9 +52,9 @@ func batchEnvs(f *ir.Func, vectors [][]RVal, maxSteps int) []Env {
 }
 
 // TestRunBatchMatchesRunOnDiffCases drives every construct case — including
-// the multi-block, memory and vector cases that take the per-vector
-// fallback — through RunBatch and requires bit-identical results to Exec on
-// fresh environments. More vectors than BatchWidth are used so chunking and
+// the multi-block, memory, vector and dynamic-vector-constant cases —
+// through RunBatch and requires bit-identical results to Exec on fresh
+// environments. More vectors than BatchWidth are used so chunking and
 // the cross-chunk Ret cloning are exercised.
 func TestRunBatchMatchesRunOnDiffCases(t *testing.T) {
 	for _, tc := range diffCases {
@@ -130,7 +130,9 @@ func fuzzIntrinsic(rng *rand.Rand, w int, operand func() string) string {
 // genStraightLine emits a random straight-line scalar function: a chain of
 // integer binaries (with random poison flags), icmps, selects, conversions,
 // freezes and integer intrinsic calls over parameters, earlier values and
-// literal constants (poison among them).
+// literal constants (poison among them), plus vector binaries over splat
+// and vector-constant operands whose elements are parameters, earlier
+// values, literals and poison, extracted back to a scalar.
 func genStraightLine(rng *rand.Rand) string {
 	widths := []int{8, 16, 32, 64}
 	nParams := 1 + rng.Intn(3)
@@ -168,7 +170,7 @@ func genStraightLine(rng *rand.Rand) string {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("%%v%d", i)
 		w := widths[rng.Intn(len(widths))]
-		switch rng.Intn(10) {
+		switch rng.Intn(11) {
 		case 0, 1, 2, 3: // integer binary
 			op := fuzzBinOps[rng.Intn(len(fuzzBinOps))]
 			fl := ""
@@ -214,6 +216,11 @@ func genStraightLine(rng *rand.Rand) string {
 		case 7: // freeze
 			fmt.Fprintf(&sb, "  %s = freeze i%d %s\n", name, w, pick(w))
 			vals = append(vals, val{name, w})
+		case 8: // vector binary over dynamic vector constants
+			fmt.Fprintf(&sb, "  %%x%d = %s <2 x i%d> %s, %s\n", i,
+				fuzzBinOps[rng.Intn(len(fuzzBinOps))], w, fuzzDynVec(rng, w, pick), fuzzDynVec(rng, w, pick))
+			fmt.Fprintf(&sb, "  %s = extractelement <2 x i%d> %%x%d, i32 %d\n", name, w, i, rng.Intn(2))
+			vals = append(vals, val{name, w})
 		default: // intrinsic, sometimes over a poison literal
 			fmt.Fprintf(&sb, "  %s = %s\n", name, fuzzIntrinsic(rng, w, func() string {
 				if rng.Intn(10) == 0 {
@@ -236,6 +243,22 @@ func genStraightLine(rng *rand.Rand) string {
 	}
 	sb.WriteString("}")
 	return sb.String()
+}
+
+// fuzzDynVec returns a <2 x iw> splat or vector-constant operand whose
+// elements come from elem (parameters, earlier values or literals) or are
+// poison.
+func fuzzDynVec(rng *rand.Rand, w int, elem func(w int) string) string {
+	el := func() string {
+		if rng.Intn(5) == 0 {
+			return "poison"
+		}
+		return elem(w)
+	}
+	if rng.Intn(2) == 0 {
+		return fmt.Sprintf("splat (i%d %s)", w, el())
+	}
+	return fmt.Sprintf("<i%d %s, i%d %s>", w, el(), w, el())
 }
 
 // fuzzVector builds one input vector biased toward interesting values
@@ -265,11 +288,10 @@ func fuzzVector(f *ir.Func, rng *rand.Rand) []RVal {
 	return args
 }
 
-// TestRunBatchFuzzStraightLine is the randomized three-way differential of
-// the tentpole: generated straight-line functions execute through the
-// reference tree-walker, the scalar evaluator and the lane-batched
-// executor, and every vector's values, poison lanes, UB reason and step
-// count must agree bit for bit. The seed is fixed so failures reproduce.
+// TestRunBatchFuzzStraightLine is the randomized differential of the
+// straight-line batch path: generated functions execute through the
+// reference tree-walker and the lane-batched executor, and every vector's
+// values, poison lanes, UB reason and step count must agree bit for bit. The seed is fixed so failures reproduce.
 func TestRunBatchFuzzStraightLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
 	nFuncs := 150
@@ -282,27 +304,17 @@ func TestRunBatchFuzzStraightLine(t *testing.T) {
 		if err != nil {
 			t.Fatalf("func %d: generated IR does not parse: %v\n%s", fi, err, src)
 		}
-		p := Compile(f)
-		if !p.Batchable() {
-			t.Fatalf("func %d: generated function should be batchable\n%s", fi, src)
-		}
-		ev := NewEvaluator(p)
-		evBatch := NewEvaluator(p)
+		ev := NewEvaluator(Compile(f))
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+9; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
 		}
 		envs := batchEnvs(f, vectors, 0)
 		out := make([]Result, len(envs))
-		evBatch.RunBatch(envs, out)
+		ev.RunBatch(envs, out)
 		for i, env := range envs {
-			want := Exec(f, env)
-			if diff := sameResult(want, out[i]); diff != "" {
+			if diff := sameResult(Exec(f, env), out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
-			}
-			got := ev.Run(env)
-			if diff := sameResult(want, got); diff != "" {
-				t.Fatalf("func %d vector %d: Run vs Exec: %s\n%s", fi, i, diff, src)
 			}
 		}
 	}
@@ -366,7 +378,8 @@ func emitFuzzOps(sb *strings.Builder, rng *rand.Rand, w int, pool []string, pref
 // genMultiBlock emits a random multi-block scalar function: a diamond whose
 // arms diverge per input, a phi join (sometimes against a literal), an
 // occasional deliberate cross-block use of an arm-only value (unbound on
-// the other path), and half the time a counted loop whose trip count — and
+// the other path), occasional dynamic vector operands at the join (in a
+// vector phi, and with an arm-only element), and half the time a counted loop whose trip count — and
 // therefore DynInstrs — depends on the inputs. The loop body runs an
 // intrinsic call whose result is sometimes read after the loop, so lanes
 // that already exited must keep their values while the rest iterate.
@@ -391,6 +404,25 @@ func genMultiBlock(rng *rand.Rand) string {
 	}
 	fmt.Fprintf(&sb, "  %%ph = phi i%d [ %s, %%a ], [ %s, %%b ]\n", w, aval, bval)
 	pool := append(append([]string(nil), vals...), "%ph")
+	if rng.Intn(3) == 0 {
+		// A vector phi over dynamic vector operands whose elements may come
+		// from either arm: an element from the other arm is unbound on the
+		// taken edge.
+		all := append(append(append([]string(nil), vals...), av...), bv...)
+		elem := func(int) string { return all[rng.Intn(len(all))] }
+		fmt.Fprintf(&sb, "  %%vph = phi <2 x i%d> [ %s, %%a ], [ %s, %%b ]\n",
+			w, fuzzDynVec(rng, w, elem), fuzzDynVec(rng, w, elem))
+		fmt.Fprintf(&sb, "  %%vx = extractelement <2 x i%d> %%vph, i32 %d\n", w, rng.Intn(2))
+		pool = append(pool, "%vx")
+	}
+	if rng.Intn(3) == 0 {
+		// A vector constant with an element defined on arm a only: lanes
+		// arriving via %b must raise Exec's "use of unbound value" text.
+		fmt.Fprintf(&sb, "  %%jd = add <2 x i%d> <i%d %s, i%d %s>, splat (i%d %s)\n",
+			w, w, pool[rng.Intn(len(pool))], w, av[rng.Intn(len(av))], w, pool[rng.Intn(len(pool))])
+		fmt.Fprintf(&sb, "  %%jx = extractelement <2 x i%d> %%jd, i32 %d\n", w, rng.Intn(2))
+		pool = append(pool, "%jx")
+	}
 	if rng.Intn(4) == 0 {
 		// Cross-block use of an arm-a-only value: lanes arriving via %b hit
 		// "use of unbound value" at runtime.
@@ -487,11 +519,12 @@ func genMemory(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// TestRunBatchFuzzMultiBlock is the randomized three-way differential of
-// the masked multi-block scheduler: generated branchy functions (diamonds,
-// loops, cross-block unbound uses) execute through Exec, Run and RunBatch
-// with mixed per-lane step budgets, and every vector's values, poison, UB
-// reason and per-lane DynInstrs must agree bit for bit.
+// TestRunBatchFuzzMultiBlock is the randomized differential of the masked
+// multi-block scheduler: generated branchy functions (diamonds, loops,
+// cross-block unbound uses, dynamic vector operands in phis and joins)
+// execute through Exec and RunBatch with mixed per-lane step budgets, and
+// every vector's values, poison, UB reason and per-lane DynInstrs must agree
+// bit for bit.
 func TestRunBatchFuzzMultiBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	nFuncs := 150
@@ -504,12 +537,7 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("func %d: generated IR does not parse: %v\n%s", fi, err, src)
 		}
-		p := Compile(f)
-		if !p.Batchable() {
-			t.Fatalf("func %d: multi-block function should be batchable\n%s", fi, src)
-		}
-		ev := NewEvaluator(p)
-		evBatch := NewEvaluator(p)
+		ev := NewEvaluator(Compile(f))
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+9; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
@@ -524,24 +552,19 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 		}
 		envs := budget(batchEnvs(f, vectors, 0))
 		refEnvs := budget(batchEnvs(f, vectors, 0))
-		runEnvs := budget(batchEnvs(f, vectors, 0))
 		out := make([]Result, len(envs))
-		evBatch.RunBatch(envs, out)
+		ev.RunBatch(envs, out)
 		for i := range envs {
-			want := Exec(f, refEnvs[i])
-			if diff := sameResult(want, out[i]); diff != "" {
+			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
-			}
-			if diff := sameResult(want, ev.Run(runEnvs[i])); diff != "" {
-				t.Fatalf("func %d vector %d: Run vs Exec: %s\n%s", fi, i, diff, src)
 			}
 		}
 	}
 }
 
-// TestRunBatchFuzzMemory is the randomized three-way differential of
-// per-lane batch memories: generated load/store/GEP functions execute
-// through Exec, Run and RunBatch on per-vector memories, and every
+// TestRunBatchFuzzMemory is the randomized differential of per-lane batch
+// memories: generated load/store/GEP functions execute through Exec and
+// RunBatch on per-vector memories, and every
 // vector's results and final memory (data and poison shadows) must agree.
 func TestRunBatchFuzzMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -555,34 +578,21 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 		if err != nil {
 			t.Fatalf("func %d: generated IR does not parse: %v\n%s", fi, err, src)
 		}
-		p := Compile(f)
-		if !p.Batchable() {
-			t.Fatalf("func %d: memory function should be batchable\n%s", fi, src)
-		}
-		ev := NewEvaluator(p)
-		evBatch := NewEvaluator(p)
+		ev := NewEvaluator(Compile(f))
 		var vectors [][]RVal
 		for k := 0; k < BatchWidth+9; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
 		}
 		envs := batchEnvs(f, vectors, 0)
 		refEnvs := batchEnvs(f, vectors, 0)
-		runEnvs := batchEnvs(f, vectors, 0)
 		out := make([]Result, len(envs))
-		evBatch.RunBatch(envs, out)
+		ev.RunBatch(envs, out)
 		for i := range envs {
-			want := Exec(f, refEnvs[i])
-			if diff := sameResult(want, out[i]); diff != "" {
+			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
-			}
-			if diff := sameResult(want, ev.Run(runEnvs[i])); diff != "" {
-				t.Fatalf("func %d vector %d: Run vs Exec: %s\n%s", fi, i, diff, src)
 			}
 			if diff := sameMemory(refEnvs[i].Mem, envs[i].Mem); diff != "" {
 				t.Fatalf("func %d vector %d: batch final memory vs Exec: %s\n%s", fi, i, diff, src)
-			}
-			if diff := sameMemory(refEnvs[i].Mem, runEnvs[i].Mem); diff != "" {
-				t.Fatalf("func %d vector %d: Run final memory vs Exec: %s\n%s", fi, i, diff, src)
 			}
 		}
 	}
@@ -606,19 +616,14 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 		outA := make([]Result, n)
 		evA.RunBatch(envs, outA)
 		for i, prm := range f.Params {
-			col, err := evB.ArgColumn(i)
-			if err != nil {
-				t.Fatalf("func %d: ArgColumn: %v", fi, err)
-			}
+			col := evB.ArgColumn(i)
 			L := ir.Lanes(prm.Ty)
 			for b := 0; b < n; b++ {
 				copy(col[b*L:(b+1)*L], vectors[b][i].Lanes)
 			}
 		}
 		outB := make([]Result, n)
-		if err := evB.RunBatchFilled(n, outB, nil); err != nil {
-			t.Fatalf("func %d: RunBatchFilled: %v", fi, err)
-		}
+		evB.RunBatchFilled(n, outB, nil)
 		for i := range outA {
 			if diff := sameResult(outA[i], outB[i]); diff != "" {
 				t.Fatalf("func %d vector %d: filled vs batch: %s", fi, i, diff)
@@ -629,7 +634,7 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 
 // TestRunBatchBudgetAndArgc covers the per-lane bookkeeping edges: mixed
 // step budgets within one batch and argument-count mismatches on individual
-// lanes, both matching per-vector Run exactly.
+// lanes, both matching Exec exactly.
 func TestRunBatchBudgetAndArgc(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) {
   %a = add i8 %x, 1
@@ -647,64 +652,9 @@ func TestRunBatchBudgetAndArgc(t *testing.T) {
 	}
 	out := make([]Result, len(envs))
 	ev.RunBatch(envs, out)
-	refEv := NewEvaluator(Compile(f))
 	for i, env := range envs {
-		want := refEv.Run(env)
-		want.Ret = want.Ret.Clone()
-		if diff := sameResult(want, out[i]); diff != "" {
+		if diff := sameResult(Exec(f, env), out[i]); diff != "" {
 			t.Fatalf("env %d: %s", i, diff)
 		}
-	}
-}
-
-// TestBatchableClassification pins which programs take the batched path:
-// since the masked scheduler and per-lane memories landed, multi-block and
-// memory-touching programs batch natively and only dynamic-vector-constant
-// programs fall back to per-vector execution.
-func TestBatchableClassification(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{`define i8 @f(i8 %x) { %r = add i8 %x, 1 ret i8 %r }`, true},
-		{`define i16 @f(ptr %p) { %v = load i16, ptr %p ret i16 %v }`, true},
-		{`define i8 @f(i8 %x) {
-entry:
-  br label %next
-next:
-  ret i8 %x
-}`, true},
-		{`define <2 x i8> @f(i8 %x) {
-  %s = add <2 x i8> splat (i8 %x), splat (i8 1)
-  ret <2 x i8> %s
-}`, false},
-	}
-	for i, tc := range cases {
-		p := Compile(parser.MustParseFunc(tc.src))
-		if p.Batchable() != tc.want {
-			t.Fatalf("case %d: Batchable = %v, want %v", i, p.Batchable(), tc.want)
-		}
-		if reason := p.BatchFallbackReason(); (reason != "") == tc.want {
-			t.Fatalf("case %d: BatchFallbackReason = %q, want empty=%v", i, reason, tc.want)
-		}
-	}
-}
-
-// TestArgColumnFallbackError pins that the column-streaming entry points
-// fail with an error naming the fallback reason instead of panicking.
-func TestArgColumnFallbackError(t *testing.T) {
-	f := parser.MustParseFunc(`define <2 x i8> @dyn(i8 %x) {
-  %s = add <2 x i8> splat (i8 %x), splat (i8 1)
-  ret <2 x i8> %s
-}`)
-	ev := NewEvaluator(Compile(f))
-	if _, err := ev.ArgColumn(0); err == nil ||
-		!strings.Contains(err.Error(), "dynamic vector constant") {
-		t.Fatalf("ArgColumn error = %v, want dynamic-vector reason", err)
-	}
-	out := make([]Result, 1)
-	if err := ev.RunBatchFilled(1, out, nil); err == nil ||
-		!strings.Contains(err.Error(), "dynamic vector constant") {
-		t.Fatalf("RunBatchFilled error = %v, want dynamic-vector reason", err)
 	}
 }

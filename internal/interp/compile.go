@@ -2,13 +2,13 @@ package interp
 
 // Compile-once execution: Compile lowers a function into a Program — every
 // SSA value numbered into a dense register slot, constants materialized into
-// an immutable pool, block successors and phi edges resolved to indices —
-// and an Evaluator (evaluator.go) executes the Program over many input
-// vectors with reusable scratch storage, so a steady-state run performs no
-// per-input allocations. Semantics are bit-identical to Exec: both engines
-// call the same per-opcode kernels, and runtime-dependent errors (unbound
-// values, unknown branch targets, unsupported opcodes) are still raised at
-// the execution step that reaches them, never at compile time.
+// an immutable pool, vector constants with run-time elements lowered to
+// per-lane gathers, block successors and phi edges resolved to indices — and
+// an Evaluator (evaluator.go) executes the Program over batches of input
+// vectors with reusable scratch storage. Results are bit-identical to Exec:
+// both engines call the same per-opcode kernels, and runtime-dependent errors
+// (unbound values, unknown branch targets, unsupported opcodes) are still
+// raised at the execution step that reaches them, never at compile time.
 
 import (
 	"repro/internal/ir"
@@ -24,65 +24,51 @@ type Program struct {
 	arenaLen int     // total words across all registers
 	paramReg []int32 // register index per function parameter
 
-	consts []constEntry
+	consts []RVal   // constant pool
 	code   []cinstr // all instructions, blocks back to back
 	blocks []cblock
 
 	// straight marks the fast path: a single block with no phi and no br
-	// whose every operand is a parameter, a constant, or an earlier
-	// instruction of the block. Straight programs skip per-run defined-
-	// register bookkeeping and block dispatch entirely.
+	// whose every operand (and every element of a dynamic vector operand)
+	// is a parameter, a constant, or an earlier instruction of the block.
+	// Straight programs skip per-lane defined-register bookkeeping and
+	// block dispatch entirely.
 	straight bool
-
-	// fallback marks the rare constructs the register machine does not
-	// model (vector constants whose elements are runtime values, which the
-	// reference interpreter resolves dynamically); Evaluator.Run delegates
-	// such programs to Exec wholesale so semantics stay bit-identical.
-	// fallbackWhy names the offending construct for diagnostics.
-	fallback    bool
-	fallbackWhy string
 
 	// hasMem marks programs touching memory (load/store/gep). Batched
 	// executions of such programs carry one Memory per lane.
 	hasMem bool
 }
 
-// Batchable reports whether RunBatch executes p on its lane-batched path.
-// Multi-block control flow runs under the masked block scheduler and
-// memory-touching programs run against per-lane memories, so the only
-// remaining fallback is a program the register machine cannot model at all
-// (dynamic vector constants, delegated wholesale to Exec). Non-batchable
-// programs still work through RunBatch — they fall back to per-vector
-// execution with identical semantics.
-func (p *Program) Batchable() bool { return !p.fallback }
-
-// BatchFallbackReason describes why the program is executed per-vector by
-// RunBatch, or "" for batchable programs. Historic fallback classes —
-// multi-block control flow and memory access — batch natively now; only
-// dynamic-vector-constant programs still bail.
-func (p *Program) BatchFallbackReason() string {
-	if !p.fallback {
-		return ""
-	}
-	return p.fallbackWhy
-}
-
-// Fn returns the compiled function.
-func (p *Program) Fn() *ir.Func { return p.fn }
-
 type cblock struct {
 	name       string
 	start, end int32 // span in Program.code
 }
 
-// constEntry is one pre-materialized constant. Entries with ub set could not
-// be materialized (e.g. a vector constant referencing an unbound value); the
-// error is raised when an execution actually uses the operand, matching the
-// reference interpreter.
-type constEntry struct {
-	rv  RVal
-	ub  bool
-	why string
+// guard is one runtime check an instruction performs before it runs,
+// reproducing the operand materialization errors of state.operand.
+type guard struct {
+	k   int32    // operand position the guard belongs to
+	reg int32    // register that must hold a bound value; -1: always faults
+	v   ir.Value // the value read: reg's value, or the one that cannot be materialized
+}
+
+// why is the UB reason raised when the guard fails.
+func (g *guard) why() string { return "use of unbound value " + g.v.Ident() }
+
+// gather assembles a dynamic vector operand — a splat or vector constant
+// whose elements are computed at run time — into its own register before
+// the consuming instruction runs: lane l takes lane 0 of register
+// elems[l].reg, or the constant elems[l].w when that is -1.
+type gather struct {
+	k     int32 // operand position
+	reg   int32
+	elems []gatherElem
+}
+
+type gatherElem struct {
+	reg int32
+	w   Word
 }
 
 type cinstr struct {
@@ -93,10 +79,15 @@ type cinstr struct {
 	// indices, values < 0 are const-pool indices encoded as ^idx.
 	args []int32
 
-	// checks lists the operand positions that need a runtime guard before
-	// the kernel runs (possibly-unbound registers, unmaterializable
-	// constants), in operand order. Empty on the fast path.
-	checks []int32
+	// checks lists the runtime guards in operand evaluation order
+	// (possibly-unbound registers, including elements of dynamic vector
+	// operands, and operands that always fault). The first failing guard
+	// names the UB. Empty on the fast path.
+	checks []guard
+
+	// gathers fills the registers of the instruction's dynamic vector
+	// operands; gathering counts no step, as in Exec.
+	gathers []gather
 
 	// succ holds the pre-resolved successor block indices for OpBr
 	// (-1 when the label names no block).
@@ -119,25 +110,24 @@ func Compile(fn *ir.Func) *Program {
 
 	// Pass 1: number parameters and instruction results into registers.
 	reg := make(map[ir.Value]int32)
-	addReg := func(v ir.Value, ty ir.Type) int32 {
+	addReg := func(lanes int) int32 {
 		id := int32(len(p.regLanes))
-		lanes := int32(ir.Lanes(ty))
 		if lanes < 1 {
 			lanes = 1
 		}
 		p.regOff = append(p.regOff, int32(p.arenaLen))
-		p.regLanes = append(p.regLanes, lanes)
-		p.arenaLen += int(lanes)
-		reg[v] = id
+		p.regLanes = append(p.regLanes, int32(lanes))
+		p.arenaLen += lanes
 		return id
 	}
 	for _, prm := range fn.Params {
-		p.paramReg = append(p.paramReg, addReg(prm, prm.Ty))
+		reg[prm] = addReg(ir.Lanes(prm.Ty))
+		p.paramReg = append(p.paramReg, reg[prm])
 	}
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.HasResult() {
-				addReg(in, in.Ty)
+				reg[in] = addReg(ir.Lanes(in.Ty))
 			}
 		}
 	}
@@ -150,32 +140,39 @@ func Compile(fn *ir.Func) *Program {
 		}
 	}
 
-	constIdx := make(map[ir.Value]int32)
-	internConst := func(v ir.Value) int32 {
-		if idx, ok := constIdx[v]; ok {
-			return idx
+	type constEntry struct {
+		idx   int32
+		fault ir.Value // non-nil when the constant cannot be materialized
+	}
+	constIdx := make(map[ir.Value]constEntry)
+	internConst := func(v ir.Value) constEntry {
+		if e, ok := constIdx[v]; ok {
+			return e
 		}
-		if constHasDynamicElems(v, reg) {
-			p.fallback = true
-			if p.fallbackWhy == "" {
-				p.fallbackWhy = "dynamic vector constant (elements of " + v.Ident() +
-					" are computed at run time)"
-			}
-		}
-		e := materializeConst(v, reg)
-		idx := int32(len(p.consts))
-		p.consts = append(p.consts, e)
-		constIdx[v] = idx
-		return idx
+		rv, fault := materializeConst(v)
+		e := constEntry{idx: int32(len(p.consts)), fault: fault}
+		p.consts = append(p.consts, rv)
+		constIdx[v] = e
+		return e
 	}
 
-	// Pass 2: compile instructions.
+	// Pass 2: compile instructions. A register read needs a runtime guard
+	// when it may be unbound: in a multi-block function any instruction
+	// result may be, depending on the path taken; within a single block,
+	// only one not yet defined in code order.
+	multi := len(fn.Blocks) > 1
 	defined := make(map[int32]bool, len(reg))
 	for _, r := range p.paramReg {
 		defined[r] = true
 	}
+	mayBeUnbound := func(r int32) bool {
+		if multi {
+			return !isParamReg(p, r)
+		}
+		return !defined[r]
+	}
 	p.straight = len(fn.Blocks) == 1
-	for bi, b := range fn.Blocks {
+	for _, b := range fn.Blocks {
 		cb := cblock{name: b.Name, start: int32(len(p.code))}
 		for _, in := range b.Instrs {
 			ci := cinstr{in: in, dst: -1, succ: [2]int32{-1, -1}}
@@ -186,17 +183,30 @@ func Compile(fn *ir.Func) *Program {
 			for k, a := range in.Args {
 				if r, ok := reg[a]; ok {
 					ci.args[k] = r
-					if !defined[r] {
-						// Possibly unbound at runtime: guard the read.
-						ci.checks = append(ci.checks, int32(k))
-						p.straight = false
+					if mayBeUnbound(r) {
+						ci.checks = append(ci.checks, guard{k: int32(k), reg: r, v: a})
+					}
+				} else if g, gs, ok := lowerDynamicVector(a, reg); ok {
+					g.k, g.reg = int32(k), addReg(len(g.elems))
+					ci.args[k] = g.reg
+					ci.gathers = append(ci.gathers, g)
+					for _, x := range gs {
+						if x.reg < 0 || mayBeUnbound(x.reg) {
+							x.k = int32(k)
+							ci.checks = append(ci.checks, x)
+						}
 					}
 				} else {
-					idx := internConst(a)
-					ci.args[k] = ^idx
-					if p.consts[idx].ub {
-						ci.checks = append(ci.checks, int32(k))
+					e := internConst(a)
+					ci.args[k] = ^e.idx
+					if e.fault != nil {
+						ci.checks = append(ci.checks, guard{k: int32(k), reg: -1, v: e.fault})
 					}
+				}
+			}
+			for _, g := range ci.checks {
+				if g.reg >= 0 {
+					p.straight = false
 				}
 			}
 			switch in.Op {
@@ -225,34 +235,14 @@ func Compile(fn *ir.Func) *Program {
 				}
 			}
 			if in.HasResult() {
-				// Within a single block this marks defs in execution order;
-				// across blocks it is only used to decide which operands
-				// need runtime guards, which is conservative either way
-				// because bi > 0 clears straight below.
+				// Marks defs in execution order; only single-block
+				// functions consult it.
 				defined[reg[in]] = true
 			}
 			p.code = append(p.code, ci)
 		}
 		cb.end = int32(len(p.code))
 		p.blocks = append(p.blocks, cb)
-		if bi > 0 {
-			p.straight = false
-		}
-	}
-	if len(fn.Blocks) > 1 {
-		// Multi-block functions: any instruction-result operand may be
-		// unbound depending on the path taken, so guard all of them.
-		for i := range p.code {
-			ci := &p.code[i]
-			ci.checks = ci.checks[:0]
-			for k, slot := range ci.args {
-				if slot >= 0 && !isParamReg(p, slot) {
-					ci.checks = append(ci.checks, int32(k))
-				} else if slot < 0 && p.consts[^slot].ub {
-					ci.checks = append(ci.checks, int32(k))
-				}
-			}
-		}
 	}
 	return p
 }
@@ -261,74 +251,108 @@ func isParamReg(p *Program, r int32) bool {
 	return int(r) < len(p.paramReg)
 }
 
-// constHasDynamicElems reports whether v is a vector constant with an
-// element that is a runtime value (parameter or instruction result). Such
-// composites force the whole program onto the Exec fallback.
-func constHasDynamicElems(v ir.Value, reg map[ir.Value]int32) bool {
+// lowerDynamicVector lowers a splat or vector constant operand with an
+// element computed at run time into a gather plus the guards its
+// evaluation raises, in state.operand's order. ok is false for every other
+// operand, including vector constants that fault before reaching a
+// run-time element: those are constant-pool entries.
+func lowerDynamicVector(v ir.Value, reg map[ir.Value]int32) (g gather, gs []guard, ok bool) {
 	switch c := v.(type) {
 	case *ir.Splat:
-		if _, dyn := reg[c.Elem]; dyn {
-			return true
+		var e gatherElem
+		e, gs, _ = lowerElem(c.Elem, reg, nil)
+		g.elems = make([]gatherElem, c.Ty.N)
+		for i := range g.elems {
+			g.elems[i] = e
 		}
-		return constHasDynamicElems(c.Elem, reg)
 	case *ir.ConstVec:
-		for _, el := range c.Elems {
-			if _, dyn := reg[el]; dyn {
-				return true
+		g.elems = make([]gatherElem, len(c.Elems))
+		for i, el := range c.Elems {
+			var more bool
+			if g.elems[i], gs, more = lowerElem(el, reg, gs); !more {
+				break
 			}
-			if constHasDynamicElems(el, reg) {
-				return true
-			}
+		}
+	default:
+		return gather{}, nil, false
+	}
+	for _, x := range gs {
+		if x.reg >= 0 {
+			return g, gs, true
 		}
 	}
-	return false
+	return gather{}, nil, false
+}
+
+// lowerElem resolves the scalar an element operand contributes to a vector
+// (lane 0 of its value), appending the guards its evaluation raises to gs.
+// ok is false once a guard always faults: later elements are never
+// evaluated.
+func lowerElem(v ir.Value, reg map[ir.Value]int32, gs []guard) (e gatherElem, _ []guard, ok bool) {
+	if r, isReg := reg[v]; isReg {
+		return gatherElem{reg: r}, append(gs, guard{reg: r, v: v}), true
+	}
+	switch c := v.(type) {
+	case *ir.Splat:
+		return lowerElem(c.Elem, reg, gs)
+	case *ir.ConstVec:
+		first := gatherElem{reg: -1}
+		for i, el := range c.Elems {
+			if e, gs, ok = lowerElem(el, reg, gs); !ok {
+				return e, gs, false
+			}
+			if i == 0 {
+				first = e
+			}
+		}
+		return first, gs, true
+	}
+	rv, fault := materializeConst(v)
+	if fault != nil {
+		return gatherElem{reg: -1}, append(gs, guard{reg: -1, v: fault}), false
+	}
+	return gatherElem{reg: -1, w: rv.Lanes[0]}, gs, true
 }
 
 // materializeConst builds the pool entry for a non-register operand. It
-// mirrors state.operand's constant cases; values it cannot materialize
-// become lazy-UB entries (vector constants with runtime elements are instead
-// routed to the Exec fallback by constHasDynamicElems).
-func materializeConst(v ir.Value, reg map[ir.Value]int32) constEntry {
+// mirrors state.operand's constant cases; when v cannot be materialized it
+// returns the value that faults (v or one of its elements), which an
+// execution reaching it reports as unbound.
+func materializeConst(v ir.Value) (RVal, ir.Value) {
 	switch c := v.(type) {
 	case *ir.ConstInt:
-		return constEntry{rv: Scalar(c.Ty, c.V)}
+		return Scalar(c.Ty, c.V), nil
 	case *ir.ConstFloat:
-		return constEntry{rv: Scalar(c.Ty, storeFloat(c.Ty.W, c.F))}
+		return Scalar(c.Ty, storeFloat(c.Ty.W, c.F)), nil
 	case *ir.Null:
-		return constEntry{rv: Scalar(ir.Ptr, 0)}
+		return Scalar(ir.Ptr, 0), nil
 	case *ir.Zero:
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: make([]Word, ir.Lanes(c.Ty))}}
+		return RVal{Ty: c.Ty, Lanes: make([]Word, ir.Lanes(c.Ty))}, nil
 	case *ir.Undef:
 		// Undef is approximated as zero, matching state.operand.
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: make([]Word, ir.Lanes(c.Ty))}}
+		return RVal{Ty: c.Ty, Lanes: make([]Word, ir.Lanes(c.Ty))}, nil
 	case *ir.PoisonVal:
-		return constEntry{rv: PoisonRV(c.Ty)}
+		return PoisonRV(c.Ty), nil
 	case *ir.Splat:
-		if _, dyn := reg[c.Elem]; dyn {
-			return constEntry{ub: true, why: "use of unbound value " + c.Elem.Ident()}
-		}
-		e := materializeConst(c.Elem, reg)
-		if e.ub {
-			return e
+		e, fault := materializeConst(c.Elem)
+		if fault != nil {
+			return RVal{}, fault
 		}
 		lanes := make([]Word, c.Ty.N)
 		for i := range lanes {
-			lanes[i] = e.rv.Lanes[0]
+			lanes[i] = e.Lanes[0]
 		}
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: lanes}}
+		return RVal{Ty: c.Ty, Lanes: lanes}, nil
 	case *ir.ConstVec:
 		lanes := make([]Word, len(c.Elems))
 		for i, el := range c.Elems {
-			if _, dyn := reg[el]; dyn {
-				return constEntry{ub: true, why: "use of unbound value " + el.Ident()}
+			e, fault := materializeConst(el)
+			if fault != nil {
+				return RVal{}, fault
 			}
-			e := materializeConst(el, reg)
-			if e.ub {
-				return e
-			}
-			lanes[i] = e.rv.Lanes[0]
+			lanes[i] = e.Lanes[0]
 		}
-		return constEntry{rv: RVal{Ty: c.Ty, Lanes: lanes}}
+		return RVal{Ty: c.Ty, Lanes: lanes}, nil
 	}
-	return constEntry{ub: true, why: "use of unbound value " + v.Ident()}
+	return RVal{}, v
 }

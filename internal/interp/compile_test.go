@@ -142,10 +142,29 @@ use:
   store i8 %x, ptr %p, align 1
   ret void
 }`},
+	{"dynamic-vector", `define <2 x i8> @f(i8 %x, <2 x i8> %v) {
+  %a = add <2 x i8> %v, splat (i8 %x)
+  %e = extractelement <2 x i8> %a, i32 1
+  %b = udiv <2 x i8> <i8 %e, i8 poison>, <i8 %x, i8 7>
+  ret <2 x i8> <i8 %e, i8 3>
+}`},
+	{"dynamic-vector-unbound", `define <2 x i8> @f(i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 100
+  br i1 %c, label %def, label %use
+def:
+  %v = add i8 %x, 1
+  br label %use
+use:
+  %p = phi <2 x i8> [ <i8 %v, i8 %x>, %def ], [ splat (i8 %x), %entry ]
+  %r = add <2 x i8> %p, <i8 %x, i8 %v>
+  ret <2 x i8> %r
+}`},
 }
 
 // runBoth executes f on equivalent fresh environments through Exec and a
-// compiled Evaluator and requires bit-identical results.
+// compiled Evaluator's one-vector RunBatch and requires bit-identical
+// results.
 func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int, label string) {
 	t.Helper()
 	mkEnv := func() Env {
@@ -171,7 +190,7 @@ func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int,
 	}
 	e1, e2 := mkEnv(), mkEnv()
 	r1 := Exec(f, e1)
-	r2 := ev.Run(e2)
+	r2 := runOne(ev, e2)
 	if r1.UB != r2.UB || r1.UBReason != r2.UBReason ||
 		r1.Completed != r2.Completed || r1.DynInstrs != r2.DynInstrs {
 		t.Fatalf("%s: result mismatch\nexec:      %+v\nevaluator: %+v", label, r1, r2)
@@ -192,6 +211,13 @@ func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int,
 			}
 		}
 	}
+}
+
+// runOne executes one environment through RunBatch.
+func runOne(ev *Evaluator, env Env) Result {
+	out := make([]Result, 1)
+	ev.RunBatch([]Env{env}, out)
+	return out[0]
 }
 
 func diffArgs(f *ir.Func, rng *rand.Rand, poisonMask int) []RVal {
@@ -272,15 +298,16 @@ func TestCompiledEvaluatorArgMismatch(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) { ret i8 %x }`)
 	ev := NewEvaluator(Compile(f))
 	r1 := Exec(f, Env{})
-	r2 := ev.Run(Env{})
+	r2 := runOne(ev, Env{})
 	if r1.UBReason != r2.UBReason || !r1.UB || !r2.UB {
 		t.Fatalf("mismatch: %+v vs %+v", r1, r2)
 	}
 }
 
-// TestCompiledEvaluatorFallback covers the dynamic-vector-constant fallback:
-// a constant vector referencing a parameter is resolved dynamically by the
-// reference interpreter, so such programs must delegate wholesale.
+// TestCompiledEvaluatorFallback covers a dynamic vector constant built
+// through the IR API: a constant vector referencing a parameter is resolved
+// dynamically by the reference interpreter and gathered per lane by the
+// compiled engine, with identical results.
 func TestCompiledEvaluatorFallback(t *testing.T) {
 	x := &ir.Param{Nm: "x", Ty: ir.I8}
 	vec := ir.VecT(2, ir.I8)
@@ -288,16 +315,12 @@ func TestCompiledEvaluatorFallback(t *testing.T) {
 	v := &ir.Param{Nm: "v", Ty: vec}
 	add := ir.Bin(ir.OpAdd, "r", ir.NoFlags, v, cv)
 	f := ir.NewFunc("f", vec, []*ir.Param{x, v}, []*ir.Instr{add, ir.RetI(add)})
-	p := Compile(f)
-	if !p.fallback {
-		t.Fatal("expected fallback for dynamic vector constant")
-	}
-	ev := NewEvaluator(p)
+	ev := NewEvaluator(Compile(f))
 	args := []RVal{Scalar(ir.I8, 5), VecOf(vec, 1, 2)}
 	r1 := Exec(f, Env{Args: args})
-	r2 := ev.Run(Env{Args: args})
-	if !r1.Ret.Equal(r2.Ret) || r1.UB != r2.UB {
-		t.Fatalf("fallback mismatch: %+v vs %+v", r1, r2)
+	r2 := runOne(ev, Env{Args: args})
+	if diff := sameResult(r1, r2); diff != "" {
+		t.Fatalf("dynamic vector constant: %s", diff)
 	}
 }
 
@@ -331,13 +354,13 @@ func TestCacheSharesPrograms(t *testing.T) {
 }
 
 // TestEvaluatorRetLifetime documents that Ret aliases scratch until the next
-// Run and that Clone detaches it.
+// run and that Clone detaches it.
 func TestEvaluatorRetLifetime(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) { %r = add i8 %x, 1 ret i8 %r }`)
 	ev := NewEvaluator(Compile(f))
-	r1 := ev.Run(Env{Args: []RVal{Scalar(ir.I8, 1)}})
+	r1 := runOne(ev, Env{Args: []RVal{Scalar(ir.I8, 1)}})
 	kept := r1.Ret.Clone()
-	_ = ev.Run(Env{Args: []RVal{Scalar(ir.I8, 100)}})
+	_ = runOne(ev, Env{Args: []RVal{Scalar(ir.I8, 100)}})
 	if kept.Lanes[0].V != 2 {
 		t.Fatalf("cloned return mutated: %v", kept.Lanes[0])
 	}

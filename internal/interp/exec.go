@@ -26,7 +26,7 @@ const defaultMaxSteps = 1 << 20
 
 // Exec runs fn on the given environment with the reference tree-walking
 // interpreter. It is the semantic baseline: Compile/Evaluator run the same
-// per-opcode kernels over a preallocated register file and are checked
+// per-opcode kernels over a lane-batched register file and are checked
 // against Exec by differential tests. Use Exec for one-shot executions;
 // batch executors (the alive checker, the superoptimizer baselines) compile
 // once and stream inputs through an Evaluator instead.

@@ -102,12 +102,13 @@ func (bm *BatchMems) AddRegion(name string, addr uint64, size int) {
 	}
 }
 
-// ResetLane restores lane b of region r to the given initial contents and
+// ResetLane restores lane b of region r to the given initial contents —
+// zero past the end of a short data, as in a freshly added region — and
 // clears its poison shadow, preparing the lane for the next fill. The
 // lane's bytes are contiguous in the slab, so a reset is two small copies.
 func (bm *BatchMems) ResetLane(r, b int, data []byte) {
 	reg := bm.Mems[b].Regions[r]
-	copy(reg.Data, data)
+	clear(reg.Data[copy(reg.Data, data):])
 	for i := range reg.Poison {
 		reg.Poison[i] = false
 	}

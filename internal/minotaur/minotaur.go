@@ -89,8 +89,13 @@ func Optimize(src *ir.Func, opts Options) Result {
 	want := make([]interp.RVal, len(vectors))
 	defined := make([]bool, len(vectors))
 	srcEval := interp.NewEvaluator(progs.Program(src))
+	envs := make([]interp.Env, len(vectors))
 	for i, v := range vectors {
-		r := srcEval.Run(interp.Env{Args: v})
+		envs[i] = interp.Env{Args: v}
+	}
+	out := make([]interp.Result, len(envs))
+	srcEval.RunBatch(envs, out)
+	for i, r := range out {
 		if r.Completed && !r.UB && !r.Ret.AnyPoison() {
 			want[i] = r.Ret.Clone()
 			defined[i] = true
@@ -103,12 +108,11 @@ func Optimize(src *ir.Func, opts Options) Result {
 		if cand.NumInstrs(true) >= srcInstrs {
 			return false
 		}
-		candEval := interp.NewEvaluator(progs.Program(cand))
-		for i := range vectors {
+		interp.NewEvaluator(progs.Program(cand)).RunBatch(envs, out)
+		for i, r := range out {
 			if !defined[i] {
 				continue
 			}
-			r := candEval.Run(interp.Env{Args: vectors[i]})
 			if !r.Completed || r.UB || !r.Ret.Equal(want[i]) {
 				return false
 			}
@@ -123,7 +127,8 @@ func Optimize(src *ir.Func, opts Options) Result {
 		if v.Verdict == alive.Incorrect && v.CE != nil {
 			// CEGIS: the refuting input joins the test-vector filter.
 			if args, w, def, ok := alive.CEFilterVector(v.CE, srcEval); ok {
-				vectors = append(vectors, args)
+				envs = append(envs, interp.Env{Args: args})
+				out = append(out, interp.Result{})
 				want = append(want, w)
 				defined = append(defined, def)
 			}

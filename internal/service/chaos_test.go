@@ -161,7 +161,7 @@ func TestServiceQueueFull429(t *testing.T) {
 // TestServiceHealthz pins the liveness probe: 200/ok while the drain runs,
 // 503/stopped once the server is closed.
 func TestServiceHealthz(t *testing.T) {
-	srv, hs := newServerT(t, t.TempDir())
+	srv, hs, _ := newServerT(t, t.TempDir())
 	resp, err := http.Get(hs.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestServiceHealthz(t *testing.T) {
 // TestServiceRecoveryMiddleware pins the handler panic boundary: an injected
 // handler panic answers 500 with a JSON error and the daemon keeps serving.
 func TestServiceRecoveryMiddleware(t *testing.T) {
-	_, hs := newServerT(t, t.TempDir())
+	_, hs, _ := newServerT(t, t.TempDir())
 	inj := fault.New(3, fault.Plan{fault.SiteHTTP: {PanicRate: 1, Budget: 1}})
 	// The recovery boundary sits outermost, exactly as Handler() installs it.
 	h := recoverMiddleware(fault.Middleware(inj, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -25,8 +25,9 @@ import (
 )
 
 // newShardedServerT builds a daemon over a 4-shard store with group commit
-// running — the full scaled ingest stack.
-func newShardedServerT(t *testing.T, dir string) (*Server, *store.Sharded, *httptest.Server) {
+// running — the full scaled ingest stack. It returns the daemon's teardown
+// (see stopDaemonT), which a restart test must call before reopening dir.
+func newShardedServerT(t *testing.T, dir string) (*Server, *store.Sharded, *httptest.Server, func()) {
 	t.Helper()
 	st, err := store.OpenSharded(dir, 4)
 	if err != nil {
@@ -47,12 +48,7 @@ func newShardedServerT(t *testing.T, dir string) (*Server, *store.Sharded, *http
 		t.Fatal(err)
 	}
 	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		srv.Close()
-		st.Close()
-	})
-	return srv, st, hs
+	return srv, st, hs, stopDaemonT(t, hs, srv, st)
 }
 
 // TestServiceShardedConcurrentRestart is the sharded extension of the PR-6
@@ -65,7 +61,7 @@ func TestServiceShardedConcurrentRestart(t *testing.T) {
 	dir := t.TempDir()
 	corpus := append([]string{knownWindow}, extraWindows...)
 
-	_, st, hs := newShardedServerT(t, dir)
+	_, st, hs, stop := newShardedServerT(t, dir)
 	const clients = 8
 	var wg sync.WaitGroup
 	bodies := make([]map[string][]byte, clients)
@@ -133,12 +129,11 @@ func TestServiceShardedConcurrentRestart(t *testing.T) {
 		}
 	}
 
-	hs.Close()
+	stop()
 
 	// Restart on the same shard set: everything is answered from disk,
 	// byte-identical, with zero fresh engine work.
-	srv2, _, hs2 := newShardedServerT(t, dir)
-	_ = srv2
+	_, _, hs2, _ := newShardedServerT(t, dir)
 	for _, ws := range postWindows(t, hs2.URL, corpus...) {
 		if ws["status"] != "cached" {
 			t.Fatalf("resubmission not served from sharded store: %+v", ws)
@@ -196,7 +191,7 @@ func readSSE(t *testing.T, body *bufio.Scanner, want int, deadline time.Time) []
 // subscriber with cursor=0 replays the full corpus, and the non-watch JSON
 // page serves the same entries with a resumable cursor.
 func TestServiceFindingsStream(t *testing.T) {
-	_, _, hs := newShardedServerT(t, t.TempDir())
+	_, _, hs, _ := newShardedServerT(t, t.TempDir())
 	corpus := append([]string{knownWindow}, extraWindows...)
 
 	// Subscribe BEFORE submitting: the watcher must see findings as they
@@ -367,7 +362,7 @@ func TestServiceSubmitWaitDegraded(t *testing.T) {
 func TestServiceCompactEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	corpus := append([]string{knownWindow}, extraWindows...)
-	_, _, hs := newShardedServerT(t, dir)
+	_, _, hs, stop := newShardedServerT(t, dir)
 
 	findings := make(map[string][]byte)
 	for _, ws := range postWindows(t, hs.URL, corpus...) {
@@ -411,8 +406,8 @@ func TestServiceCompactEndpoint(t *testing.T) {
 	}
 
 	// Restart on the compacted shards: everything still serves from disk.
-	hs.Close()
-	_, _, hs2 := newShardedServerT(t, dir)
+	stop()
+	_, _, hs2, _ := newShardedServerT(t, dir)
 	for _, ws := range postWindows(t, hs2.URL, corpus...) {
 		if ws["status"] != "cached" {
 			t.Fatalf("post-compaction resubmission not cached: %+v", ws)

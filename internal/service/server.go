@@ -714,8 +714,6 @@ type statsReply struct {
 		Outcomes        map[string]int `json:"outcomes"`
 		VerifyExecs     int            `json:"verify_execs"`
 		BatchedExecs    int            `json:"batched_execs"`
-		FallbackExecs   int            `json:"fallback_execs"`
-		BatchCoverage   float64        `json:"batch_coverage"`
 		VerifyCacheHits int            `json:"verify_cache_hits"`
 		StoreHits       int            `json:"store_hits"`
 		LearnedFindings int            `json:"learned_findings"`
@@ -801,8 +799,7 @@ func (s *Server) StatsSnapshot() any {
 		rep.Engine.Outcomes[string(o)] = n
 	}
 	rep.Engine.VerifyExecs = es.VerifyExecs()
-	rep.Engine.BatchedExecs, rep.Engine.FallbackExecs = es.BatchExecs()
-	rep.Engine.BatchCoverage = es.BatchCoverage()
+	rep.Engine.BatchedExecs, _ = es.BatchExecs()
 	rep.Engine.VerifyCacheHits = es.VerifyCacheHits()
 	rep.Engine.StoreHits = es.StoreHits()
 	rep.Engine.LearnedFindings = es.LearnedFindings()

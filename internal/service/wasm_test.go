@@ -40,7 +40,7 @@ func TestServiceWasmSubmit(t *testing.T) {
 	dir := t.TempDir()
 	fixtures := wasm.Fixtures()
 
-	_, hs1 := newServerT(t, dir)
+	_, hs1, stop1 := newServerT(t, dir)
 	findings1 := make(map[string][]byte)
 	var queued, skipped int
 	for _, fx := range fixtures {
@@ -83,11 +83,11 @@ func TestServiceWasmSubmit(t *testing.T) {
 	if len(stats1.Engine.Lift.Reasons) == 0 {
 		t.Fatal("lift coverage recorded no skip reasons")
 	}
-	hs1.Close()
+	stop1()
 
 	// Second daemon, same store: the same binaries resolve from disk with
 	// byte-identical finding bodies.
-	_, hs2 := newServerT(t, dir)
+	_, hs2, _ := newServerT(t, dir)
 	for _, fx := range fixtures {
 		for _, ws := range postWasm(t, hs2.URL, fx.Data) {
 			if ws["status"] == "skipped" {
@@ -109,7 +109,7 @@ func TestServiceWasmSubmit(t *testing.T) {
 // TestServiceWasmBadModule rejects a malformed binary without touching the
 // engine.
 func TestServiceWasmBadModule(t *testing.T) {
-	_, hs := newServerT(t, t.TempDir())
+	_, hs, _ := newServerT(t, t.TempDir())
 	resp, err := http.Post(hs.URL+"/v1/windows", "application/wasm",
 		bytes.NewReader([]byte{0x00, 0x61, 0x73, 0x6D, 0x01}))
 	if err != nil {

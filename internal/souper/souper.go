@@ -101,8 +101,13 @@ func Optimize(src *ir.Func, opts Options) Result {
 	defined := make([]bool, len(vectors))
 	anyDefined := false
 	srcEval := interp.NewEvaluator(progs.Program(src))
+	envs := make([]interp.Env, len(vectors))
 	for i, v := range vectors {
-		r := srcEval.Run(interp.Env{Args: v})
+		envs[i] = interp.Env{Args: v}
+	}
+	out := make([]interp.Result, len(envs))
+	srcEval.RunBatch(envs, out)
+	for i, r := range out {
 		if r.Completed && !r.UB && !r.Ret.AnyPoison() {
 			want[i] = r.Ret.Clone()
 			defined[i] = true
@@ -119,12 +124,11 @@ func Optimize(src *ir.Func, opts Options) Result {
 		if windowCost(cand) >= srcCost {
 			return false
 		}
-		candEval := interp.NewEvaluator(progs.Program(cand))
-		for i := range vectors {
+		interp.NewEvaluator(progs.Program(cand)).RunBatch(envs, out)
+		for i, r := range out {
 			if !defined[i] {
 				continue
 			}
-			r := candEval.Run(interp.Env{Args: vectors[i]})
 			if !r.Completed || r.UB || !r.Ret.Equal(want[i]) {
 				return false
 			}
@@ -142,7 +146,8 @@ func Optimize(src *ir.Func, opts Options) Result {
 			// Fold the falsifying input into the test-vector filter so later
 			// candidates with the same bug die before full verification.
 			if args, w, def, ok := alive.CEFilterVector(v.CE, srcEval); ok {
-				vectors = append(vectors, args)
+				envs = append(envs, interp.Env{Args: args})
+				out = append(out, interp.Result{})
 				want = append(want, w)
 				defined = append(defined, def)
 			}
