@@ -124,11 +124,11 @@ func main() {
 	// A store threads persistence through the whole run: verified outcomes
 	// short-circuit via the engine's Lookup hook, stored counterexample
 	// vectors seed tier-0 replay, and everything new is committed back.
-	var st *store.Store
+	var st *store.Sharded
 	var pool *alive.CEPool
 	if *storeDir != "" {
 		var err error
-		st, err = store.Open(*storeDir)
+		st, err = store.Open(*storeDir, store.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -239,7 +239,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if err := st.Commit(); err != nil {
+		if err := st.Flush(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -17,7 +17,10 @@
 //
 // Restarting the daemon against the same store resumes where it stopped:
 // previously processed windows are answered from disk without any provider
-// or verifier work.
+// or verifier work. The store is opened once, with its group committer
+// running until shutdown; -shards sets the shard count of a fresh store
+// (an existing store keeps its own, and a legacy single-log store is
+// migrated in place).
 package main
 
 import (
@@ -47,12 +50,9 @@ func main() {
 		queue    = flag.Int("queue", 0, "submit queue depth (0 = 2*workers)")
 		maxBody  = flag.Int64("max-body", 4<<20, "request body size limit in bytes (413 above)")
 		stageTO  = flag.Duration("stage-timeout", 0, "per-stage deadline inside the engine (0 = unbounded)")
-		shards   = flag.Int("shards", 0, "shard the store over N logs (0 = keep the directory's current layout; a legacy single log is migrated when N > 0)")
+		shards   = flag.Int("shards", 0, "shard a fresh store over N logs (0 = 1; an existing store keeps its shard count)")
 		compact  = flag.Bool("compact", false, "compact the store on startup (drop pool vectors the eviction clock retired)")
 		persistW = flag.Int("persist-workers", 0, "result persistence workers (0 = default)")
-		gcDelay  = flag.Duration("commit-delay", 0, "group-commit coalescing window (0 = default 500µs, negative = commit immediately)")
-		gcBatch  = flag.Int("commit-batch", 0, "group-commit max records per batch (0 = default 512)")
-		noGC     = flag.Bool("no-group-commit", false, "disable the group committer (one fsync per persist barrier)")
 	)
 	flag.Parse()
 	if *storeDir == "" {
@@ -61,36 +61,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Layout: an explicitly requested -shards N (or a directory that is
-	// already sharded) runs the fanned-out store; otherwise the plain single
-	// log. OpenSharded migrates a legacy lpod.log in place and an existing
-	// shard count always wins over the flag.
-	existing, err := store.ShardCount(*storeDir)
+	st, err := store.Open(*storeDir, store.Options{Shards: *shards})
 	if err != nil {
-		log.Fatalf("lpod: inspecting store layout: %v", err)
-	}
-	var st store.Backend
-	if *shards > 0 || existing > 0 {
-		sh, err := store.OpenSharded(*storeDir, *shards)
-		if err != nil {
-			log.Fatalf("lpod: opening sharded store: %v", err)
-		}
-		st = sh
-	} else {
-		ps, err := store.Open(*storeDir)
-		if err != nil {
-			log.Fatalf("lpod: opening store: %v", err)
-		}
-		st = ps
+		log.Fatalf("lpod: opening store: %v", err)
 	}
 	stats := st.Stats()
 	log.Printf("lpod: store %s (%d shard(s)): %d findings, %d rules, %d vectors (%d bytes)",
 		st.Dir(), stats.Shards, stats.Findings, stats.Rules, stats.Vectors, stats.Bytes)
 	if stats.Recovered > 0 {
 		log.Printf("lpod: recovered from torn tail: %d bytes dropped", stats.Recovered)
-	}
-	if !*noGC {
-		st.StartGroupCommit(store.GroupCommitOptions{MaxDelay: *gcDelay, MaxBatch: *gcBatch})
 	}
 
 	srv, err := service.New(service.Config{

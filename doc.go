@@ -270,12 +270,13 @@
 // by the hash of their witness pair — so discovery results are immutable
 // facts about
 // content, and a campaign is just a set of such facts. internal/store makes
-// that set persistent: a directory holding one append-only record log
-// ("lpod.log", magic "LPODSTR1" — bump the trailing digit on breaking
-// format changes) plus an in-memory hash index rebuilt on open. Each record
-// frames a kind byte (finding, rule or counterexample vector), a key, a
-// value and a CRC32; Put appends (a duplicate key is a content-address hit,
-// not a write), Commit flushes and fsyncs the batch, and Open recovers from
+// that set persistent: a directory holding append-only record logs
+// ("lpod-00.log" upward, one per shard, one by default; magic "LPODSTR1" —
+// bump the trailing digit on breaking format changes) plus an in-memory
+// hash index rebuilt on open. Each record frames a kind byte (finding, rule
+// or counterexample vector), a key, a value and a CRC32; Put appends (a
+// duplicate key is a content-address hit, not a write), Flush makes the
+// batch durable with one fsync per shard, and Open recovers from
 // a crash by scanning to the first torn or corrupt record and truncating
 // the tail — everything before it is intact by checksum. Readers take
 // snapshots (a record-count boundary) that are immune to concurrent
@@ -316,45 +317,51 @@
 // One log and one fsync per finding caps ingest at the disk's sync latency
 // (~150µs here: at most a few thousand submissions/sec, serialized), so the
 // hot ingest path scales along three axes — batching commits, sharding
-// logs, and streaming results out instead of being polled.
+// logs, and streaming results out instead of being polled. The store has
+// one shape that does all of it: store.Open(dir, store.Options{Shards,
+// Commit, Wrap}) returns a sharded, group-committed store, and Flush is its
+// only durability barrier.
 //
-// Group commit (store.StartGroupCommit): Flush is the durability barrier —
-// it returns once every record Put before the call is durable, or with the
-// error of the commit attempt that should have covered it. With a
-// committer goroutine running, concurrent Flush callers coalesce: each
-// registers a notification channel and rings a doorbell; the committer
-// wakes, lets the batch grow while records are still arriving (it commits
-// as soon as two consecutive looks a scheduler-yield apart see the same
-// pending count — arrival-driven, since OS timer granularity is orders of
-// magnitude coarser than a commit cycle — with GroupCommitOptions.MaxBatch
-// capping the batch and MaxDelay the wait outright), serializes the whole
-// dirty batch as one framed write, fsyncs once, and notifies every waiter
-// that registered before the commit. Because Commit performs its disk I/O
-// without the index lock, writers keep Put-ing WHILE the current batch
-// fsyncs — the next batch adapts to however slow the disk is. A failed
-// group commit preserves the PR-9 invariant exactly (roll back to the
-// durable boundary, keep the batch pending, report the error to that
-// round's waiters) and the committer retries the backlog on its own every
-// GroupCommitOptions.RetryDelay, so a transient fsync failure drains
-// without waiting for new traffic. StopGroupCommit makes one final commit
-// attempt, and a Flush racing shutdown falls back to a plain direct Commit.
+// Group commit: every shard runs a committer goroutine from Open to Close.
+// Flush returns once every record Put before the call is durable, or with
+// the error of the commit attempt that should have covered it. Concurrent
+// Flush callers coalesce: each registers a notification channel and rings
+// a doorbell; the committer wakes, lets the batch grow while records are
+// still arriving (it commits as soon as two consecutive looks a
+// scheduler-yield apart see the same pending count — arrival-driven, since
+// OS timer granularity is orders of magnitude coarser than a commit cycle
+// — with GroupCommitOptions.MaxBatch capping the batch and MaxDelay the
+// wait outright; a negative MaxDelay commits at once, so serial Put+Flush
+// pays exactly one fsync per record), serializes the whole dirty batch as
+// one framed write, fsyncs once, and notifies every waiter that registered
+// before the commit. Because a commit performs its disk I/O without the
+// index lock, writers keep Put-ing WHILE the current batch fsyncs — the
+// next batch adapts to however slow the disk is. A failed commit preserves
+// the PR-9 invariant exactly (roll back to the durable boundary, keep the
+// batch pending, report the error to that round's waiters) and the
+// committer retries the backlog on its own every
+// GroupCommitOptions.RetryDelay (a negative RetryDelay turns that off, for
+// tests that must observe each failure), so a transient fsync failure
+// drains without waiting for new traffic. Close stops the committer after
+// a final drain that commits whatever is pending, and a Flush racing Close
+// commits directly rather than waiting on the stopped committer.
 //
-// Sharding (store.OpenSharded): a sharded store fans the one logical
-// record set over N full Stores — dir/lpod-00.log … hex-numbered upward,
-// each with its own log, index, committer and snapshot isolation — so
-// concurrent submissions stop contending on a single file and a single
-// fsync queue. Records route by window-hash prefix: the shard of a key is
-// a hash of everything before the first '/', which for findings (bare
-// window hash) and pool vectors ("<window>/<vechash>") is the same string
-// — a window's finding and its counterexamples always colocate, keeping
-// per-shard append order a durability order per window. An existing
-// directory's shard count always wins over the requested one (resharding
-// in place would route keys away from their records; a missing shard file
-// is a refused open, not silent loss), a legacy single-log store is
-// migrated in place idempotently (re-Put everything, commit, then rename
-// lpod.log away), and store.Backend is the interface the service runs
-// against, satisfied by both *Store and *Sharded. Sharded.Flush fans out
-// in parallel, so a logical barrier costs one fsync latency, not N.
+// Sharding (Options.Shards): the store fans the one logical record set
+// over N shard logs — dir/lpod-00.log … hex-numbered upward, each with its
+// own index, committer, recovery and snapshot isolation — so concurrent
+// submissions stop contending on a single file and a single fsync queue.
+// A fresh store gets Options.Shards logs (0 means one). Records route by
+// window-hash prefix: the shard of a key is a hash of everything before
+// the first '/', which for findings (bare window hash) and pool vectors
+// ("<window>/<vechash>") is the same string — a window's finding and its
+// counterexamples always colocate, keeping per-shard append order a
+// durability order per window. An existing directory's shard count always
+// wins over the requested one (resharding in place would route keys away
+// from their records; a missing shard file is a refused open, not silent
+// loss), and a legacy single-log store (lpod.log) is migrated in place
+// idempotently (re-Put everything, flush, then rename lpod.log away).
+// Flush fans out to the shards in parallel, so a logical barrier costs one
+// fsync latency, not N.
 //
 // Compaction (store.Compact, Sharded shard-at-a-time): an append-only log
 // only grows, and the counterexample pool's clock eviction means stored
@@ -430,14 +437,16 @@
 // CPU-bound and not context-aware, run under a watchdog that abandons the
 // stage (ErrStageTimeout) without killing the worker.
 //
-// Store: Put is memory-only; Commit serializes the dirty batch at the
-// durable offset, fsyncs, and only then advances it. A failed commit rolls
-// the file back to the durable boundary and keeps the batch pending —
-// Stats.Pending and Stats.CommitFails surface the backlog, every later
-// commit retries it, and nothing accepted is ever lost (records stay
-// servable from the in-memory index meanwhile: degraded-but-serving).
-// store.OpenWith injects a write-layer shim, which is how the fault and
-// chaos tests drive torn writes and fsync failures deterministically.
+// Store: Put is memory-only; the commit behind Flush serializes the dirty
+// batch at the durable offset, fsyncs, and only then advances it. A failed
+// commit rolls the file back to the durable boundary and keeps the batch
+// pending — Stats.Pending and Stats.CommitFails surface the backlog, the
+// committer's retry and every later Flush retry it, and nothing accepted
+// is ever lost (records stay servable from the in-memory index meanwhile:
+// degraded-but-serving). store.Options.Wrap injects a write-layer shim,
+// which is how the fault and chaos tests drive torn writes and fsync
+// failures deterministically, and FuzzOpenLog feeds arbitrary bytes to
+// crash recovery.
 //
 // Service: request bodies above Config.MaxBodyBytes answer 413 instead of
 // being silently truncated; a full engine queue answers 429 with

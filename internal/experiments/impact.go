@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/benchdata"
@@ -57,30 +58,24 @@ func RunTable5(seed uint64) *Table5Report {
 	baseline := engine.ParMap(ctx, 0, fns, func(_ context.Context, _ int, f fnRef) uint64 {
 		return ir.Hash(opt.RunO3(f.fn))
 	})
-	// Min-of-N over a multi-pass timing window keeps the wall-clock
-	// measurement stable enough for the percent-level deltas the paper
-	// reports (single passes over the corpus are tens of milliseconds and
-	// far too noisy on shared machines). The rule selection is prebuilt
-	// outside the window, exactly like a compiler builds its pass pipeline
-	// once per invocation, so the delta isolates the patch's per-function
-	// cost.
-	const passes = 8
-	timeAll := func(rules *opt.RuleSet) time.Duration {
-		best := time.Duration(1<<62 - 1)
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			for p := 0; p < passes; p++ {
-				for _, f := range fns {
-					opt.Run(f.fn, opt.Options{Rules: rules})
-				}
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	// One timing window runs the optimizer once over the whole corpus (tens
+	// of milliseconds, so a single window is far too noisy on a shared
+	// machine). Every row times the baseline and the patch in interleaved
+	// pairs, alternating which goes first, and compares their medians:
+	// load that drifts over the run hits both sides of a row alike instead
+	// of landing in the delta, and the median shrugs off the windows a
+	// burst of load did hit. The rule selections are prebuilt outside the
+	// windows, exactly like a compiler builds its pass pipeline once per
+	// invocation, so the delta isolates the patch's per-function cost.
+	const pairs = 21
+	timeOnce := func(rules *opt.RuleSet) time.Duration {
+		start := time.Now()
+		for _, f := range fns {
+			opt.Run(f.fn, opt.Options{Rules: rules})
 		}
-		return best
+		return time.Since(start)
 	}
-	baseTime := timeAll(opt.NewRuleSet(opt.Options{}))
+	baseSet := opt.NewRuleSet(opt.Options{})
 
 	rep := &Table5Report{}
 	for _, row := range benchdata.Table5() {
@@ -96,7 +91,17 @@ func RunTable5(seed uint64) *Table5Report {
 				prjs[f.project] = true
 			}
 		}
-		patchTime := timeAll(patchSet)
+		var baseTimes, patchTimes []time.Duration
+		for i := 0; i < pairs; i++ {
+			if i%2 == 0 {
+				baseTimes = append(baseTimes, timeOnce(baseSet))
+				patchTimes = append(patchTimes, timeOnce(patchSet))
+			} else {
+				patchTimes = append(patchTimes, timeOnce(patchSet))
+				baseTimes = append(baseTimes, timeOnce(baseSet))
+			}
+		}
+		baseTime, patchTime := medianDuration(baseTimes), medianDuration(patchTimes)
 		delta := (patchTime.Seconds() - baseTime.Seconds()) / baseTime.Seconds() * 100
 		rep.Rows = append(rep.Rows, Table5Row{
 			PatchID: row.PatchID, IRFiles: len(modules), Projects: len(prjs),
@@ -108,6 +113,13 @@ func RunTable5(seed uint64) *Table5Report {
 		})
 	}
 	return rep
+}
+
+// medianDuration returns the median of ds (the upper middle for an even
+// count), sorting ds in place.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }
 
 // Print renders measured vs paper columns.

@@ -490,11 +490,12 @@ func BenchOptRunO3(b *testing.B) {
 // Three points on the durability/throughput curve, all writing the same
 // finding-sized records to a fresh store on local disk:
 //
-//   - store_commit: the pre-scaling baseline — one record, one Commit, one
-//     fsync, serial. What every submission paid before group commit.
+//   - store_commit: the pre-scaling baseline — one record, one Flush, one
+//     fsync, serial, with commit coalescing disabled. What every submission
+//     paid before group commit.
 //   - store_group_commit: 8 concurrent clients each making every record
-//     durable before the next (Put + Flush per op) against one
-//     group-committed log — concurrent barriers share fsyncs.
+//     durable before the next (Put + Flush per op) against one log —
+//     concurrent barriers share fsyncs.
 //   - ingest_throughput: the full scaled path — 4 shards, group commit, 8
 //     concurrent clients batching a Flush barrier every 32 records (the
 //     persist workers' micro-batching pattern, which barriers once per
@@ -516,7 +517,7 @@ var perfFindingVal = []byte(`{"window":"deadbeefcafef00d","status":"optimized","
 // flushEvery records per client (1 = every record durable before the next).
 // Every client ends with a final barrier, so the measurement always covers
 // full durability of all b.N records.
-func benchIngest(b *testing.B, st store.Backend, flushEvery int) {
+func benchIngest(b *testing.B, st *store.Sharded, flushEvery int) {
 	var ctr uint64
 	per := (b.N + ingestClients - 1) / ingestClients
 	b.ReportAllocs()
@@ -549,15 +550,16 @@ func benchIngest(b *testing.B, st store.Backend, flushEvery int) {
 }
 
 // BenchStoreCommit is the baseline the scaling work is measured against:
-// one fsync per finding, serial — Put then Commit for every record, the
-// durability discipline of the pre-group-commit submit path.
+// one fsync per finding, serial — Put then Flush for every record with
+// coalescing disabled (MaxDelay < 0 commits at once), the durability
+// discipline of the pre-group-commit submit path.
 func BenchStoreCommit(b *testing.B) {
 	dir, err := os.MkdirTemp("", "lpo-bench-store")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
+	st, err := store.Open(dir, store.Options{Commit: store.GroupCommitOptions{MaxDelay: -1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -569,7 +571,7 @@ func BenchStoreCommit(b *testing.B) {
 		if _, err := st.Put(store.KindFinding, key, perfFindingVal); err != nil {
 			b.Fatal(err)
 		}
-		if err := st.Commit(); err != nil {
+		if err := st.Flush(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -578,21 +580,22 @@ func BenchStoreCommit(b *testing.B) {
 
 // BenchStoreGroupCommit keeps the strictest durability discipline — every
 // record durable before its client continues — but runs 8 clients against
-// a group-committed log, so concurrent barriers coalesce into shared
-// fsyncs. MaxBatch is tuned to the client count so the committer fires as
-// soon as every blocked client's record is pending.
+// one log, so concurrent barriers coalesce into shared fsyncs. MaxBatch is
+// tuned to the client count so the committer fires as soon as every
+// blocked client's record is pending.
 func BenchStoreGroupCommit(b *testing.B) {
 	dir, err := os.MkdirTemp("", "lpo-bench-store")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	st, err := store.Open(dir)
+	st, err := store.Open(dir, store.Options{
+		Commit: store.GroupCommitOptions{MaxDelay: 200 * time.Microsecond, MaxBatch: ingestClients},
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	st.StartGroupCommit(store.GroupCommitOptions{MaxDelay: 200 * time.Microsecond, MaxBatch: ingestClients})
 	benchIngest(b, st, 1)
 }
 
@@ -605,12 +608,11 @@ func BenchIngestThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	st, err := store.OpenSharded(dir, 4)
+	st, err := store.Open(dir, store.Options{Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	st.StartGroupCommit(store.GroupCommitOptions{})
 	benchIngest(b, st, 32)
 }
 

@@ -41,7 +41,7 @@ func chaosEngineConfig() engine.Config {
 // TestServiceBodyLimit413 pins the request-size satellite: an oversized body
 // is rejected with 413 and a JSON error, never silently truncated.
 func TestServiceBodyLimit413(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func (c blockClient) Complete(ctx context.Context, req llm.Request) (llm.Respons
 // queue full, further submissions answer 429 with Retry-After instead of
 // blocking the handler.
 func TestServiceQueueFull429(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestServiceDegradedStore(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.New(5, fault.Plan{fault.SiteStoreSync: {ErrorRate: 1}})
 	inj.Disable() // no faults during Open/recovery
-	st, err := store.OpenWith(dir, func(f store.File) store.File { return fault.NewFile(f, inj) })
+	st, err := store.Open(dir, store.Options{Wrap: func(f store.File) store.File { return fault.NewFile(f, inj) }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestServiceDegradedStore(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(dir)
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestChaosCampaignConverges(t *testing.T) {
 	baseDir := t.TempDir()
 	baseline := make(map[string][]byte)
 	func() {
-		st, err := store.Open(baseDir)
+		st, err := store.Open(baseDir, store.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,16 +375,18 @@ func TestChaosCampaignConverges(t *testing.T) {
 	})
 	// The faulted campaign runs the full scaled ingest path — a 4-shard
 	// store with a group committer per shard — and must STILL converge
-	// byte-identical to the plain-store fault-free baseline: sharding and
+	// byte-identical to the one-shard fault-free baseline: sharding and
 	// commit coalescing change where and when bytes land, never which bytes.
 	inj.Disable()
 	dir := t.TempDir()
-	st, err := store.OpenShardedWith(dir, 4, func(f store.File) store.File { return fault.NewFile(f, inj) })
+	st, err := store.Open(dir, store.Options{
+		Shards: 4,
+		Wrap:   func(f store.File) store.File { return fault.NewFile(f, inj) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.StartGroupCommit(store.GroupCommitOptions{})
 	client := llm.NewRetrying(
 		fault.NewClient(llm.NewSim("Gemini2.0T", 1), inj),
 		llm.RetryPolicy{
@@ -473,7 +475,7 @@ func TestChaosCampaignConverges(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.OpenSharded(dir, 4)
+	st2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func ResultFromFinding(f *store.Finding) (engine.Result, error) {
 // too: persisting a fault-shaped outcome would make the store diverge from
 // a fault-free same-seed campaign, so those windows stay recomputable (the
 // service serves degraded outcomes from memory meanwhile). It reports
-// whether a new finding record was appended; call store.Commit to make the
+// whether a new finding record was appended; the store's Flush makes the
 // batch durable.
 func SaveResult(st store.Backend, res engine.Result) (added bool, err error) {
 	if res.Cached || res.Src == nil || res.Degraded ||
@@ -167,7 +167,7 @@ func LoadPool(st store.Backend, pool *alive.CEPool) (int, error) {
 
 // FlushPool drains the pool's pending vectors (everything deposited since
 // the last flush) into the store. It returns how many new vector records
-// were appended; call store.Commit to make the batch durable.
+// were appended; the store's Flush makes the batch durable.
 func FlushPool(st store.Backend, pool *alive.CEPool) (int, error) {
 	n := 0
 	for _, wv := range pool.DrainPending() {

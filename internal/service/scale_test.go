@@ -24,16 +24,15 @@ import (
 	"repro/internal/store"
 )
 
-// newShardedServerT builds a daemon over a 4-shard store with group commit
-// running — the full scaled ingest stack. It returns the daemon's teardown
-// (see stopDaemonT), which a restart test must call before reopening dir.
+// newShardedServerT builds a daemon over a 4-shard store — the full scaled
+// ingest stack. It returns the daemon's teardown (see stopDaemonT), which a
+// restart test must call before reopening dir.
 func newShardedServerT(t *testing.T, dir string) (*Server, *store.Sharded, *httptest.Server, func()) {
 	t.Helper()
-	st, err := store.OpenSharded(dir, 4)
+	st, err := store.Open(dir, store.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.StartGroupCommit(store.GroupCommitOptions{})
 	srv, err := New(Config{
 		Store: st,
 		Seed:  1,
@@ -120,7 +119,7 @@ func TestServiceShardedConcurrentRestart(t *testing.T) {
 	for win := range bodies[0] {
 		found := 0
 		for i := 0; i < st.N(); i++ {
-			if st.Shard(i).Has(store.KindFinding, win) {
+			if st.ShardHas(i, store.KindFinding, win) {
 				found++
 			}
 		}
@@ -285,7 +284,7 @@ func TestServiceSubmitWaitDegraded(t *testing.T) {
 	dir := t.TempDir()
 	inj := fault.New(5, fault.Plan{fault.SiteStoreSync: {ErrorRate: 1}})
 	inj.Disable()
-	st, err := store.OpenWith(dir, func(f store.File) store.File { return fault.NewFile(f, inj) })
+	st, err := store.Open(dir, store.Options{Wrap: func(f store.File) store.File { return fault.NewFile(f, inj) }})
 	if err != nil {
 		t.Fatal(err)
 	}

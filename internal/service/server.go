@@ -22,9 +22,10 @@ import (
 
 // Config assembles a discovery server.
 type Config struct {
-	// Store is the persistent content-addressed store (required): a plain
-	// *store.Store or a *store.Sharded. The server does not close it; the
-	// owner does, after Server.Close.
+	// Store is the persistent content-addressed store (required), normally
+	// the *store.Sharded that store.Open returns. Its Flush is the server's
+	// only durability barrier. The server does not close it; the owner
+	// does, after Server.Close.
 	Store store.Backend
 	// Client is the LLM provider; nil builds the simulated provider from
 	// Model and Seed.
@@ -43,8 +44,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// PersistWorkers sizes the result-persistence pool (default 4). Each
 	// worker micro-batches results off the engine and issues one durability
-	// barrier (store.Flush) per batch; with group commit running on the
-	// store, concurrent workers' barriers share fsyncs.
+	// barrier (store.Flush) per batch; the store's group committer makes
+	// concurrent workers' barriers share fsyncs.
 	PersistWorkers int
 	// Logf receives operational log lines (shutdown pending counts, degraded
 	// transitions). Nil discards them.
@@ -189,8 +190,8 @@ const persistBatchMax = 64
 // whatever else is already queued, saves the lot, and issues ONE durability
 // barrier (store.Flush) for the whole batch — findings become servable only
 // once durable, which is what lets a crashed-and-restarted daemon serve
-// identical bytes. Several workers run concurrently; with group commit on
-// the store their barriers coalesce into shared fsyncs.
+// identical bytes. Several workers run concurrently; the store's group
+// committer coalesces their barriers into shared fsyncs.
 func (s *Server) persistWorker() {
 	defer s.drain.Done()
 	results := s.sub.Results()
@@ -306,29 +307,30 @@ var errVolatile = errors.New("service: degraded result, served volatile")
 func (s *Server) LoadedVectors() int { return s.loadedVectors }
 
 // Close drains the engine (pending submissions still complete and persist),
-// flushes the pool's remaining vectors, and commits. A FlushPool failure
-// does not skip the commit, and a failed commit gets one final retry — the
-// last chance to drain a transiently degraded batch before the process
-// exits. Whatever stays pending is logged with its count, so an operator
-// knows the store carries accepted-but-not-durable records into the next
-// start (where Open + Commit will retry them... the records themselves are
-// lost ONLY if the process dies before any commit succeeds; the log always
-// recovers to its last durable prefix). It does not close the store.
-// Idempotent.
+// flushes the pool's remaining vectors into the store, and runs the
+// durability barrier. A FlushPool failure does not skip the barrier, and a
+// failed barrier gets one final retry — the last chance to drain a
+// transiently degraded batch before the process exits. Whatever stays
+// pending is logged with its count: the store's own Close makes one more
+// attempt, and records that never became durable are lost only if every
+// attempt fails (the log always recovers to its last durable prefix). When
+// Close returns the server is stopped: /v1/healthz answers 503. It does not
+// close the store. Idempotent.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.sub.Close()
 		s.drain.Wait()
+		<-s.done
 		s.cancel()
 		if _, err := FlushPool(s.st, s.pool); err != nil && s.closeErr == nil {
 			// The pool drain failed mid-way; anything it did Put is pending
-			// and MUST still get its commit attempt below.
+			// and MUST still get its barrier below.
 			s.closeErr = err
 		}
-		if err := s.st.Commit(); err != nil {
+		if err := s.st.Flush(); err != nil {
 			// Final retry: transient write faults (the kind internal/fault
 			// injects) often clear on the next attempt.
-			if err = s.st.Commit(); err != nil && s.closeErr == nil {
+			if err = s.st.Flush(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
 		}
@@ -746,7 +748,7 @@ type statsReply struct {
 		GetMisses int64 `json:"get_misses"`
 		Recovered int64 `json:"recovered_bytes"`
 		// Pending and CommitFails are the degraded-durability signal:
-		// records accepted but not yet durable, and how many Commit batches
+		// records accepted but not yet durable, and how many commit batches
 		// have failed (each rolled back and retried).
 		Pending     int   `json:"pending"`
 		CommitFails int64 `json:"commit_fails"`

@@ -33,12 +33,12 @@ var extraWindows = []string{
 	`define i32 @w3(i32 %x) { %a = xor i32 %x, -1 %r = xor i32 %a, -1 ret i32 %r }`,
 }
 
-// newServerT starts a daemon over a single-file store in dir. It returns
-// the daemon's teardown (see stopDaemonT), which a restart test must call
-// before reopening dir.
+// newServerT starts a daemon over a default (one-shard) store in dir. It
+// returns the daemon's teardown (see stopDaemonT), which a restart test must
+// call before reopening dir.
 func newServerT(t *testing.T, dir string) (*Server, *httptest.Server, func()) {
 	t.Helper()
-	st, err := store.Open(dir)
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

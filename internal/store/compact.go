@@ -30,16 +30,16 @@ type CompactStats struct {
 
 // Compact rewrites the log keeping only records for which keep returns true
 // (nil keeps everything — still useful: it folds the pending batch in and
-// drops bytes shadowed by duplicate frames). The store is stop-the-world
-// for the duration: Puts, Gets and Commits block until the swap completes.
+// drops bytes shadowed by duplicate frames). The shard is stop-the-world
+// for the duration: Puts, Gets and commits block until the swap completes.
 // On error the original log and in-memory state are untouched.
 //
-// Compaction renumbers record positions, so a Snapshot captured before
+// Compaction renumbers record positions, so a snapshot captured before
 // Compact loses its point-in-time guarantee: it degrades to reading the
 // compacted state (dropped records vanish from it; Scan stops at the new
 // length). Callers holding snapshots across an admin-triggered compaction
 // observe the compacted log, never garbage.
-func (s *Store) Compact(keep func(kind Kind, key string, val []byte) bool) (CompactStats, error) {
+func (s *shard) Compact(keep func(kind Kind, key string, val []byte) bool) (CompactStats, error) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	s.mu.Lock()
@@ -109,7 +109,7 @@ func (s *Store) Compact(keep func(kind Kind, key string, val []byte) bool) (Comp
 // writeCompactTemp writes and fsyncs the full compacted log image. The temp
 // write goes through the store's write-layer shim too, so chaos tests can
 // fail a compaction mid-write — which must leave the original log intact.
-func (s *Store) writeCompactTemp(tmpPath string, buf []byte) error {
+func (s *shard) writeCompactTemp(tmpPath string, buf []byte) error {
 	osf, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err

@@ -1,12 +1,12 @@
 package store
 
-// Group commit: the durability path for hot ingest. One committer goroutine
-// per log turns any number of concurrent Flush callers into one framed
-// batch and one fsync (leader/follower: whoever wakes the committer first
-// leads; everyone who registered before the batch commits rides along).
-// Because Commit performs its disk I/O without the index lock, writers keep
-// Put-ing WHILE the current batch fsyncs — those records form the next
-// batch, so the batch size adapts to how slow the disk is.
+// Group commit: the store's durability path. One committer goroutine per log,
+// running from open to Close, turns any number of concurrent Flush callers
+// into one framed batch and one fsync (leader/follower: whoever wakes the
+// committer first leads; everyone who registered before the batch commits
+// rides along). Because commit performs its disk I/O without the index
+// lock, writers keep Put-ing WHILE the current batch fsyncs — those records
+// form the next batch, so the batch size adapts to how slow the disk is.
 
 import (
 	"runtime"
@@ -14,12 +14,14 @@ import (
 	"time"
 )
 
-// GroupCommitOptions tunes the committer. The zero value picks defaults.
+// GroupCommitOptions tunes the committer (Options.Commit). The zero value
+// picks defaults.
 type GroupCommitOptions struct {
 	// MaxDelay is the coalescing window: after the committer wakes it waits
 	// up to MaxDelay for more records before committing, unless MaxBatch
 	// records are already pending. 0 means the default (500µs); negative
-	// disables coalescing (commit immediately on wake).
+	// disables coalescing (commit immediately on wake), so serial Put+Flush
+	// pays exactly one fsync per record.
 	MaxDelay time.Duration
 	// MaxBatch commits the batch early once this many records are pending.
 	// 0 means the default (512).
@@ -47,27 +49,20 @@ func (o GroupCommitOptions) withDefaults() GroupCommitOptions {
 
 // committer is the per-log group-commit worker.
 type committer struct {
-	s    *Store
+	s    *shard
 	opts GroupCommitOptions
 
 	mu      sync.Mutex
 	waiters []chan<- error
 
-	wake chan struct{} // 1-buffered doorbell
-	stop chan struct{}
-	done chan struct{}
+	wake     chan struct{} // 1-buffered doorbell
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
-// StartGroupCommit starts the committer goroutine. After this, Flush
-// coalesces concurrent durability barriers into shared fsyncs; plain Commit
-// still works (it serializes with the committer on commitMu). Idempotent —
-// a second call while a committer is running is a no-op.
-func (s *Store) StartGroupCommit(opts GroupCommitOptions) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gc != nil {
-		return
-	}
+// startCommitter starts s's committer goroutine.
+func startCommitter(s *shard, opts GroupCommitOptions) *committer {
 	c := &committer{
 		s:    s,
 		opts: opts.withDefaults(),
@@ -75,44 +70,33 @@ func (s *Store) StartGroupCommit(opts GroupCommitOptions) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	s.gc = c
 	go c.run()
+	return c
 }
 
-// StopGroupCommit stops the committer after a final commit attempt of
-// whatever is pending. Safe to call when no committer is running.
-func (s *Store) StopGroupCommit() {
-	s.mu.Lock()
-	c := s.gc
-	s.gc = nil
-	s.mu.Unlock()
-	if c == nil {
-		return
-	}
-	close(c.stop)
+// shutdown stops the committer after a final commit attempt of whatever is
+// pending. Idempotent.
+func (c *committer) shutdown() {
+	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 }
 
 // Flush is the durability barrier: it returns once every record Put before
 // the call is durable on disk, or with the error of the commit attempt that
 // should have covered it (the batch then stays pending, exactly as after a
-// failed Commit). With a committer running, concurrent Flushes share one
-// fsync; without one, Flush degrades to a plain Commit.
-func (s *Store) Flush() error {
+// failed commit). Concurrent Flushes share one fsync.
+func (s *shard) Flush() error {
 	s.mu.Lock()
 	if len(s.dirty) == 0 {
-		// Everything accepted so far is durable. (Commit covers all dirty
+		// Everything accepted so far is durable. (commit covers all dirty
 		// records and holds mu while updating, so an empty dirty list under
 		// mu really means "nothing pending".)
 		s.mu.Unlock()
 		return nil
 	}
-	c := s.gc
 	s.mu.Unlock()
 
-	if c == nil {
-		return s.Commit()
-	}
+	c := s.gc
 	ch := make(chan error, 1)
 	c.mu.Lock()
 	c.waiters = append(c.waiters, ch)
@@ -122,13 +106,15 @@ func (s *Store) Flush() error {
 	case err := <-ch:
 		return err
 	case <-c.done:
-		// The committer shut down concurrently. Its final drain may or may
-		// not have claimed this waiter; if not, commit directly.
+		// The committer shut down concurrently (a Flush racing Close). Its
+		// final drain may or may not have claimed this waiter; if not,
+		// commit directly — after Close that fails on the closed log
+		// instead of hanging.
 		select {
 		case err := <-ch:
 			return err
 		default:
-			return s.Commit()
+			return s.commit()
 		}
 	}
 }
@@ -158,7 +144,7 @@ func (c *committer) run() {
 			// Claim waiters BEFORE committing — anyone registering later
 			// falls back through the done channel and commits directly.
 			ws := c.take()
-			c.notify(ws, c.s.Commit())
+			c.notify(ws, c.s.commit())
 			return
 		case <-c.wake:
 		case <-retry:
@@ -166,7 +152,7 @@ func (c *committer) run() {
 		retry = nil
 		c.coalesce()
 		ws := c.take()
-		err := c.s.Commit()
+		err := c.s.commit()
 		c.notify(ws, err)
 		if err != nil && c.opts.RetryDelay > 0 {
 			retry = time.After(c.opts.RetryDelay)

@@ -21,7 +21,6 @@ import (
 func TestGroupCommitCoalesces(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.StartGroupCommit(GroupCommitOptions{})
 
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
@@ -84,13 +83,10 @@ func TestGroupCommitFailureNotifiesWaiter(t *testing.T) {
 		fault.SiteStoreSync: {ErrorRate: 1, Budget: 1},
 	})
 	inj.Disable() // spend no budget on the header sync in recover()
-	s, err := OpenWith(dir, wrapFault(inj))
+	s, err := Open(dir, faultOptions(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Disable background retry so the injected failure is observed by THIS
-	// Flush rather than silently repaired behind it.
-	s.StartGroupCommit(GroupCommitOptions{RetryDelay: -1})
 	if _, err := s.Put(KindFinding, "aaaa", []byte("finding-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -119,30 +115,59 @@ func TestGroupCommitFailureNotifiesWaiter(t *testing.T) {
 	}
 }
 
-// TestGroupCommitStop pins shutdown: StopGroupCommit commits what is
-// pending, and Flush after stop degrades to a plain Commit instead of
-// hanging on a dead committer.
+// TestGroupCommitStop pins shutdown: Close stops the committer after a
+// final drain that commits what is pending without any Flush, a Flush after
+// Close with nothing pending returns at once instead of hanging on the dead
+// committer, and a second Close neither hangs nor panics.
 func TestGroupCommitStop(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.StartGroupCommit(GroupCommitOptions{})
 	if _, err := s.Put(KindFinding, "aaaa", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	s.StopGroupCommit()
-	if st := s.Stats(); st.Pending != 0 {
-		t.Fatalf("stop left %d records pending", st.Pending)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
-	s.Put(KindFinding, "bbbb", []byte("w"))
+	if st := s.Stats(); st.Pending != 0 {
+		t.Fatalf("Close left %d records pending", st.Pending)
+	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Pending != 0 {
-		t.Fatalf("post-stop Flush left %d records pending", st.Pending)
+	s.Close() // the log is already closed; only the absence of a hang matters
+
+	s2 := openT(t, dir)
+	defer s2.Close()
+	if v, ok := s2.Get(KindFinding, "aaaa"); !ok || !bytes.Equal(v, []byte("v")) {
+		t.Fatalf("final drain lost the pending record: %q %v", v, ok)
 	}
-	s.StopGroupCommit() // idempotent
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	if s2.Stats().Recovered != 0 {
+		t.Fatalf("clean Close left torn bytes: %+v", s2.Stats())
+	}
+}
+
+// TestFlushRacingClose pins the shutdown race: Flushes issued concurrently
+// with Close all return — durable, or with the closed log's error — and
+// none hangs on the stopped committer or panics (run it under -race).
+func TestFlushRacingClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		s, err := Open(t.TempDir(), Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					s.Put(KindFinding, fmt.Sprintf("%02d%02d%04d", round, w, i), []byte("v"))
+					s.Flush()
+				}
+			}(w)
+		}
+		s.Close()
+		wg.Wait()
 	}
 }
 
@@ -151,7 +176,7 @@ func TestGroupCommitStop(t *testing.T) {
 // aggregate, Keys sort globally, and a reopen recovers every shard.
 func TestShardedRouting(t *testing.T) {
 	dir := t.TempDir()
-	sh, err := OpenSharded(dir, 4)
+	sh, err := Open(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +208,7 @@ func TestShardedRouting(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, shardName(i))); err != nil {
 			t.Fatalf("missing shard log %d: %v", i, err)
 		}
-		if sh.Shard(i).Len(KindFinding) > 0 {
+		if sh.shards[i].Len(KindFinding) > 0 {
 			used++
 		}
 	}
@@ -207,13 +232,21 @@ func TestShardedRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Plain Open must refuse a sharded dir rather than see an empty store.
-	if _, err := Open(dir); err == nil {
-		t.Fatal("Open accepted a sharded directory")
+	// Zero Options keep the directory's layout rather than see an empty
+	// one-shard store.
+	sh1, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh1.N() != 4 || sh1.Len(KindFinding) != len(windows) {
+		t.Fatalf("default open of a 4-shard dir: N = %d, %d findings", sh1.N(), sh1.Len(KindFinding))
+	}
+	if err := sh1.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Reopen recovers all shards; a different n loses to the on-disk count.
-	sh2, err := OpenSharded(dir, 16)
+	sh2, err := Open(dir, Options{Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +261,23 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
-// TestShardedMigratesLegacyLog pins the upgrade path: OpenSharded on a
-// pre-sharding store folds lpod.log into the shards, renames it away, and a
-// second open is a no-op.
+// TestShardedMigratesLegacyLog pins the upgrade path: Open on a
+// pre-sharding store folds lpod.log into the shards (four requested, or the
+// default one), renames it away, and a second open is a no-op.
 func TestShardedMigratesLegacyLog(t *testing.T) {
+	for _, shards := range []int{4, 0} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			testMigratesLegacyLog(t, shards)
+		})
+	}
+}
+
+func testMigratesLegacyLog(t *testing.T, shards int) {
 	dir := t.TempDir()
-	s := openT(t, dir)
+	s, err := openLog(dir, LogName, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("%04x", i*257)
 		s.Put(KindFinding, key, []byte("legacy-"+key))
@@ -244,9 +288,12 @@ func TestShardedMigratesLegacyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh, err := OpenSharded(dir, 4)
+	sh, err := Open(dir, Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want := max(shards, 1); sh.N() != want {
+		t.Fatalf("migrated into %d shards, want %d", sh.N(), want)
 	}
 	if n := sh.Len(KindFinding); n != 20 {
 		t.Fatalf("migrated %d findings, want 20", n)
@@ -267,7 +314,7 @@ func TestShardedMigratesLegacyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh2, err := OpenSharded(dir, 4)
+	sh2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +328,7 @@ func TestShardedMigratesLegacyLog(t *testing.T) {
 // log must fail the open loudly instead of silently dropping its records.
 func TestShardedMissingShardFile(t *testing.T) {
 	dir := t.TempDir()
-	sh, err := OpenSharded(dir, 4)
+	sh, err := Open(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +336,8 @@ func TestShardedMissingShardFile(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, shardName(1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(dir, 4); err == nil {
-		t.Fatal("OpenSharded accepted a directory with a missing shard log")
+	if _, err := Open(dir, Options{Shards: 4}); err == nil {
+		t.Fatal("Open accepted a directory with a missing shard log")
 	}
 }
 
@@ -305,7 +352,7 @@ func TestCompact(t *testing.T) {
 		s.Put(KindFinding, key, []byte("keep-"+key))
 		s.Put(KindVector, key+"/aa", bytes.Repeat([]byte("x"), 128))
 	}
-	if err := s.Commit(); err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	// One record accepted but not yet durable: compaction must carry it.
@@ -336,7 +383,7 @@ func TestCompact(t *testing.T) {
 	}
 	// The compacted log keeps appending normally.
 	s.Put(KindFinding, "eeee", []byte("after"))
-	if err := s.Commit(); err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -368,13 +415,13 @@ func TestCompactInterruptedLeavesOriginal(t *testing.T) {
 		fault.SiteStoreWrite: {ErrorRate: 1, Budget: 1},
 	})
 	inj.Disable()
-	s, err := OpenWith(dir, wrapFault(inj))
+	s, err := Open(dir, faultOptions(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Put(KindFinding, "aaaa", []byte("v"))
 	s.Put(KindVector, "aaaa/11", []byte("vec"))
-	if err := s.Commit(); err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -388,12 +435,12 @@ func TestCompactInterruptedLeavesOriginal(t *testing.T) {
 	if st.Vectors != 1 || st.Findings != 1 || st.Compactions != 0 {
 		t.Fatalf("failed compact mutated state: %+v", st)
 	}
-	if _, err := os.Stat(filepath.Join(dir, LogName+compactSuffix)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, shardName(0)+compactSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("failed compact left temp file: %v", err)
 	}
 	// The store still works end to end after the aborted compaction.
 	s.Put(KindFinding, "bbbb", []byte("w"))
-	if err := s.Commit(); err != nil {
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -402,7 +449,7 @@ func TestCompactInterruptedLeavesOriginal(t *testing.T) {
 
 	// A crash AFTER writing the temp but BEFORE the rename: the next open
 	// deletes the temp and serves the original log.
-	tmp := filepath.Join(dir, LogName+compactSuffix)
+	tmp := filepath.Join(dir, shardName(0)+compactSuffix)
 	if err := os.WriteFile(tmp, []byte(magic), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +467,10 @@ func TestCompactInterruptedLeavesOriginal(t *testing.T) {
 // concurrent multi-shard traffic with per-shard committers running.
 func TestShardedConcurrentFlush(t *testing.T) {
 	dir := t.TempDir()
-	sh, err := OpenSharded(dir, 4)
+	sh, err := Open(dir, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.StartGroupCommit(GroupCommitOptions{})
 
 	const writers, perWriter = 6, 30
 	var wg sync.WaitGroup
@@ -462,7 +508,7 @@ func TestShardedConcurrentFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh2, err := OpenSharded(dir, 4)
+	sh2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

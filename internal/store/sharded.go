@@ -10,10 +10,10 @@ package store
 // is a durability order for that window. Rule keys (content-derived IDs)
 // spread by the same function.
 //
-// Each shard is a full Store: its own log, index, committer, recovery and
-// snapshot isolation. A logical operation touches exactly one shard (Put,
-// Get, Has) or visits shards in shard order (Scan, Keys); Flush and Commit
-// fan out to every shard in parallel.
+// Each shard is a full record log: its own file, index, committer,
+// recovery and snapshot isolation. A logical operation touches exactly one
+// shard (Put, Get, Has) or visits shards in shard order (Scan, Keys); Flush
+// fans out to every shard in parallel.
 
 import (
 	"fmt"
@@ -25,8 +25,9 @@ import (
 	"sync"
 )
 
-// Backend is the store surface the service layer runs against — satisfied
-// by both *Store (one log) and *Sharded (N logs).
+// Backend is the store surface the service layer runs against. *Sharded is
+// the only implementation; the interface remains so a benchmark harness can
+// wrap the store to time its calls.
 type Backend interface {
 	Put(kind Kind, key string, val []byte) (added bool, err error)
 	Get(kind Kind, key string) ([]byte, bool)
@@ -34,20 +35,29 @@ type Backend interface {
 	Len(kind Kind) int
 	Keys(kind Kind) []string
 	Scan(kind Kind, fn func(key string, val []byte) bool)
-	Commit() error
 	Flush() error
-	StartGroupCommit(GroupCommitOptions)
-	StopGroupCommit()
 	Compact(keep func(kind Kind, key string, val []byte) bool) (CompactStats, error)
 	Stats() Stats
 	Dir() string
 	Close() error
 }
 
-var (
-	_ Backend = (*Store)(nil)
-	_ Backend = (*Sharded)(nil)
-)
+var _ Backend = (*Sharded)(nil)
+
+// Options configures Open. The zero value opens a directory's existing
+// layout, or a fresh one-shard store.
+type Options struct {
+	// Shards is the shard count of a fresh store; 0 means 1. A directory
+	// that already holds shard logs keeps its own count, whatever Shards
+	// says — resharding in place would route keys away from their records.
+	Shards int
+	// Commit tunes every shard's group committer.
+	Commit GroupCommitOptions
+	// Wrap, when non-nil, is a write-layer shim: each shard log is accessed
+	// through Wrap(file) instead of the raw *os.File. Chaos tests interpose
+	// fault injection here; production callers leave it nil.
+	Wrap func(File) File
+}
 
 // MaxShards bounds the shard count (the two-hex-digit file naming).
 const MaxShards = 256
@@ -75,33 +85,24 @@ func shardCount(dir string) (int, error) {
 	return n, nil
 }
 
-// ShardCount reports how many shard logs a directory holds (0 for a plain
-// or empty store) — how tooling decides between Open and OpenSharded.
-func ShardCount(dir string) (int, error) { return shardCount(dir) }
-
-// Sharded is an open sharded store.
+// Sharded is an open store.
 type Sharded struct {
 	dir    string
-	shards []*Store
+	shards []*shard
 }
 
-// OpenSharded opens (or creates) a sharded store with n shards in dir. If
-// dir already holds a sharded store, its existing shard count WINS over n —
-// resharding in place would re-route keys away from their records. If dir
-// holds a legacy single-log store (lpod.log), its records are migrated into
-// the shards first (idempotent: a crash mid-migration re-runs it on the
-// next open; the legacy log is renamed away only after every record is
-// durable in its shard).
-func OpenSharded(dir string, n int) (*Sharded, error) {
-	return OpenShardedWith(dir, n, nil)
-}
-
-// OpenShardedWith is OpenSharded with a write-layer shim applied to every
-// shard log (see OpenWith).
-func OpenShardedWith(dir string, n int, wrap func(File) File) (*Sharded, error) {
+// Open opens (or creates) the store in dir, creating the directory if
+// missing, recovering every shard log from a torn tail, and starting each
+// shard's group committer, which runs until Close. If dir holds a legacy
+// single-log store (lpod.log), its records are migrated into the shards
+// first (idempotent: a crash mid-migration re-runs it on the next open;
+// the legacy log is renamed away only after every record is durable in
+// its shard).
+func Open(dir string, opts Options) (*Sharded, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	n := opts.Shards
 	if existing, err := shardCount(dir); err != nil {
 		return nil, err
 	} else if existing > 0 {
@@ -115,30 +116,41 @@ func OpenShardedWith(dir string, n int, wrap func(File) File) (*Sharded, error) 
 	}
 	sh := &Sharded{dir: dir}
 	for i := 0; i < n; i++ {
-		s, err := openLog(dir, shardName(i), wrap)
+		s, err := openLog(dir, shardName(i), opts)
 		if err != nil {
 			sh.Close()
 			return nil, err
 		}
 		sh.shards = append(sh.shards, s)
 	}
-	if err := sh.migrateLegacy(wrap); err != nil {
+	if err := sh.migrateLegacy(opts); err != nil {
 		sh.Close()
 		return nil, err
 	}
 	return sh, nil
 }
 
+// OpenSharded opens dir with a fresh store's shard count n. It is kept only
+// because the perfbench harness calls it; new code calls Open.
+func OpenSharded(dir string, n int) (*Sharded, error) {
+	return Open(dir, Options{Shards: n})
+}
+
+// StartGroupCommit is a no-op: every shard's committer already runs from
+// Open to Close, with the options given to Open. It is kept only because
+// the perfbench harness calls it.
+func (sh *Sharded) StartGroupCommit(GroupCommitOptions) {}
+
 // migrateLegacy folds a pre-sharding lpod.log into the shards. Every record
-// is re-Put (content-addressed dedup makes reruns free), committed durable,
+// is re-Put (content-addressed dedup makes reruns free), flushed durable,
 // and only then is the legacy log renamed to lpod.log.migrated — so a crash
 // at any point leaves a state the next open completes from.
-func (sh *Sharded) migrateLegacy(wrap func(File) File) error {
+func (sh *Sharded) migrateLegacy(opts Options) error {
 	legacy := filepath.Join(sh.dir, LogName)
 	if _, err := os.Stat(legacy); err != nil {
 		return nil
 	}
-	old, err := openLog(sh.dir, LogName, wrap)
+	old, err := openLog(sh.dir, LogName, opts)
 	if err != nil {
 		return fmt.Errorf("store: migrating legacy log: %w", err)
 	}
@@ -153,7 +165,7 @@ func (sh *Sharded) migrateLegacy(wrap func(File) File) error {
 			return fmt.Errorf("store: migrating legacy log: %w", ferr)
 		}
 	}
-	if err := sh.Commit(); err != nil {
+	if err := sh.Flush(); err != nil {
 		old.Close()
 		return err
 	}
@@ -166,7 +178,7 @@ func (sh *Sharded) migrateLegacy(wrap func(File) File) error {
 // shardFor routes a key: hash the window-hash prefix (everything before the
 // first '/', i.e. the whole key for findings and rules, the window half for
 // vector keys) so all records of one window land on one shard.
-func (sh *Sharded) shardFor(key string) *Store {
+func (sh *Sharded) shardFor(key string) *shard {
 	prefix := key
 	if i := strings.IndexByte(key, '/'); i >= 0 {
 		prefix = key[:i]
@@ -179,8 +191,11 @@ func (sh *Sharded) shardFor(key string) *Store {
 // N reports the shard count.
 func (sh *Sharded) N() int { return len(sh.shards) }
 
-// Shard returns shard i — per-shard access for tests and tooling.
-func (sh *Sharded) Shard(i int) *Store { return sh.shards[i] }
+// ShardHas reports whether shard i holds (kind, key) — per-shard access
+// for tests that pin routing.
+func (sh *Sharded) ShardHas(i int, kind Kind, key string) bool {
+	return sh.shards[i].Has(kind, key)
+}
 
 // Put routes the record to its key's shard.
 func (sh *Sharded) Put(kind Kind, key string, val []byte) (bool, error) {
@@ -234,15 +249,22 @@ func (sh *Sharded) Scan(kind Kind, fn func(key string, val []byte) bool) {
 	}
 }
 
-// fanOut runs fn on every shard concurrently and returns the first error.
-func (sh *Sharded) fanOut(fn func(*Store) error) error {
+// Flush is the logical durability barrier: it returns once every record Put
+// before the call — on any shard — is durable. Shards flush in parallel, so
+// the barrier costs one fsync latency, not N; the first failure is returned
+// but every shard still gets its attempt. A one-shard store (the default
+// layout) flushes on the caller's goroutine.
+func (sh *Sharded) Flush() error {
+	if len(sh.shards) == 1 {
+		return sh.shards[0].Flush()
+	}
 	errs := make([]error, len(sh.shards))
 	var wg sync.WaitGroup
 	for i, s := range sh.shards {
 		wg.Add(1)
-		go func(i int, s *Store) {
+		go func(i int, s *shard) {
 			defer wg.Done()
-			errs[i] = fn(s)
+			errs[i] = s.Flush()
 		}(i, s)
 	}
 	wg.Wait()
@@ -254,31 +276,8 @@ func (sh *Sharded) fanOut(fn func(*Store) error) error {
 	return nil
 }
 
-// Commit commits every shard (in parallel); the first failure is returned
-// but every shard still gets its attempt.
-func (sh *Sharded) Commit() error { return sh.fanOut((*Store).Commit) }
-
-// Flush is the logical durability barrier: it returns once every record Put
-// before the call — on any shard — is durable. Shards flush in parallel, so
-// the barrier costs one fsync latency, not N.
-func (sh *Sharded) Flush() error { return sh.fanOut((*Store).Flush) }
-
-// StartGroupCommit starts a committer per shard.
-func (sh *Sharded) StartGroupCommit(opts GroupCommitOptions) {
-	for _, s := range sh.shards {
-		s.StartGroupCommit(opts)
-	}
-}
-
-// StopGroupCommit stops every shard's committer.
-func (sh *Sharded) StopGroupCommit() {
-	for _, s := range sh.shards {
-		s.StopGroupCommit()
-	}
-}
-
 // Compact compacts every shard under the same keep policy (see
-// Store.Compact) and aggregates the per-shard stats. Shards compact one at
+// shard.Compact) and aggregates the per-shard stats. Shards compact one at
 // a time, so at most one shard is stop-the-world at any moment.
 func (sh *Sharded) Compact(keep func(kind Kind, key string, val []byte) bool) (CompactStats, error) {
 	var total CompactStats
@@ -322,7 +321,8 @@ func (sh *Sharded) Stats() Stats {
 // Dir returns the store's directory.
 func (sh *Sharded) Dir() string { return sh.dir }
 
-// Close closes every shard, returning the first error.
+// Close stops every shard's committer after a final commit of whatever is
+// pending and closes the shard logs, returning the first error.
 func (sh *Sharded) Close() error {
 	var first error
 	for _, s := range sh.shards {

@@ -4,40 +4,40 @@
 // vectors — survives on disk so overlapping campaigns are incremental and
 // a resubmitted window pays only for work nobody has done before.
 //
-// The on-disk format is an append-only record log (dir/lpod.log for a
-// plain store; dir/lpod-00.log … for the sharded variant, see Sharded):
-// an 8-byte magic header followed by length-prefixed, CRC-framed records.
-// Every record is immutable and content-addressed — the key of a finding
-// is the ir.Hash of its source window, the key of a rulebook entry is its
-// content-derived rule ID, the key of a counterexample vector includes the
-// hash of the vector itself — so a key is written at most once and its
-// value never changes. That makes the concurrency story simple:
+// A store has one shape. Open returns a *Sharded: one logical record set
+// fanned over N shard logs (dir/lpod-00.log …, one by default), each an
+// append-only record log with its own in-memory index and its own group
+// committer running from Open to Close. A log is an 8-byte magic header
+// followed by length-prefixed, CRC-framed records. Every record is
+// immutable and content-addressed — the key of a finding is the ir.Hash of
+// its source window, the key of a rulebook entry is its content-derived
+// rule ID, the key of a counterexample vector includes the hash of the
+// vector itself — so a key is written at most once and its value never
+// changes. That makes the concurrency story simple:
 //
 //   - Writes land in the in-memory index immediately (visible to readers)
-//     and are framed to disk in one batch per Commit, which fsyncs — so
-//     durability is paid per batch, not per record. A failed Commit rolls
-//     the log back to its last durable length and keeps the batch pending:
-//     the next Commit retries everything, so a transient write or fsync
-//     failure (disk full, injected fault) degrades durability temporarily
-//     without losing an accepted record or corrupting earlier ones.
-//   - Readers are snapshot-isolated for free: Snapshot captures the current
-//     record count, and a snapshot reader observes exactly the records that
-//     existed at capture time, concurrent appends notwithstanding.
-//   - Crash recovery on Open scans the log and truncates a torn tail (a
+//     and are framed to disk in one batch per commit, which fsyncs — so
+//     durability is paid per batch, not per record. Flush is the only
+//     durability barrier: it returns once every record Put before it is
+//     durable, and concurrent Flushes share one commit (group commit). A
+//     failed commit rolls the log back to its last durable length and
+//     keeps the batch pending: the next commit retries everything, so a
+//     transient write or fsync failure (disk full, injected fault)
+//     degrades durability temporarily without losing an accepted record
+//     or corrupting earlier ones.
+//   - Readers are snapshot-isolated for free: a snapshot captures a shard's
+//     current record count and observes exactly the records that existed
+//     at capture time, concurrent appends notwithstanding.
+//   - Crash recovery on Open scans each log and truncates a torn tail (a
 //     partially written final record) back to the last intact record; an
 //     interrupted batch loses at most its own unsynced records, never
 //     earlier ones.
+//   - Compaction (Compact) rewrites each log without the records a policy
+//     drops (dead pool vectors, superseded rules), with a crash-safe tail
+//     swap.
 //
-// Three mechanisms scale the hot ingest path beyond one fsync per record
-// (doc.go, "Scaling the Store"):
-//
-//   - Group commit (StartGroupCommit + Flush): concurrent writers' records
-//     coalesce into one framed batch and one fsync, with per-waiter
-//     durability notification.
-//   - Sharding (Sharded): a logical store fanned over N independent shard
-//     logs keyed by window-hash prefix, each with its own committer.
-//   - Compaction (Compact): rewrite a log without records a policy drops
-//     (dead pool vectors, superseded rules), with a crash-safe tail swap.
+// doc.go, "Scaling the Store", covers group commit, sharding and
+// compaction in depth.
 package store
 
 import (
@@ -53,7 +53,7 @@ import (
 )
 
 // File is the write seam of the record log: the slice of *os.File the store
-// actually uses. OpenWith lets callers interpose a shim here — the
+// actually uses. Options.Wrap lets callers interpose a shim here — the
 // fault-injection harness (internal/fault.File) wraps it to chaos-test
 // partial appends, failed fsyncs and blocked truncates without touching a
 // real disk's failure modes.
@@ -99,7 +99,8 @@ func (k Kind) String() string {
 // breaking changes.
 const magic = "LPODSTR1"
 
-// LogName is the record log's file name inside the store directory.
+// LogName is the file name of a legacy single-log store, which Open
+// migrates into the shard logs.
 const LogName = "lpod.log"
 
 // maxKeyLen and maxValLen bound a decoded record's claimed sizes so a
@@ -127,27 +128,26 @@ type Stats struct {
 	GetHits   int64 // Get/Has calls that found their key
 	GetMisses int64 // Get/Has calls that did not
 	Recovered int64 // torn-tail bytes truncated by Open (0 after a clean shutdown)
-	Pending   int   // records accepted but not yet durable (retried by the next Commit)
-	// CommitFails counts failed Commit batches (each rolled back and left
+	Pending   int   // records accepted but not yet durable (retried by the next commit)
+	// CommitFails counts failed commit batches (each rolled back and left
 	// pending for retry) — the store's degraded-durability signal, surfaced
 	// by lpod's /v1/healthz.
 	CommitFails int64
-	// Commits counts successful non-empty Commit batches; Commits vs PutNew
+	// Commits counts successful non-empty commit batches; Commits vs PutNew
 	// is the group-commit amortization ratio (records per fsync).
 	Commits int64
 	// Compactions counts completed Compact rewrites of the log.
 	Compactions int64
-	// Shards is how many shard logs back these stats: 1 for a plain Store,
-	// N for a Sharded aggregate.
+	// Shards is how many shard logs back these stats.
 	Shards int
 }
 
-// Store is an open store: the append-only log plus the in-memory hash index
-// over it. It is safe for concurrent use; the writer appends while any
-// number of readers Get/Has/Scan, and Snapshot gives a reader a stable
-// point-in-time view.
-type Store struct {
-	// commitMu serializes the disk half of Commit (and Compact). The record
+// shard is one open record log: the append-only file plus the in-memory
+// hash index over it and its group committer. It is safe for concurrent
+// use; the writer appends while any number of readers Get/Has/Scan, and
+// snapshot gives a reader a stable point-in-time view.
+type shard struct {
+	// commitMu serializes the disk half of commit (and Compact). The record
 	// write + fsync run with mu RELEASED, so readers and writers proceed
 	// while a batch is being made durable — that is what lets concurrent
 	// Puts pile into the next group-commit batch during the current fsync.
@@ -162,9 +162,9 @@ type Store struct {
 	idx     map[string]int // indexKey(kind,key) -> position in recs (first write wins)
 	byK     [4]int         // record count per kind (index by Kind)
 	size    int64          // bytes in the log, including accepted-but-not-durable records
-	durable int64          // bytes known durable on disk (after the last successful Commit)
-	dirty   []int          // positions in recs accepted since the last successful Commit
-	gc      *committer     // group-commit worker; nil until StartGroupCommit
+	durable int64          // bytes known durable on disk (after the last successful commit)
+	dirty   []int          // positions in recs accepted since the last successful commit
+	gc      *committer     // group-commit worker, running from openLog to Close
 
 	putNew      int64
 	putDup      int64
@@ -180,26 +180,10 @@ func indexKey(kind Kind, key string) string {
 	return string([]byte{byte(kind), 0}) + key
 }
 
-// Open opens (or creates) the store in dir, recovering from a torn tail if
-// the previous process crashed mid-append. The directory is created if
-// missing.
-func Open(dir string) (*Store, error) { return OpenWith(dir, nil) }
-
-// OpenWith is Open with a write-layer shim: when wrap is non-nil the record
-// log is accessed through wrap(file) instead of the raw *os.File. Chaos
-// tests interpose fault injection here; production callers pass nil.
-func OpenWith(dir string, wrap func(File) File) (*Store, error) {
-	if n, err := shardCount(dir); err == nil && n > 0 {
-		return nil, fmt.Errorf("store: %s is a sharded store (%d shards); use OpenSharded", dir, n)
-	}
-	return openLog(dir, LogName, wrap)
-}
-
-// openLog opens one record log (the whole store, or one shard of a Sharded).
-func openLog(dir, name string, wrap func(File) File) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
+// openLog opens (or creates) one record log in dir, recovering from a torn
+// tail if the previous process crashed mid-append, and starts its group
+// committer. The directory must exist.
+func openLog(dir, name string, opts Options) (*shard, error) {
 	// A leftover .compact temp file is an interrupted compaction that never
 	// reached its rename: the original log is still authoritative, so the
 	// temp is just deleted (Compact is atomic-or-nothing).
@@ -210,20 +194,21 @@ func openLog(dir, name string, wrap func(File) File) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	var f File = osf
-	if wrap != nil {
-		f = wrap(osf)
+	if opts.Wrap != nil {
+		f = opts.Wrap(osf)
 	}
-	s := &Store{dir: dir, name: name, wrap: wrap, f: f, idx: make(map[string]int)}
+	s := &shard{dir: dir, name: name, wrap: opts.Wrap, f: f, idx: make(map[string]int)}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
 	}
+	s.gc = startCommitter(s, opts.Commit)
 	return s, nil
 }
 
 // recover reads the log, builds the index, and truncates a torn tail. On an
 // empty file it writes the header.
-func (s *Store) recover() error {
+func (s *shard) recover() error {
 	info, err := s.f.Stat()
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -242,7 +227,7 @@ func (s *Store) recover() error {
 	r := bufio.NewReader(io.NewSectionReader(s.f, 0, info.Size()))
 	hdr := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, hdr); err != nil || string(hdr) != magic {
-		return fmt.Errorf("store: %s is not a lpod store log", filepath.Join(s.dir, LogName))
+		return fmt.Errorf("store: %s is not a lpod store log", filepath.Join(s.dir, s.name))
 	}
 	good := int64(len(magic))
 	for {
@@ -278,7 +263,7 @@ func (s *Store) recover() error {
 	return nil
 }
 
-func (s *Store) count(k Kind, d int) {
+func (s *shard) count(k Kind, d int) {
 	if int(k) < len(s.byK) {
 		s.byK[k] += d
 	}
@@ -327,12 +312,12 @@ func readRecord(r *bufio.Reader) (record, int, error) {
 
 // Put accepts one record unless the (kind, key) pair is already present —
 // the store is content-addressed, so a duplicate Put is a cache hit, not an
-// update. The record is immediately visible to readers; call Commit to make
-// the batch durable. Put never touches the disk, so it cannot fail on I/O:
-// an accepted record stays pending (and servable from memory) across any
-// number of failed Commits until one succeeds. added reports whether a new
+// update. The record is immediately visible to readers; Flush makes it
+// durable. Put never touches the disk, so it cannot fail on I/O: an
+// accepted record stays pending (and servable from memory) across any
+// number of failed commits until one succeeds. added reports whether a new
 // record was accepted.
-func (s *Store) Put(kind Kind, key string, val []byte) (added bool, err error) {
+func (s *shard) Put(kind Kind, key string, val []byte) (added bool, err error) {
 	if len(key) > maxKeyLen {
 		return false, fmt.Errorf("store: key too long (%d bytes)", len(key))
 	}
@@ -360,27 +345,23 @@ func frameLen(rec record) int64 {
 	return int64(7 + len(rec.key) + len(rec.val) + 4)
 }
 
-// Commit frames every pending record, appends the batch at the log's
-// durable length, and fsyncs: everything Put before Commit returns nil is
+// commit frames every pending record, appends the batch at the log's
+// durable length, and fsyncs: everything Put before commit returns nil is
 // durable. On failure the log is rolled back (best effort) to its last
-// durable length and the whole batch stays pending — the next Commit
+// durable length and the whole batch stays pending — the next commit
 // retries it from scratch, so callers may simply keep going in a degraded
-// mode and re-Commit later. Committing with nothing pending is a cheap
-// no-op.
+// mode and commit again later. Committing with nothing pending is a cheap
+// no-op. Only the committer, Close and a Flush racing Close call it;
+// everyone else goes through Flush.
 //
-// The write + fsync run without the index lock: concurrent Puts (and Gets)
+// commitMu keeps the durable offset and the log tail consistent across the
+// disk I/O, which runs without the index lock: concurrent Puts (and Gets)
 // proceed during the disk wait and land in the next batch — the natural
-// batching that group commit (StartGroupCommit + Flush) builds on.
-func (s *Store) Commit() error {
+// batching group commit builds on.
+func (s *shard) commit() error {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	return s.commitSerialized()
-}
 
-// commitSerialized is Commit's body; the caller holds commitMu, which is
-// what keeps the durable offset and the log tail consistent across the
-// unlocked disk I/O.
-func (s *Store) commitSerialized() error {
 	s.mu.Lock()
 	n := len(s.dirty)
 	if n == 0 {
@@ -424,7 +405,7 @@ func (s *Store) commitSerialized() error {
 
 // Get returns the value stored under (kind, key). The returned bytes are
 // shared and must not be mutated.
-func (s *Store) Get(kind Kind, key string) ([]byte, bool) {
+func (s *shard) Get(kind Kind, key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.idx[indexKey(kind, key)]
@@ -438,13 +419,13 @@ func (s *Store) Get(kind Kind, key string) ([]byte, bool) {
 
 // Has reports whether (kind, key) is present, counting toward the hit/miss
 // counters like Get.
-func (s *Store) Has(kind Kind, key string) bool {
+func (s *shard) Has(kind Kind, key string) bool {
 	_, ok := s.Get(kind, key)
 	return ok
 }
 
 // Len reports how many records of the given kind the store holds.
-func (s *Store) Len(kind Kind) int {
+func (s *shard) Len(kind Kind) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if int(kind) < len(s.byK) {
@@ -454,7 +435,7 @@ func (s *Store) Len(kind Kind) int {
 }
 
 // Keys returns the keys of the given kind in sorted order.
-func (s *Store) Keys(kind Kind) []string {
+func (s *shard) Keys(kind Kind) []string {
 	s.mu.RLock()
 	var out []string
 	for _, rec := range s.recs {
@@ -470,12 +451,12 @@ func (s *Store) Keys(kind Kind) []string {
 // Scan calls fn for every record of the given kind in append order,
 // stopping early when fn returns false. The value bytes are shared and must
 // not be mutated or retained past fn.
-func (s *Store) Scan(kind Kind, fn func(key string, val []byte) bool) {
-	s.Snapshot().Scan(kind, fn)
+func (s *shard) Scan(kind Kind, fn func(key string, val []byte) bool) {
+	s.snapshot().Scan(kind, fn)
 }
 
 // Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
+func (s *shard) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return Stats{
@@ -497,42 +478,39 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Close stops the group committer (if running), commits any pending batch,
-// and closes the log.
-func (s *Store) Close() error {
-	s.StopGroupCommit()
-	if err := s.Commit(); err != nil {
+// Close stops the group committer (its final drain commits what is
+// pending), makes one more commit attempt, and closes the log.
+func (s *shard) Close() error {
+	s.gc.shutdown()
+	if err := s.commit(); err != nil {
 		s.f.Close()
 		return err
 	}
 	return s.f.Close()
 }
 
-// Snapshot is a point-in-time view of the store: it observes exactly the
+// snapshot is a point-in-time view of a shard: it observes exactly the
 // records present when it was captured, no matter how many appends land
 // afterwards. Snapshots are cheap (two words) and need no release.
-type Snapshot struct {
-	s *Store
+type snapshot struct {
+	s *shard
 	n int
 }
 
-// Snapshot captures the current record count as an isolated read view.
-func (s *Store) Snapshot() Snapshot {
+// snapshot captures the current record count as an isolated read view.
+func (s *shard) snapshot() snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return Snapshot{s: s, n: len(s.recs)}
+	return snapshot{s: s, n: len(s.recs)}
 }
 
 // Len reports how many records (of all kinds) the snapshot observes.
-func (v Snapshot) Len() int { return v.n }
+func (v snapshot) Len() int { return v.n }
 
 // Get returns the value stored under (kind, key) if the record existed at
 // capture time. Reads through a snapshot do not move the store's hit/miss
 // counters — those track the service's dedup traffic, not internal scans.
-func (v Snapshot) Get(kind Kind, key string) ([]byte, bool) {
+func (v snapshot) Get(kind Kind, key string) ([]byte, bool) {
 	v.s.mu.RLock()
 	defer v.s.mu.RUnlock()
 	i, ok := v.s.idx[indexKey(kind, key)]
@@ -543,14 +521,14 @@ func (v Snapshot) Get(kind Kind, key string) ([]byte, bool) {
 }
 
 // Has reports whether (kind, key) existed at capture time.
-func (v Snapshot) Has(kind Kind, key string) bool {
+func (v snapshot) Has(kind Kind, key string) bool {
 	_, ok := v.Get(kind, key)
 	return ok
 }
 
 // Scan calls fn for every record of the given kind that existed at capture
 // time, in append order, stopping early when fn returns false.
-func (v Snapshot) Scan(kind Kind, fn func(key string, val []byte) bool) {
+func (v snapshot) Scan(kind Kind, fn func(key string, val []byte) bool) {
 	for i := 0; i < v.n; i++ {
 		v.s.mu.RLock()
 		if i >= len(v.s.recs) {

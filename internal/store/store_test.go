@@ -13,13 +13,54 @@ import (
 	"repro/internal/ir"
 )
 
-func openT(t *testing.T, dir string) *Store {
+func openT(t *testing.T, dir string) *Sharded {
 	t.Helper()
-	s, err := Open(dir)
+	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestOpenDefaultLayout pins the one store shape: a fresh directory opened
+// with zero Options holds exactly one shard log and reports one shard.
+func TestOpenDefaultLayout(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	defer s.Close()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "lpod-00.log" {
+		t.Fatalf("fresh store holds %v, want exactly lpod-00.log", entries)
+	}
+	if n := s.Stats().Shards; n != 1 {
+		t.Fatalf("Stats().Shards = %d, want 1", n)
+	}
+}
+
+// TestSerialFlushOneCommitPerRecord pins the store_commit baseline: with
+// coalescing disabled (MaxDelay < 0), serial Put+Flush pays exactly one
+// commit — one fsync — per record.
+func TestSerialFlushOneCommitPerRecord(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Commit: GroupCommitOptions{MaxDelay: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 20; i++ {
+		if _, err := s.Put(KindFinding, fmt.Sprintf("%016x", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PutNew != 20 || st.Commits != st.PutNew || st.Pending != 0 {
+		t.Fatalf("serial Put+Flush: PutNew=%d Commits=%d Pending=%d, want one commit per record",
+			st.PutNew, st.Commits, st.Pending)
+	}
 }
 
 // TestStoreRoundTrip pins the basics: put/get across all kinds, dedup of
@@ -79,7 +120,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, LogName)
+	path := filepath.Join(dir, shardName(0))
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +167,7 @@ func TestStoreCorruptTailCRC(t *testing.T) {
 	s.Put(KindFinding, "one", []byte("first"))
 	s.Put(KindFinding, "two", []byte("second"))
 	s.Close()
-	path := filepath.Join(dir, LogName)
+	path := filepath.Join(dir, shardName(0))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -148,14 +189,17 @@ func TestStoreCorruptTailCRC(t *testing.T) {
 	}
 }
 
-// TestStoreNotAStore rejects files that are not lpod logs.
+// TestStoreNotAStore rejects files that are not lpod logs, whether found as
+// a shard log or as a legacy log to migrate.
 func TestStoreNotAStore(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, LogName), []byte("something else entirely"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil {
-		t.Fatal("foreign file accepted as a store log")
+	for _, name := range []string{shardName(0), LogName} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("something else entirely"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir, Options{}); err == nil {
+			t.Fatalf("foreign %s accepted as a store log", name)
+		}
 	}
 }
 
@@ -163,10 +207,11 @@ func TestStoreNotAStore(t *testing.T) {
 // exactly the records present at capture, concurrent appends notwithstanding.
 func TestStoreSnapshotIsolation(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	defer s.Close()
+	sh := openT(t, dir)
+	defer sh.Close()
+	s := sh.shards[0]
 	s.Put(KindFinding, "before", []byte("b"))
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	s.Put(KindFinding, "after", []byte("a"))
 	if !snap.Has(KindFinding, "before") {
 		t.Fatal("snapshot lost a pre-capture record")
@@ -174,7 +219,7 @@ func TestStoreSnapshotIsolation(t *testing.T) {
 	if snap.Has(KindFinding, "after") {
 		t.Fatal("snapshot observed a post-capture append")
 	}
-	if s.Snapshot().Len() != 2 || snap.Len() != 1 {
+	if s.snapshot().Len() != 2 || snap.Len() != 1 {
 		t.Fatal("snapshot lengths drifted")
 	}
 	var keys []string
@@ -208,7 +253,7 @@ func TestStoreConcurrent(t *testing.T) {
 					t.Error("read-own-write failed")
 					return
 				}
-				snap := s.Snapshot()
+				snap := s.shards[0].snapshot()
 				n := 0
 				snap.Scan(KindFinding, func(k string, v []byte) bool {
 					n++
@@ -219,7 +264,7 @@ func TestStoreConcurrent(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if err := s.Commit(); err != nil {
+					if err := s.Flush(); err != nil {
 						t.Error(err)
 						return
 					}

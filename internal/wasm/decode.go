@@ -267,6 +267,11 @@ func decodeFunctionSection(m *Module, b []byte) ([]uint32, error) {
 		return nil, fmt.Errorf("wasm: function count: %v", err)
 	}
 	b = b[n:]
+	// Every entry takes at least one byte; a larger claimed count must not
+	// size the allocation.
+	if count > uint64(len(b)) {
+		return nil, fmt.Errorf("wasm: function count %d exceeds the section's %d bytes", count, len(b))
+	}
 	out := make([]uint32, 0, count)
 	for i := uint64(0); i < count; i++ {
 		ti, n, err := readU(b, 32)
