@@ -251,7 +251,7 @@ func main() {
 	fmt.Printf("\nextracted %d unique sequences (%d raw, %d duplicates, %d already optimizable)\n",
 		xs.Kept, xs.Sequences, xs.Duplicates, xs.Optimizable)
 	if *stats {
-		engStats.Print(os.Stdout)
+		engStats.Snapshot().Print(os.Stdout)
 	}
 	if *learnPath != "" {
 		book := eng.Rulebook()

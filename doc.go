@@ -27,11 +27,13 @@
 //
 // Results are reassembled in source order before they are emitted, so for a
 // fixed seed the output stream is identical regardless of the worker count.
-// Cancelling ctx drains the run cleanly. Stats exposes concurrency-safe
-// per-stage metrics (invocation counts, outcome tallies, accumulated
-// llm.Usage, per-stage latency) that may be read while the run is in
-// flight, and a cross-worker verification cache deduplicates identical
-// (source, candidate) refinement checks by structural hash.
+// Cancelling ctx drains the run cleanly. stats.Snapshot() copies the
+// run's counters (invocation counts, outcome tallies, accumulated
+// llm.Usage, per-stage latency) and may be taken while the run is in
+// flight. The same engine.Snapshot is what `lpo -stats` prints and what
+// lpod's GET /v1/stats serves as its engine section. A cross-worker
+// verification cache deduplicates identical (source, candidate) refinement
+// checks by structural hash.
 //
 // The knobs surface on the CLIs: cmd/lpo takes -workers and -queue,
 // cmd/lpo-bench and cmd/lpo-opt take -workers; engine.ParMap backs the
@@ -51,7 +53,7 @@
 // share one prebuilt RuleSet across all calls. Per-rule hit counters flow
 // end to end: opt.RunWithStats reports them per run, every Found
 // engine.Result carries the optional rules that close its window,
-// engine.Stats aggregates the attribution, and the RQ1/RQ2/Figure-5
+// engine.Snapshot.RuleHits aggregates the attribution, and the RQ1/RQ2/Figure-5
 // experiments print which rule closed each benchmark. cmd/lpo-opt -rules
 // lists the registry.
 //
@@ -182,11 +184,11 @@
 // counterexample text stays byte-identical to alive.ReferenceVerify, the
 // retained Exec-per-input baseline. Result.Tiers reports per-tier
 // executions and the killing tier; `lpo-verify -stats` prints them,
-// engine.Stats aggregates them campaign-wide (TierKills, VerifyExecs), and
-// GET /v1/stats serves them.
+// engine.Snapshot aggregates them campaign-wide (TierKills, VerifyExecs),
+// and GET /v1/stats serves that snapshot.
 // alive.VerifyWidths reseeds each width of a sweep with earlier widths'
 // counterexamples rescaled to the new width; the engine installs one CEPool
-// per campaign beside its program cache (Stats.TierKills aggregates the
+// per campaign beside its program cache (Snapshot.TierKills aggregates the
 // kills), and the Souper/Minotaur CEGIS loops deposit and replay through
 // the same pool while folding refuting inputs into their test-vector
 // filters. On one core this makes the clamp verification ~3x and the
@@ -251,7 +253,7 @@
 //
 // Functions outside the subset (floats, calls, globals, br_table,
 // multi-result, malformed bodies) are skipped, never errored: each skip is
-// tallied by reason, the per-module coverage lands in engine.Stats
+// tallied by reason, the per-module coverage lands in engine.Snapshot.Lift
 // (`lpo -stats`, GET /v1/stats), and decoding is hardened against
 // adversarial input (locals-count and instruction caps, a CI-fuzzed
 // decoder). Every entry point accepts the format: `lpo file.wasm` sniffs
@@ -299,16 +301,17 @@
 // the window stops reporting pending, so a finding is never servable
 // until it is durable. GET /v1/findings/{hash} returns the stored bytes
 // verbatim, GET /v1/rulebook assembles the store's accumulated rule
-// entries into a standard rulebook, and GET /v1/stats reports engine
-// (outcomes, verify executions, tier kills, batch coverage, store hits),
-// store
-// (records, hit/miss counters, recovered bytes) and pool counters.
+// entries into a standard rulebook, and GET /v1/stats serves each layer's
+// own snapshot: engine.Snapshot (outcomes, usage, stage latency, verify
+// executions, tier kills, store hits, rule hits), store.Stats (records,
+// hit/miss counters, recovered bytes) and alive.CEPoolStats, plus the
+// daemon's counters.
 // Restarting the daemon on the same store resumes exactly: resubmitted
 // corpora are answered byte-identically from disk with no provider or
 // verifier work, and the stored vectors warm the pool's tier-0 replay.
 // The engine side is engine.Config.Lookup — consulted once per sequence
 // after per-run dedup, a hit is returned as a Cached result and counted
-// in Stats.StoreHits — and cmd/lpo -store threads the same persistence
+// in Snapshot.StoreHits — and cmd/lpo -store threads the same persistence
 // through one-shot batch runs, so batch campaigns, the daemon and future
 // runs all share one accumulated store.
 //
@@ -423,14 +426,14 @@
 // proposer — opt.Run with the engine's accumulated learned rules stands in
 // for the provider, so rulebook-driven discovery continues through an
 // outage. Degraded results are marked (Result.Degraded), tallied
-// (Stats.DegradedSeqs), served from the service's volatile memory, and
+// (Snapshot.DegradedSeqs), served from the service's volatile memory, and
 // never persisted — the window stays recomputable so the store converges.
 //
 // Engine: each window runs panic-isolated. A panicking stage (or provider)
 // quarantines that window alone — the worker recovers, emits a Panicked
 // result carrying the panic as an error, records the window hash in the
 // engine's quarantine list (engine.Quarantined, GET /v1/stats), bumps
-// Stats.Panics, and the campaign continues. The verify cache propagates a
+// Snapshot.Panics, and the campaign continues. The verify cache propagates a
 // panic to every waiter of the same (source, candidate) pair rather than
 // handing them a zero verdict. Config.StageTimeout bounds each stage:
 // propose inherits a context deadline; verify and learn, which are
@@ -440,13 +443,13 @@
 // Store: Put is memory-only; the commit behind Flush serializes the dirty
 // batch at the durable offset, fsyncs, and only then advances it. A failed
 // commit rolls the file back to the durable boundary and keeps the batch
-// pending — Stats.Pending and Stats.CommitFails surface the backlog, the
-// committer's retry and every later Flush retry it, and nothing accepted
-// is ever lost (records stay servable from the in-memory index meanwhile:
-// degraded-but-serving). store.Options.Wrap injects a write-layer shim,
-// which is how the fault and chaos tests drive torn writes and fsync
-// failures deterministically, and FuzzOpenLog feeds arbitrary bytes to
-// crash recovery.
+// pending — store.Stats.Pending and CommitFails surface the backlog
+// (Stats.Degraded drives /v1/healthz), the committer's retry and every
+// later Flush retry it, and nothing accepted is ever lost (records stay
+// servable from the in-memory index meanwhile: degraded-but-serving).
+// store.Options.Wrap injects a write-layer shim, which is how the fault
+// and chaos tests drive torn writes and fsync failures deterministically,
+// and FuzzOpenLog feeds arbitrary bytes to crash recovery.
 //
 // Service: request bodies above Config.MaxBodyBytes answer 413 instead of
 // being silently truncated; a full engine queue answers 429 with

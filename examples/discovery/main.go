@@ -40,6 +40,6 @@ func main() {
 	st := ex.Stats()
 	fmt.Printf("\nextraction: %d raw, %d duplicates removed, %d already optimizable, %d kept\n",
 		st.Sequences, st.Duplicates, st.Optimizable, st.Kept)
-	stats.Print(os.Stdout)
+	stats.Snapshot().Print(os.Stdout)
 	fmt.Printf("\n%d verified missed optimizations discovered\n", found)
 }

@@ -38,14 +38,15 @@ type WindowVector struct {
 	Vec    PoolVector
 }
 
-// CEPoolStats is a snapshot of a pool's counters.
+// CEPoolStats is a snapshot of a pool's counters. Its JSON tags are the
+// pool section of lpod's GET /v1/stats.
 type CEPoolStats struct {
-	Windows   int   // source windows with at least one vector
-	Vectors   int   // vectors currently stored
-	Deposits  int64 // successful Add calls (duplicates excluded)
-	Dups      int64 // Add calls dropped as duplicates
-	Loaded    int64 // vectors installed by Load (store warm starts)
-	Evictions int64 // vectors displaced by the per-window clock
+	Windows   int   `json:"windows"`   // source windows with at least one vector
+	Vectors   int   `json:"vectors"`   // vectors currently stored
+	Deposits  int64 `json:"deposits"`  // successful Add calls (duplicates excluded)
+	Dups      int64 `json:"dups"`      // Add calls dropped as duplicates
+	Loaded    int64 `json:"loaded"`    // vectors installed by Load (store warm starts)
+	Evictions int64 `json:"evictions"` // vectors displaced by the per-window clock
 }
 
 // CEPool is a campaign-scoped, concurrency-safe pool of counterexample

@@ -15,6 +15,7 @@ import (
 	"repro/internal/extract"
 	"repro/internal/ir"
 	"repro/internal/llm"
+	"repro/internal/wasm"
 )
 
 // corpusSeqs extracts a deterministic batch of sequences for batch tests.
@@ -167,13 +168,24 @@ func TestConcurrentRunIsRaceClean(t *testing.T) {
 		Verify: alive.Options{Samples: 64, Seed: 7},
 	})
 	results, stats := e.Run(context.Background(), Modules(ex, mods...))
-	n := 0
+	// No wasm feeds this run, so seed a lift reason: without it the live
+	// Reasons map stays nil and the aliasing check below could not fail.
+	stats.RecordLift(wasm.LiftStats{Reasons: map[string]int{"seeded": 1}})
+	n, last := 0, 0
 	for r := range results {
 		n++
-		// Read live stats concurrently with the run to exercise the locks.
-		_ = stats.Sequences()
-		_ = stats.Usage()
-		_ = stats.Stage(StageVerify)
+		// Snapshot the live stats while the workers record into them, and
+		// scribble on the copy: a snapshot is a deep copy taken under the
+		// lock (the race detector checks both), and counters only grow.
+		snap := stats.Snapshot()
+		if snap.Sequences < last {
+			t.Fatalf("sequence count went backwards: %d after %d", snap.Sequences, last)
+		}
+		last = snap.Sequences
+		snap.Outcomes[Found] = -1
+		snap.Stages[StageVerify] = StageMetrics{}
+		snap.RuleHits["scribble"] = 1
+		snap.Lift.Reasons["scribble"] = 1
 		if r.Outcome == Errored {
 			t.Fatalf("unexpected error result: %v", r.Err)
 		}
@@ -181,8 +193,12 @@ func TestConcurrentRunIsRaceClean(t *testing.T) {
 	if n == 0 {
 		t.Fatal("streaming source yielded nothing")
 	}
-	if stats.Sequences() != n {
-		t.Fatalf("stats saw %d sequences, channel delivered %d", stats.Sequences(), n)
+	snap := stats.Snapshot()
+	if snap.Sequences != n {
+		t.Fatalf("stats saw %d sequences, channel delivered %d", snap.Sequences, n)
+	}
+	if snap.Outcomes[Found] < 0 || snap.RuleHits["scribble"] != 0 || snap.Lift.Reasons["scribble"] != 0 {
+		t.Fatal("a snapshot's maps alias the live counters")
 	}
 	if got := ex.Stats().Kept; got != n {
 		t.Fatalf("extractor kept %d, engine processed %d", got, n)
@@ -214,8 +230,8 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 	if delivered > len(seqs) {
 		t.Fatalf("delivered %d results for %d inputs", delivered, len(seqs))
 	}
-	if stats.Sequences() < delivered {
-		t.Fatalf("stats recorded %d, delivered %d", stats.Sequences(), delivered)
+	if got := stats.Snapshot().Sequences; got < delivered {
+		t.Fatalf("stats recorded %d, delivered %d", got, delivered)
 	}
 	cancel()
 }

@@ -73,7 +73,7 @@ type Config struct {
 	// Lookup optionally short-circuits sequences whose outcome a previous
 	// campaign already computed: it is consulted once per sequence (after
 	// per-run dedup, before any provider round), and a hit is returned as
-	// the sequence's Result — marked Cached, counted in Stats.StoreHits —
+	// the sequence's Result — marked Cached, counted in Snapshot.StoreHits —
 	// without touching the provider or the verifier. cmd/lpo -store and the
 	// lpod service back it with the persistent content-addressed store
 	// (internal/store), which is what makes resubmitting an overlapping
@@ -287,7 +287,7 @@ func New(client llm.Client, cfg Config) *Engine {
 	return &Engine{
 		client:  client,
 		cfg:     cfg,
-		stats:   newStats(),
+		stats:   &Stats{},
 		kb:      opt.FullRuleSet(),
 		optSet:  optSet,
 		vcache:  make(map[verifyKey]*verifyEntry),
@@ -337,8 +337,8 @@ type item struct {
 
 // Run streams every sequence of src through the discovery loop using the
 // configured worker pool and emits one Result per input on the returned
-// channel, in input order. The returned Stats is live — its accessors are
-// safe to call while the run is in flight — and is quiescent once the
+// channel, in input order. The returned Stats is live — its Snapshot is
+// safe to take while the run is in flight — and is quiescent once the
 // channel closes. Cancelling ctx drains the run promptly: remaining
 // sequences are skipped and the channel closes. The caller must either
 // drain the channel or cancel ctx — abandoning the channel with a live

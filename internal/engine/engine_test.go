@@ -194,19 +194,20 @@ func TestRunAggregatesStats(t *testing.T) {
 			found++
 		}
 	}
+	snap := stats.Snapshot()
 	if found != 2 {
-		t.Fatalf("expected 2 found, got %d (%v)", found, stats.ByOutcome())
+		t.Fatalf("expected 2 found, got %d (%v)", found, snap.Outcomes)
 	}
-	if stats.Sequences() != 2 || stats.Usage().VirtualSeconds <= 0 {
-		t.Fatalf("stats not aggregated: %d sequences, %+v", stats.Sequences(), stats.Usage())
+	if snap.Sequences != 2 || snap.Usage.VirtualSeconds <= 0 {
+		t.Fatalf("stats not aggregated: %d sequences, %+v", snap.Sequences, snap.Usage)
 	}
-	if stats.Outcome(Found) != 2 {
-		t.Fatalf("outcome tally wrong: %v", stats.ByOutcome())
+	if snap.Outcomes[Found] != 2 {
+		t.Fatalf("outcome tally wrong: %v", snap.Outcomes)
 	}
-	if p := stats.Stage(StagePropose); p.Invocations < 2 || p.Seconds <= 0 {
+	if p := snap.Stages[StagePropose]; p.Invocations < 2 || p.Seconds <= 0 {
 		t.Fatalf("propose stage metrics missing: %+v", p)
 	}
-	if v := stats.Stage(StageVerify); v.Invocations < 2 {
+	if v := snap.Stages[StageVerify]; v.Invocations < 2 {
 		t.Fatalf("verify stage metrics missing: %+v", v)
 	}
 }
@@ -233,17 +234,21 @@ func TestFoundResultsCarryRuleAttribution(t *testing.T) {
 		}
 	}
 	// The engine-level stats aggregate the same attribution.
-	if stats.RuleHits()["143636/clamp-smax"] == 0 {
-		t.Fatalf("stats missing rule attribution: %v", stats.RuleHits())
+	snap := stats.Snapshot()
+	if snap.RuleHits["143636/clamp-smax"] == 0 {
+		t.Fatalf("stats missing rule attribution: %v", snap.RuleHits)
 	}
 	var buf strings.Builder
-	stats.Print(&buf)
+	snap.Print(&buf)
 	if !strings.Contains(buf.String(), "143636/clamp-smax") {
 		t.Fatalf("stats rendering missing attribution:\n%s", buf.String())
 	}
 	stats.Reset()
-	if len(stats.RuleHits()) != 0 {
+	if len(stats.Snapshot().RuleHits) != 0 {
 		t.Fatal("Reset did not clear rule attribution")
+	}
+	if len(snap.RuleHits) == 0 {
+		t.Fatal("Reset reached into an earlier snapshot")
 	}
 }
 
@@ -284,7 +289,7 @@ func TestVerifyCacheSharedAcrossWorkers(t *testing.T) {
 	}
 	// 16 identical windows propose the same candidate: one real verification,
 	// fifteen cache hits.
-	if hits := stats.VerifyCacheHits(); hits != len(fns)-1 {
+	if hits := stats.Snapshot().VerifyCacheHits; hits != len(fns)-1 {
 		t.Fatalf("expected %d cache hits, got %d", len(fns)-1, hits)
 	}
 }
@@ -303,8 +308,8 @@ func TestEngineDedupSequences(t *testing.T) {
 		t.Fatalf("later copies should be Duplicate, got %v / %v",
 			results[1].Outcome, results[2].Outcome)
 	}
-	if stats.Outcome(Duplicate) != 2 {
-		t.Fatalf("duplicate tally wrong: %v", stats.ByOutcome())
+	if snap := stats.Snapshot(); snap.Outcomes[Duplicate] != 2 {
+		t.Fatalf("duplicate tally wrong: %v", snap.Outcomes)
 	}
 }
 
@@ -373,10 +378,11 @@ func TestEngineLearnsRules(t *testing.T) {
 	if len(rules[0].Widths) < 2 {
 		t.Fatalf("learned rule verified at %v, want at least 2 widths", rules[0].Widths)
 	}
-	if stats.LearnedFindings() != 2 {
-		t.Fatalf("LearnedFindings = %d, want 2", stats.LearnedFindings())
+	snap := stats.Snapshot()
+	if snap.LearnedFindings != 2 {
+		t.Fatalf("LearnedFindings = %d, want 2", snap.LearnedFindings)
 	}
-	if g := stats.Stage(StageGeneralize); g.Invocations != 1 {
+	if g := snap.Stages[StageGeneralize]; g.Invocations != 1 {
 		t.Fatalf("generalize stage ran %d times, want 1 (dedup)", g.Invocations)
 	}
 	// Round-trip the rulebook and close the window at a different width

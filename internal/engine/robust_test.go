@@ -66,9 +66,10 @@ func TestPanicIsolationQuarantinesWindow(t *testing.T) {
 		!strings.Contains(r.Err.Error(), "provider exploded") {
 		t.Fatalf("panicked window result wrong: %v err=%v", r.Outcome, r.Err)
 	}
-	if stats.Panics() != 1 || stats.Outcome(Panicked) != 1 {
+	snap := stats.Snapshot()
+	if snap.Panics != 1 || snap.Outcomes[Panicked] != 1 {
 		t.Fatalf("panic accounting wrong: Panics=%d outcomes=%v",
-			stats.Panics(), stats.ByOutcome())
+			snap.Panics, snap.Outcomes)
 	}
 	q := e.Quarantined()
 	want := ir.Hash(bad)
@@ -76,7 +77,7 @@ func TestPanicIsolationQuarantinesWindow(t *testing.T) {
 		t.Fatalf("quarantine list wrong: %v (want [%s])", q, windowHex(want))
 	}
 	var buf strings.Builder
-	stats.Print(&buf)
+	snap.Print(&buf)
 	if !strings.Contains(buf.String(), "panics recovered") {
 		t.Fatalf("stats rendering missing panic line:\n%s", buf.String())
 	}
@@ -134,8 +135,8 @@ func TestDegradedModeKBProposer(t *testing.T) {
 		t.Fatalf("degraded finding should shrink the window: %d -> %d",
 			res.InstrsBefore, res.InstrsAfter)
 	}
-	if e.Stats().DegradedSeqs() != 1 {
-		t.Fatalf("DegradedSeqs = %d, want 1", e.Stats().DegradedSeqs())
+	if n := e.Stats().Snapshot().DegradedSeqs; n != 1 {
+		t.Fatalf("DegradedSeqs = %d, want 1", n)
 	}
 
 	// A window the registry cannot close degrades to NoProposal, not Errored:

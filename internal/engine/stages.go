@@ -18,7 +18,7 @@ import (
 	"repro/internal/parser"
 )
 
-// Stage names, in pipeline order. Stats.Stage accepts these. The generalize
+// Stage names, in pipeline order: the keys of Snapshot.Stages. The generalize
 // stage only runs when Config.Learn is set (the post-verify hook that lifts
 // Found rewrites into learned rules).
 const (

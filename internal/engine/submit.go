@@ -120,7 +120,6 @@ func (q *Queue) Next(ctx context.Context) (*extract.Sequence, bool, error) {
 type Submitter struct {
 	q       *Queue
 	results <-chan Result
-	stats   *Stats
 }
 
 // Submitter starts a Run over a fresh submit queue and returns the handle.
@@ -130,8 +129,8 @@ type Submitter struct {
 // warm across submissions.
 func (e *Engine) Submitter(ctx context.Context) *Submitter {
 	q := NewQueue(e.cfg.QueueSize)
-	results, stats := e.Run(ctx, q)
-	return &Submitter{q: q, results: results, stats: stats}
+	results, _ := e.Run(ctx, q)
+	return &Submitter{q: q, results: results}
 }
 
 // Submit wraps a bare window function as a sequence and enqueues it.
@@ -155,9 +154,6 @@ func (s *Submitter) TrySubmit(fn *ir.Func) error {
 // in submission order. The channel closes after Close once every
 // outstanding submission has drained.
 func (s *Submitter) Results() <-chan Result { return s.results }
-
-// Stats exposes the live run statistics (same object as Engine stats).
-func (s *Submitter) Stats() *Stats { return s.stats }
 
 // Close stops accepting submissions and lets the run drain; pending
 // submissions still produce Results. Idempotent.

@@ -128,8 +128,8 @@ func TestLookupShortCircuit(t *testing.T) {
 	if lookups != 2 {
 		t.Fatalf("lookup consulted %d times, want 2", lookups)
 	}
-	if stats.StoreHits() != 1 {
-		t.Fatalf("StoreHits = %d, want 1", stats.StoreHits())
+	if n := stats.Snapshot().StoreHits; n != 1 {
+		t.Fatalf("StoreHits = %d, want 1", n)
 	}
 	// The cached window consumed no provider tokens.
 	if results[0].Usage.InputTokens != 0 {

@@ -36,16 +36,16 @@ func TestEngineTierKillStats(t *testing.T) {
 	if refuted == 0 {
 		t.Fatal("calibration 1/4 over 20 rounds should refute some candidates")
 	}
-	kills := e.stats.TierKills()
-	if kills.Pool+kills.Special+kills.Random == 0 {
-		t.Fatalf("refutations not attributed to any tier: %+v", kills)
+	snap := e.stats.Snapshot()
+	if k := snap.TierKills; k.Pool+k.Special+k.Random == 0 {
+		t.Fatalf("refutations not attributed to any tier: %+v", k)
 	}
-	if e.stats.VerifyExecs() == 0 {
+	if snap.VerifyExecs == 0 {
 		t.Fatal("verify executions not recorded")
 	}
-	if batched, fallback := e.stats.BatchExecs(); batched != e.stats.VerifyExecs() || fallback != 0 {
-		t.Fatalf("batched %d, fallback %d, verify execs %d: every verified vector runs lane-batched",
-			batched, fallback, e.stats.VerifyExecs())
+	if snap.BatchedExecs != snap.VerifyExecs {
+		t.Fatalf("batched %d, verify execs %d: every verified vector runs lane-batched",
+			snap.BatchedExecs, snap.VerifyExecs)
 	}
 	if e.CEPool().Stats().Deposits == 0 {
 		t.Fatal("refuting inputs not deposited into the campaign pool")

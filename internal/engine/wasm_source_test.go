@@ -34,7 +34,7 @@ func TestWasmCorpusSource(t *testing.T) {
 	if found == 0 {
 		t.Fatal("wasm corpus campaign found nothing; the planted windows should be Found")
 	}
-	lc := stats.LiftCoverage()
+	lc := stats.Snapshot().Lift
 	if lc.Funcs == 0 || lc.Lifted == 0 {
 		t.Fatalf("no lift coverage recorded: %+v", lc)
 	}
@@ -81,7 +81,7 @@ func TestWasmModulesSource(t *testing.T) {
 	if seqs == 0 {
 		t.Fatal("no sequences extracted from the lifted module")
 	}
-	if lc := stats.LiftCoverage(); lc.Lifted != 1 || lc.Funcs != 1 {
+	if lc := stats.Snapshot().Lift; lc.Lifted != 1 || lc.Funcs != 1 {
 		t.Fatalf("lift coverage = %+v, want 1/1", lc)
 	}
 }

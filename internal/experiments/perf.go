@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/alive"
+	"repro/internal/engine"
 	"repro/internal/generalize"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -49,25 +50,19 @@ type PerfBench struct {
 	Iterations int `json:"iterations"`
 }
 
-// PerfTierKills records the scheduler behaviour of a scripted
-// refute-twice-then-verify sequence (see measureTierKills): which tier
-// killed each wrong candidate. The second refutation of the same window
-// must be a pool kill, so the counters double as a CI-visible functional
-// check of counterexample sharing.
-type PerfTierKills struct {
-	Pool    int64 `json:"pool"`
-	Special int64 `json:"special"`
-	Random  int64 `json:"random"`
-}
-
 // PerfSnapshot is the machine-readable performance record emitted by
 // `lpo-bench -json` so successive PRs have a trajectory to compare against.
 type PerfSnapshot struct {
-	Schema     string        `json:"schema"`
-	GoMaxProcs int           `json:"go_max_procs"`
-	GoVersion  string        `json:"go_version"`
-	Benches    []PerfBench   `json:"benchmarks"`
-	TierKills  PerfTierKills `json:"tier_kills"`
+	Schema     string      `json:"schema"`
+	GoMaxProcs int         `json:"go_max_procs"`
+	GoVersion  string      `json:"go_version"`
+	Benches    []PerfBench `json:"benchmarks"`
+	// TierKills records the scheduler behaviour of a scripted
+	// refute-twice-then-verify sequence (see measureTierKills): which tier
+	// killed each wrong candidate. The second refutation of the same window
+	// must be a pool kill, so the counters double as a CI-visible
+	// functional check of counterexample sharing.
+	TierKills engine.TierKills `json:"tier_kills"`
 	// IngestSpeedup is store_commit ns/op divided by ingest_throughput
 	// ns/op: how many times faster a submission becomes durable on the
 	// scaled path (group commit + shards + client batching, 8 concurrent
@@ -129,7 +124,7 @@ func ComparePerf(cur, ref *PerfSnapshot, nsTolerance, allocTolerance float64) []
 				b.Name, b.AllocsPerOp, r.AllocsPerOp, allocTolerance))
 		}
 	}
-	if ref.TierKills != (PerfTierKills{}) && cur.TierKills != ref.TierKills {
+	if ref.TierKills != (engine.TierKills{}) && cur.TierKills != ref.TierKills {
 		regressions = append(regressions, fmt.Sprintf(
 			"tier_kills: pool %d/special %d/random %d vs reference pool %d/special %d/random %d (scripted kill sequence is deterministic — counterexample sharing regressed)",
 			cur.TierKills.Pool, cur.TierKills.Special, cur.TierKills.Random,
@@ -686,7 +681,7 @@ func RunPerfSnapshot() *PerfSnapshot {
 //
 // The counters are deterministic for the fixed seed, so the snapshot makes
 // counterexample sharing itself CI-observable.
-func measureTierKills() PerfTierKills {
+func measureTierKills() engine.TierKills {
 	pool := alive.NewCEPool()
 	opts := alive.Options{Samples: 4096, Seed: 1, Programs: interp.NewCache(), Pool: pool}
 	src := parser.MustParseFunc(`define i8 @src(i8 %x, i8 %y) { %r = add i8 %x, %y ret i8 %r }`)
@@ -699,16 +694,9 @@ func measureTierKills() PerfTierKills {
   %r = select i1 %c, i32 0, i32 %x
   ret i32 %r
 }`)
-	var kills PerfTierKills
+	var kills engine.TierKills
 	for _, pair := range [][2]*ir.Func{{src, nsw}, {src, ident}, {randSrc, randTgt}} {
-		switch alive.Verify(pair[0], pair[1], opts).Tiers.KillTier {
-		case alive.TierPool:
-			kills.Pool++
-		case alive.TierSpecial:
-			kills.Special++
-		case alive.TierRandom:
-			kills.Random++
-		}
+		kills.Count(alive.Verify(pair[0], pair[1], opts).Tiers.KillTier)
 	}
 	return kills
 }

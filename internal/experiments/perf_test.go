@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // TestComparePerf pins the CI regression guard: ns/op past its tolerance,
@@ -15,7 +17,7 @@ func TestComparePerf(t *testing.T) {
 			{Name: "lean", NsPerOp: 100, AllocsPerOp: 2},
 			{Name: "retired", NsPerOp: 100, AllocsPerOp: 10},
 		},
-		TierKills: PerfTierKills{Pool: 1, Special: 1, Random: 1},
+		TierKills: engine.TierKills{Pool: 1, Special: 1, Random: 1},
 	}
 	cur := &PerfSnapshot{
 		Benches: []PerfBench{
@@ -23,7 +25,7 @@ func TestComparePerf(t *testing.T) {
 			{Name: "lean", NsPerOp: 90, AllocsPerOp: 8},          // 4x allocs but inside the +8 slack
 			{Name: "brandnew", NsPerOp: 9999, AllocsPerOp: 9999}, // no reference: ignored
 		},
-		TierKills: PerfTierKills{Pool: 1, Special: 1, Random: 1},
+		TierKills: engine.TierKills{Pool: 1, Special: 1, Random: 1},
 	}
 	if regs := ComparePerf(cur, ref, 2.0, 2.0); len(regs) != 0 {
 		t.Fatalf("clean snapshot flagged: %v", regs)

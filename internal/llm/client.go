@@ -31,14 +31,14 @@ type Request struct {
 // cost are *virtual*: they follow the profile's throughput and price tables
 // rather than wall-clock time (DESIGN.md §3, substitution 4).
 type Usage struct {
-	InputTokens    int
-	OutputTokens   int
-	VirtualSeconds float64
-	CostUSD        float64
+	InputTokens    int     `json:"input_tokens"`
+	OutputTokens   int     `json:"output_tokens"`
+	VirtualSeconds float64 `json:"virtual_seconds"`
+	CostUSD        float64 `json:"cost_usd"`
 	// Retries counts extra provider attempts spent by the Retrying wrapper
 	// recovering from transient failures (0 when every request succeeds
 	// first try).
-	Retries int
+	Retries int `json:"retries"`
 }
 
 // Add accumulates v into u field by field.

@@ -924,7 +924,10 @@ func (p *parser) parseInstrBody(opTok token) (*ir.Instr, error) {
 		if !ok {
 			return nil, p.errAt(opTok, "shufflevector mask must be a vector")
 		}
-		at := a.Type().(ir.VecType)
+		at, ok := a.Type().(ir.VecType)
+		if !ok {
+			return nil, p.errAt(opTok, "shufflevector operands must be vectors")
+		}
 		return &ir.Instr{Op: ir.OpShuffle, Ty: ir.VecT(mt.N, at.Elem), Args: []ir.Value{a, b, mask}}, nil
 
 	case "phi":

@@ -197,6 +197,7 @@ func TestParseErrors(t *testing.T) {
 		{"trunc widen", "define i64 @f(i32 %x) {\n %t = trunc i32 %x to i64\n ret i64 %t\n}", "trunc must narrow"},
 		{"vector arity", "define <2 x i32> @f() {\n ret <2 x i32> <i32 1, i32 2, i32 3>\n}", "3 elements"},
 		{"ret type mismatch", "define i64 @f(i32 %x) {\n ret i32 %x\n}", "does not match function return type"},
+		{"shufflevector scalar", "define i8 @f(i8 %x) {\n %s = shufflevector i8 %x, i8 %x, <2 x i32> <i32 0, i32 0>\n ret i8 %x\n}", "shufflevector operands must be vectors"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -526,7 +526,7 @@ func (s *Server) handleSubmitWasm(w http.ResponseWriter, r *http.Request, body [
 			waits = append(waits, ch)
 		}
 	}
-	s.sub.Stats().RecordLift(st)
+	s.eng.Stats().RecordLift(st)
 	s.respondStatuses(w, r, statuses, waits)
 }
 
@@ -676,7 +676,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 	}
 	ss := s.st.Stats()
-	degraded := ss.CommitFails > 0 && ss.Pending > 0
+	degraded := ss.Degraded()
 	status, code := "ok", http.StatusOK
 	if degraded {
 		status = "degraded"
@@ -709,64 +709,17 @@ func (s *Server) handleRulebook(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// statsReply is the GET /v1/stats wire format.
-type statsReply struct {
+// Stats is the GET /v1/stats wire format: each layer's own snapshot under
+// its section, plus the daemon's counters.
+type Stats struct {
 	Engine struct {
-		Sequences       int            `json:"sequences"`
-		Outcomes        map[string]int `json:"outcomes"`
-		VerifyExecs     int            `json:"verify_execs"`
-		BatchedExecs    int            `json:"batched_execs"`
-		VerifyCacheHits int            `json:"verify_cache_hits"`
-		StoreHits       int            `json:"store_hits"`
-		LearnedFindings int            `json:"learned_findings"`
-		// Panics counts worker panics the engine recovered from;
-		// Quarantined lists the 16-hex window hashes it isolated.
-		Panics      int      `json:"panics"`
+		engine.Snapshot
+		// Quarantined lists the 16-hex hashes of the windows the engine
+		// isolated after a worker panic (Snapshot.Panics counts them).
 		Quarantined []string `json:"quarantined,omitempty"`
-		// DegradedSeqs counts sequences answered by the knowledge-base
-		// proposer while the provider's circuit breaker was open.
-		DegradedSeqs int `json:"degraded_seqs"`
-		TierKills    struct {
-			Pool    int `json:"pool"`
-			Special int `json:"special"`
-			Random  int `json:"random"`
-		} `json:"tier_kills"`
-		// Lift is the wasm frontend's coverage over every module submitted
-		// to this server: functions seen, lifted into the engine, skipped,
-		// and the per-reason skip tally. All zero when no wasm was submitted.
-		Lift wasm.LiftStats `json:"lift"`
 	} `json:"engine"`
-	Store struct {
-		Records   int   `json:"records"`
-		Findings  int   `json:"findings"`
-		Rules     int   `json:"rules"`
-		Vectors   int   `json:"vectors"`
-		Bytes     int64 `json:"bytes"`
-		PutNew    int64 `json:"put_new"`
-		PutDup    int64 `json:"put_dup"`
-		GetHits   int64 `json:"get_hits"`
-		GetMisses int64 `json:"get_misses"`
-		Recovered int64 `json:"recovered_bytes"`
-		// Pending and CommitFails are the degraded-durability signal:
-		// records accepted but not yet durable, and how many commit batches
-		// have failed (each rolled back and retried).
-		Pending     int   `json:"pending"`
-		CommitFails int64 `json:"commit_fails"`
-		// Commits counts successful batches; PutNew/Commits is the group-
-		// commit amortization (records per fsync). Shards is the fan-out of
-		// the backing store; Compactions counts completed log rewrites.
-		Commits     int64 `json:"commits"`
-		Compactions int64 `json:"compactions"`
-		Shards      int   `json:"shards"`
-	} `json:"store"`
-	Pool struct {
-		Windows   int   `json:"windows"`
-		Vectors   int   `json:"vectors"`
-		Deposits  int64 `json:"deposits"`
-		Dups      int64 `json:"dups"`
-		Loaded    int64 `json:"loaded"`
-		Evictions int64 `json:"evictions"`
-	} `json:"pool"`
+	Store  store.Stats       `json:"store"`
+	Pool   alive.CEPoolStats `json:"pool"`
 	Server struct {
 		Submitted     int64 `json:"submitted"`
 		Persisted     int64 `json:"persisted"`
@@ -792,52 +745,12 @@ type statsReply struct {
 }
 
 // StatsSnapshot gathers the live counters (also the GET /v1/stats payload).
-func (s *Server) StatsSnapshot() any {
-	var rep statsReply
-	es := s.sub.Stats()
-	rep.Engine.Sequences = es.Sequences()
-	rep.Engine.Outcomes = make(map[string]int)
-	for o, n := range es.ByOutcome() {
-		rep.Engine.Outcomes[string(o)] = n
-	}
-	rep.Engine.VerifyExecs = es.VerifyExecs()
-	rep.Engine.BatchedExecs, _ = es.BatchExecs()
-	rep.Engine.VerifyCacheHits = es.VerifyCacheHits()
-	rep.Engine.StoreHits = es.StoreHits()
-	rep.Engine.LearnedFindings = es.LearnedFindings()
-	rep.Engine.Panics = es.Panics()
+func (s *Server) StatsSnapshot() Stats {
+	var rep Stats
+	rep.Engine.Snapshot = s.eng.Stats().Snapshot()
 	rep.Engine.Quarantined = s.eng.Quarantined()
-	rep.Engine.DegradedSeqs = es.DegradedSeqs()
-	tk := es.TierKills()
-	rep.Engine.TierKills.Pool = tk.Pool
-	rep.Engine.TierKills.Special = tk.Special
-	rep.Engine.TierKills.Random = tk.Random
-	rep.Engine.Lift = es.LiftCoverage()
-
-	ss := s.st.Stats()
-	rep.Store.Records = ss.Records
-	rep.Store.Findings = ss.Findings
-	rep.Store.Rules = ss.Rules
-	rep.Store.Vectors = ss.Vectors
-	rep.Store.Bytes = ss.Bytes
-	rep.Store.PutNew = ss.PutNew
-	rep.Store.PutDup = ss.PutDup
-	rep.Store.GetHits = ss.GetHits
-	rep.Store.GetMisses = ss.GetMisses
-	rep.Store.Recovered = ss.Recovered
-	rep.Store.Pending = ss.Pending
-	rep.Store.CommitFails = ss.CommitFails
-	rep.Store.Commits = ss.Commits
-	rep.Store.Compactions = ss.Compactions
-	rep.Store.Shards = ss.Shards
-
-	ps := s.pool.Stats()
-	rep.Pool.Windows = ps.Windows
-	rep.Pool.Vectors = ps.Vectors
-	rep.Pool.Deposits = ps.Deposits
-	rep.Pool.Dups = ps.Dups
-	rep.Pool.Loaded = ps.Loaded
-	rep.Pool.Evictions = ps.Evictions
+	rep.Store = s.st.Stats()
+	rep.Pool = s.pool.Stats()
 
 	s.mu.Lock()
 	rep.Server.Submitted = s.submitted
@@ -847,7 +760,7 @@ func (s *Server) StatsSnapshot() any {
 	rep.Server.DegradedAccepts = s.degradedAccepts
 	s.mu.Unlock()
 	rep.Server.LoadedVectors = s.loadedVectors
-	rep.Server.Degraded = ss.CommitFails > 0 && ss.Pending > 0
+	rep.Server.Degraded = rep.Store.Degraded()
 	rep.Server.StreamFindings, rep.Server.StreamSubscribers = s.strm.counts()
 	return rep
 }

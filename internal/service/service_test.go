@@ -128,14 +128,14 @@ func waitFinding(t *testing.T, base, window string) []byte {
 	return nil
 }
 
-func getStats(t *testing.T, base string) statsReply {
+func getStats(t *testing.T, base string) Stats {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var rep statsReply
+	var rep Stats
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatal(err)
 	}
@@ -329,4 +329,23 @@ func TestServiceAPIErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty submission: %d", resp.StatusCode)
 	}
+}
+
+// TestServiceScalarShuffleIsInvalid pins a parser crasher found by
+// FuzzParse: a shufflevector over scalar operands is a per-window
+// "invalid", not a 500, and the windows beside it still queue.
+func TestServiceScalarShuffleIsInvalid(t *testing.T) {
+	_, hs, _ := newServerT(t, t.TempDir())
+	bad := "define i8 @f(i8 %x) {\n  %s = shufflevector i8 %x, i8 %x, <2 x i32> <i32 0, i32 0>\n  ret i8 %x\n}"
+	statuses := postWindows(t, hs.URL, bad, extraWindows[0])
+	if len(statuses) != 2 {
+		t.Fatalf("got %d window statuses, want 2: %+v", len(statuses), statuses)
+	}
+	if statuses[0]["status"] != "invalid" || !strings.Contains(statuses[0]["error"], "shufflevector") {
+		t.Fatalf("scalar shufflevector: %+v, want invalid", statuses[0])
+	}
+	if statuses[1]["status"] != "queued" {
+		t.Fatalf("valid window beside it: %+v, want queued", statuses[1])
+	}
+	waitFinding(t, hs.URL, statuses[1]["window"])
 }

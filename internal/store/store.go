@@ -116,31 +116,37 @@ type record struct {
 	val  []byte
 }
 
-// Stats is a snapshot of a store's counters.
+// Stats is a snapshot of a store's counters. Its JSON tags are the store
+// section of lpod's GET /v1/stats.
 type Stats struct {
-	Records   int   // records currently held (all kinds)
-	Findings  int   // records of KindFinding
-	Rules     int   // records of KindRule
-	Vectors   int   // records of KindVector
-	Bytes     int64 // log size in bytes (including header and any unsynced tail)
-	PutNew    int64 // Put calls that appended a new record
-	PutDup    int64 // Put calls dropped as already-present (content-address hit)
-	GetHits   int64 // Get/Has calls that found their key
-	GetMisses int64 // Get/Has calls that did not
-	Recovered int64 // torn-tail bytes truncated by Open (0 after a clean shutdown)
-	Pending   int   // records accepted but not yet durable (retried by the next commit)
+	Records   int   `json:"records"`         // records currently held (all kinds)
+	Findings  int   `json:"findings"`        // records of KindFinding
+	Rules     int   `json:"rules"`           // records of KindRule
+	Vectors   int   `json:"vectors"`         // records of KindVector
+	Bytes     int64 `json:"bytes"`           // log size in bytes (including header and any unsynced tail)
+	PutNew    int64 `json:"put_new"`         // Put calls that appended a new record
+	PutDup    int64 `json:"put_dup"`         // Put calls dropped as already-present (content-address hit)
+	GetHits   int64 `json:"get_hits"`        // Get/Has calls that found their key
+	GetMisses int64 `json:"get_misses"`      // Get/Has calls that did not
+	Recovered int64 `json:"recovered_bytes"` // torn-tail bytes truncated by Open (0 after a clean shutdown)
+	Pending   int   `json:"pending"`         // records accepted but not yet durable (retried by the next commit)
 	// CommitFails counts failed commit batches (each rolled back and left
-	// pending for retry) — the store's degraded-durability signal, surfaced
-	// by lpod's /v1/healthz.
-	CommitFails int64
+	// pending for retry). With Pending it is the store's
+	// degraded-durability signal (see Degraded).
+	CommitFails int64 `json:"commit_fails"`
 	// Commits counts successful non-empty commit batches; Commits vs PutNew
 	// is the group-commit amortization ratio (records per fsync).
-	Commits int64
+	Commits int64 `json:"commits"`
 	// Compactions counts completed Compact rewrites of the log.
-	Compactions int64
+	Compactions int64 `json:"compactions"`
 	// Shards is how many shard logs back these stats.
-	Shards int
+	Shards int `json:"shards"`
 }
+
+// Degraded reports a commit backlog: a commit batch has failed and records
+// are still pending, so recent Puts are servable but not yet durable.
+// lpod's /v1/healthz and /v1/stats surface it.
+func (s Stats) Degraded() bool { return s.CommitFails > 0 && s.Pending > 0 }
 
 // shard is one open record log: the append-only file plus the in-memory
 // hash index over it and its group committer. It is safe for concurrent
