@@ -190,6 +190,34 @@ func BenchmarkEngineWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignJob runs one `lpo -corpus -rounds 4 -learn -seed S` job
+// per iteration (seeds 501, 502, ... in turn), wired as the campaign
+// workload of perfbench wires it: the simulated provider, the engine, the
+// corpus source, and the rulebook encoding at the end. It is the
+// end-to-end handle for `go test -bench CampaignJob -cpuprofile`.
+func BenchmarkCampaignJob(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seed := uint64(501 + i%12)
+		e := engine.New(llm.NewSim("Gemini2.0T", seed), engine.Config{
+			Rounds: 4,
+			Learn:  true,
+			Verify: alive.Options{Samples: 1024, Seed: seed},
+		})
+		ex := extract.New(extract.Options{})
+		results, _ := e.Run(context.Background(), engine.Corpus(corpus.Options{Seed: seed}, ex))
+		for res := range results {
+			switch res.Outcome {
+			case engine.Errored, engine.Panicked, engine.Canceled:
+				b.Fatalf("seed %d window %d: %s", seed, res.Index, res.Outcome)
+			}
+		}
+		if _, err := e.Rulebook().Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationDedup measures extraction with the cross-module dedup set
 // (the paper eliminates ~8.7M duplicates this way).
 func BenchmarkAblationDedup(b *testing.B) {

@@ -147,7 +147,22 @@
 // cross-lane interference and a lane's final memory can be diffed or reset
 // (ResetLane) independently. Streaming callers write inputs straight into
 // the evaluator's ArgColumn runs and execute with RunBatchFilled, eliding
-// staging and scatter entirely. Compile resolves every call's intrinsic
+// staging and scatter entirely. A run reports its outcome as columns, not
+// as one interp.Result per lane: Evaluator.Masks gives three uint64 lane
+// masks (returned, UB, out of budget), RetColumn the return values side by
+// side — for a straight program a view of the returned register or
+// constant, for a multi-block one a column every ret writes its lanes
+// into — and the UB reason and step count of each retired lane stay in
+// evaluator-owned arrays until LaneResult builds one lane's full Result on
+// demand. RunBatch fills its caller's []Result from those same columns, so
+// the Exec-vs-RunBatch differential tests pin the one engine. Released
+// evaluators go to one sync.Pool, and NewEvaluator lays a recycled one out
+// for its Program, reusing its arena, operand views and constant columns;
+// what a Program fixes for every evaluator (each instruction's batch
+// kernel, the constant-column offsets) is planned once at Compile. Pooled
+// storage so tracks how many evaluators run at once rather than how many
+// distinct programs ran lately, and the pool drops it across garbage
+// collections. Compile resolves every call's intrinsic
 // once, so no engine re-parses callee names while executing, and the
 // scalar integer intrinsics — umin/umax/smin/smax, abs, ctpop, ctlz, cttz,
 // bswap, bitreverse, the four saturating add/sub and fshl/fshr — share one
@@ -168,18 +183,28 @@
 // per-lane slabs, and a pooled vector with a poison pointer base (possible
 // only in a pool loaded from a store) runs on the reference path at its
 // place in the order.
+// The checker reads verdicts off the outcome columns: a slot is constrained
+// when the source's Returned bit is set and the target's OutOfBudget bit
+// is not, and violates refinement on a target UB bit, a return value the
+// source's does not refine (a tight poison-then-value loop for scalar
+// integers, the NaN-aware lane rule for vector and FP returns) or a
+// memory diff; only a violation builds Results, through LaneResult, and
+// clones them into the counterexample. The one-shot alive.Verify and
+// alive.VerifyWidths return their checker's batch buffers to a sync.Pool
+// and its evaluators to their Programs when they finish, so a warm
+// Verify allocates no batch arena.
 // The input generator emits columnwise (inputGen.nextBatch binds each
 // output vector to a different ArgColumn slot before drawing it, keeping
 // the vector-major rng draw order that same-seed reproducibility pins).
 // The exhaustive phase of a signature without pointer parameters — in a
 // learning campaign almost every verified vector, since each learned rule
-// is re-verified by full enumeration at i8 — skips even that: the counter
-// is written straight into the input columns by the same counter-to-lanes
-// writer the generator's other phases use, and the checker counts tiers once per
-// batch. The generator's rng comes from a pool and is seeded on first
-// draw, so a Verify allocates no random source and an exhaustive run
-// refuted before its poison trials never seeds one. Memory fills land
-// directly in the per-lane slabs, and refuted pairs
+// is re-verified by full enumeration at i8 — skips even that: it draws
+// nothing from the rng, so the counter is written column-major straight
+// into the input columns, one pass per argument lane, and the checker
+// counts tiers once per batch. The generator's rng comes from a pool and
+// is seeded on first draw, so a Verify allocates no random source and an
+// exhaustive run refuted before its poison trials never seeds one. Memory
+// fills land directly in the per-lane slabs, and refuted pairs
 // restore the raw input pointer words and initial region bytes so the
 // counterexample text stays byte-identical to alive.ReferenceVerify, the
 // retained Exec-per-input baseline. Result.Tiers reports per-tier
@@ -388,7 +413,8 @@
 // <cursor>\ndata: {\"window\": ..., \"finding\": ...}\n\n" per finding,
 // ": heartbeat" comments while idle — resumable from any cursor via
 // ?cursor=N (ids are 1-based positions in the stream log, seeded from the
-// store at startup). Only DURABLE findings stream: a finding whose
+// store at startup; the log holds each finding's stored bytes, shared with
+// the store, and compacts them as it serves). Only DURABLE findings stream: a finding whose
 // persistence barrier failed is deferred and published by the next
 // successful barrier, so a subscriber never sees a result the store could
 // still lose. The submit path rides the same machinery — POST

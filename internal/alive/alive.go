@@ -18,9 +18,10 @@
 // Verification is the discovery loop's inner loop, so it is built around a
 // compile-once Checker: both functions are compiled to interp Programs
 // (optionally via a shared Options.Programs cache), input vectors stream
-// lazily through two reusable Evaluators in lane batches, and a
-// CounterExample is materialized only on an actual violation — a
-// steady-state Verify performs O(1) amortized allocations per input vector.
+// lazily through two pooled Evaluators in lane batches, verdicts are read
+// off the evaluators' outcome columns, and a CounterExample is materialized
+// only on an actual violation — a steady-state Verify performs O(1)
+// allocations, however many vectors it checks.
 // ReferenceVerify keeps the historic Exec-per-input path as the semantic
 // baseline.
 package alive
@@ -28,7 +29,9 @@ package alive
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
+	"sync"
 
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -198,6 +201,12 @@ type Result struct {
 // the one-shot Verify wrapper covers everything else. A Checker is not safe
 // for concurrent use (the evaluators share scratch); compile one per
 // goroutine — the underlying Programs may be shared via Options.Programs.
+//
+// Checkers and their evaluators are recycled: NewChecker takes its batch
+// buffers from checkerPool and its evaluators from the Programs' pools, and
+// the one-shot Verify and VerifyWidths hand all of them back when they
+// finish. Counterexamples are cloned out of the scratch, so they never
+// alias recycled storage.
 type Checker struct {
 	src, tgt *ir.Func
 	opts     Options
@@ -218,27 +227,31 @@ type Checker struct {
 	// with pointer parameters additionally carry per-lane slab memories:
 	// each batch slot's regions are reset to that vector's initial memory
 	// before the runs and diffed lane against lane afterwards.
-	bArgs            [][]interp.RVal // per batch slot: views into srcCols
-	srcCols, tgtCols [][]interp.Word // per param: the evaluators' input columns
-	bTiers           []int8
-	srcRes           []interp.Result
-	tgtRes           []interp.Result
-	srcBM, tgtBM     *interp.BatchMems // per-lane memories (pointer params only)
-	bMem             [][][]byte        // per slot: initial memory, per ptr param (borrowed)
-	ptrSave          [][]interp.Word   // per ptr param: raw input pointer words, per slot
+	bArgs            [interp.BatchWidth][]interp.RVal // per batch slot: views into srcCols
+	argViews         []interp.RVal                    // backing store of bArgs
+	srcCols, tgtCols [][]interp.Word                  // per param: the evaluators' input columns
+	bTiers           [interp.BatchWidth]int8
+	srcBM, tgtBM     *interp.BatchMems                // per-lane memories (pointer params only)
+	bMem             [interp.BatchWidth][][]byte      // per slot: initial memory, per ptr param (borrowed)
+	ptrSave          [][interp.BatchWidth]interp.Word // per ptr param: raw input pointer words, per slot
 }
 
+// checkerPool recycles Checkers released by the one-shot Verify and
+// VerifyWidths. Like every sync.Pool it drops idle entries across garbage
+// collections, so recycled scratch is never retained for long.
+var checkerPool = sync.Pool{New: func() any { return new(Checker) }}
+
 // NewChecker compiles src and tgt (through opts.Programs when set) and
-// prepares the reusable execution state.
+// prepares the execution state, recycling released scratch where it can.
 func NewChecker(src, tgt *ir.Func, opts Options) *Checker {
-	opts = opts.withDefaults()
-	c := &Checker{src: src, tgt: tgt, opts: opts}
-	if err := signatureError(src, tgt); err != "" {
-		c.sigErr = err
+	c := checkerPool.Get().(*Checker)
+	c.src, c.tgt, c.opts, c.haveKey = src, tgt, opts.withDefaults(), false
+	if c.sigErr = signatureError(src, tgt); c.sigErr != "" {
 		return c
 	}
-	c.se = interp.NewEvaluator(opts.Programs.Program(src))
-	c.te = interp.NewEvaluator(opts.Programs.Program(tgt))
+	c.se = interp.NewEvaluator(c.opts.Programs.Program(src))
+	c.te = interp.NewEvaluator(c.opts.Programs.Program(tgt))
+	c.ptrParams = c.ptrParams[:0]
 	for i, p := range src.Params {
 		if ir.IsPtr(p.Ty) {
 			c.ptrParams = append(c.ptrParams, i)
@@ -246,6 +259,25 @@ func NewChecker(src, tgt *ir.Func, opts Options) *Checker {
 	}
 	c.initBatch()
 	return c
+}
+
+// release hands c's evaluators back to their Programs and c itself to
+// checkerPool, dropping every reference to caller data first. c must not be
+// used afterwards.
+func (c *Checker) release() {
+	if c.se != nil {
+		c.se.Release()
+		c.te.Release()
+	}
+	c.se, c.te, c.src, c.tgt, c.opts = nil, nil, nil, nil, Options{}
+	clear(c.seeds)
+	c.seeds = c.seeds[:0]
+	clear(c.bArgs[:])
+	clear(c.argViews)
+	clear(c.srcCols)
+	clear(c.tgtCols)
+	clear(c.bMem[:])
+	checkerPool.Put(c)
 }
 
 // regionBase is the fixed base address of the region behind pointer
@@ -314,7 +346,7 @@ func (c *Checker) Verify() Result {
 		fill = func(b int) { c.fillMem(b, gen.memBytes) }
 	}
 	for {
-		n, tier := gen.nextBatch(c.bArgs, c.bTiers, fill)
+		n, tier := gen.nextBatch(c.bArgs[:], c.srcCols, c.bTiers[:], fill)
 		if n == 0 {
 			break
 		}
@@ -410,6 +442,11 @@ func (c *Checker) deposit(ce *CounterExample) {
 // vectors to res.Checked and to tier's counter (TierNone: each slot's
 // bTiers entry). It returns the violating slot and its counterexample, or
 // n and nil.
+//
+// The scan reads the evaluators' outcome columns: a slot is constrained
+// when the source returned and the target did not run out of budget, and
+// it violates refinement when the target hit UB, returned a value the
+// source's does not refine, or (pointer pairs) left memory that differs.
 func (c *Checker) runBatch(n, tier int, res *Result) (int, *CounterExample) {
 	if n == 0 {
 		return 0, nil
@@ -422,28 +459,29 @@ func (c *Checker) runBatch(n, tier int, res *Result) (int, *CounterExample) {
 	if len(c.ptrParams) > 0 {
 		srcMems, tgtMems = c.srcBM.Mems, c.tgtBM.Mems
 	}
-	c.se.RunBatchFilled(n, c.srcRes[:n], srcMems)
-	c.te.RunBatchFilled(n, c.tgtRes[:n], tgtMems)
-	retVoid := ir.IsVoid(c.src.Ret)
-	fpBits := retFPBits(c.src.Ret)
-	i, diff := 0, ""
-	for ; i < n; i++ {
-		rs, rt := &c.srcRes[i], &c.tgtRes[i]
-		if !rs.Completed || rs.UB {
-			continue // out of budget or source UB: target unconstrained
-		}
-		if !rt.Completed {
-			continue
-		}
-		if rt.UB || (!retVoid && !refinesLanes(rs.Ret.Lanes, rt.Ret.Lanes, fpBits)) {
-			break
-		}
-		if len(c.ptrParams) > 0 {
-			if diff = memDiff(c.srcBM.Mems[i], c.tgtBM.Mems[i]); diff != "" {
+	c.se.RunBatchFilled(n, srcMems)
+	c.te.RunBatchFilled(n, tgtMems)
+	sm, tm := c.se.Masks(), c.te.Masks()
+	live := sm.Returned &^ tm.OutOfBudget // the source returned, the target finished
+	bad := live & tm.UB
+	if !ir.IsVoid(c.src.Ret) {
+		bad |= c.retMismatch(live &^ bad)
+	}
+	first := bits.TrailingZeros64(bad) // 64 when no slot violates
+	diff := ""
+	if len(c.ptrParams) > 0 {
+		for m := live &^ bad; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if b >= first {
+				break
+			}
+			if diff = memDiff(c.srcBM.Mems[b], c.tgtBM.Mems[b]); diff != "" {
+				first = b
 				break
 			}
 		}
 	}
+	i := min(first, n)
 	// Count the scanned prefix, violating vector included, once.
 	checked := i
 	if i < n {
@@ -460,7 +498,7 @@ func (c *Checker) runBatch(n, tier int, res *Result) (int, *CounterExample) {
 	if i == n {
 		return n, nil
 	}
-	rs, rt := &c.srcRes[i], &c.tgtRes[i]
+	rs, rt := c.se.LaneResult(i), c.te.LaneResult(i)
 	inputs := cloneRVals(c.bArgs[i])
 	for j, pi := range c.ptrParams {
 		inputs[pi].Lanes[0] = c.ptrSave[j][i]
@@ -473,6 +511,32 @@ func (c *Checker) runBatch(n, tier int, res *Result) (int, *CounterExample) {
 		Inputs: inputs, Memory: mem,
 		SrcRet: rs.Ret.Clone(), TgtRet: rt.Ret.Clone(),
 		SrcUB: rs.UB, TgtUB: rt.UB, TgtWhy: rt.UBReason, MemDiff: diff}
+}
+
+// retMismatch returns the bit of the lowest slot in m whose target return
+// value the source's does not refine, or 0.
+func (c *Checker) retMismatch(m uint64) uint64 {
+	scol, ss := c.se.RetColumn()
+	tcol, ts := c.te.RetColumn()
+	fpBits := retFPBits(c.src.Ret)
+	if ss == 1 && ts == 1 && fpBits == 0 {
+		// Scalar integers, the bulk of all windows: a defined source lane
+		// needs an equal, defined target lane.
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if s, t := scol[b], tcol[b]; !s.Poison && (t.Poison || t.V != s.V) {
+				return m & -m
+			}
+		}
+		return 0
+	}
+	for ; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if !refinesLanes(scol[b*ss:(b+1)*ss], tcol[b*ts:(b+1)*ts], fpBits) {
+			return m & -m
+		}
+	}
+	return 0
 }
 
 // fillMem completes batch slot b of a pointer-parameter pair: it saves the
@@ -493,44 +557,57 @@ func (c *Checker) fillMem(b int, mem [][]byte) {
 // evaluator's input columns (one RVal view per batch slot and parameter),
 // so filling a batch writes the arena directly and the target side needs
 // only one bulk column copy per parameter. Pairs with pointer parameters
-// also build the per-lane slab memories, the per-slot memory references
-// behind counterexamples, and the raw-pointer-word save area.
+// also get the per-lane slab memories and the raw-pointer-word save area.
+// Everything a recycled checker already holds is reused.
 func (c *Checker) initBatch() {
 	np := len(c.src.Params)
-	c.bTiers = make([]int8, interp.BatchWidth)
-	c.srcRes = make([]interp.Result, interp.BatchWidth)
-	c.tgtRes = make([]interp.Result, interp.BatchWidth)
-	c.srcCols = make([][]interp.Word, np)
-	c.tgtCols = make([][]interp.Word, np)
-	for i := range c.src.Params {
-		c.srcCols[i] = c.se.ArgColumn(i)
-		c.tgtCols[i] = c.te.ArgColumn(i)
+	c.srcCols, c.tgtCols = c.srcCols[:0], c.tgtCols[:0]
+	if cap(c.argViews) < interp.BatchWidth*np {
+		c.argViews = make([]interp.RVal, interp.BatchWidth*np)
 	}
-	c.bArgs = make([][]interp.RVal, interp.BatchWidth)
-	vals := make([]interp.RVal, interp.BatchWidth*np)
-	for b := 0; b < interp.BatchWidth; b++ {
-		args := vals[b*np : (b+1)*np : (b+1)*np]
-		for i, p := range c.src.Params {
-			n := ir.Lanes(p.Ty)
-			args[i] = interp.RVal{Ty: p.Ty, Lanes: c.srcCols[i][b*n : (b+1)*n : (b+1)*n]}
+	for i, p := range c.src.Params {
+		c.srcCols = append(c.srcCols, c.se.ArgColumn(i))
+		c.tgtCols = append(c.tgtCols, c.te.ArgColumn(i))
+		L := ir.Lanes(p.Ty)
+		for b := 0; b < interp.BatchWidth; b++ {
+			c.argViews[b*np+i] = interp.RVal{Ty: p.Ty, Lanes: c.srcCols[i][b*L : (b+1)*L : (b+1)*L]}
 		}
-		c.bArgs[b] = args
+	}
+	for b := range c.bArgs {
+		c.bArgs[b] = c.argViews[b*np : (b+1)*np : (b+1)*np]
 	}
 	if len(c.ptrParams) == 0 {
 		return
 	}
-	c.srcBM = interp.NewBatchMems(interp.BatchWidth)
-	c.tgtBM = interp.NewBatchMems(interp.BatchWidth)
-	for _, i := range c.ptrParams {
-		p := c.src.Params[i]
-		c.srcBM.AddRegion(p.Nm, regionBase(i), c.opts.MemSize)
-		c.tgtBM.AddRegion(p.Nm, regionBase(i), c.opts.MemSize)
+	c.srcBM, c.tgtBM = c.slabMems(c.srcBM), c.slabMems(c.tgtBM)
+	if cap(c.ptrSave) < len(c.ptrParams) {
+		c.ptrSave = make([][interp.BatchWidth]interp.Word, len(c.ptrParams))
 	}
-	c.ptrSave = make([][]interp.Word, len(c.ptrParams))
-	for j := range c.ptrSave {
-		c.ptrSave[j] = make([]interp.Word, interp.BatchWidth)
+	c.ptrSave = c.ptrSave[:len(c.ptrParams)]
+}
+
+// slabMems returns per-lane memories holding one region per pointer
+// parameter: bm relabelled when a recycled checker's slabs have the right
+// shape, freshly built ones otherwise. Region contents need no reset here;
+// fillMem resets each lane before it runs.
+func (c *Checker) slabMems(bm *interp.BatchMems) *interp.BatchMems {
+	fits := bm != nil && len(bm.Mems[0].Regions) == len(c.ptrParams)
+	for j := 0; fits && j < len(c.ptrParams); j++ {
+		fits = len(bm.Mems[0].Regions[j].Data) == c.opts.MemSize
 	}
-	c.bMem = make([][][]byte, interp.BatchWidth)
+	if !fits {
+		bm = interp.NewBatchMems(interp.BatchWidth)
+		for _, i := range c.ptrParams {
+			bm.AddRegion(c.src.Params[i].Nm, regionBase(i), c.opts.MemSize)
+		}
+		return bm
+	}
+	for _, m := range bm.Mems {
+		for j, i := range c.ptrParams {
+			m.Regions[j].Name, m.Regions[j].Addr = c.src.Params[i].Nm, regionBase(i)
+		}
+	}
+	return bm
 }
 
 func cloneRVals(vals []interp.RVal) []interp.RVal {
@@ -619,7 +696,9 @@ func memDiff(srcMem, tgtMem *interp.Memory) string {
 // evaluators. Callers that re-verify the same pair should build a Checker
 // (or share an Options.Programs cache) instead of paying NewChecker per call.
 func Verify(src, tgt *ir.Func, opts Options) Result {
-	return NewChecker(src, tgt, opts).Verify()
+	c := NewChecker(src, tgt, opts)
+	defer c.release()
+	return c.Verify()
 }
 
 // ReferenceVerify is the historic verification path: it re-walks both

@@ -234,28 +234,26 @@ func (g *inputGen) bind(args []interp.RVal) {
 
 // nextBatch fills up to len(slots) consecutive vectors of the generated
 // sequence, writing each vector's arguments directly through the per-slot
-// views (the batched checker points these at the evaluators' input columns,
-// so generation lands straight in the batch arena with no staging Envs).
-// fill, when non-nil, runs after each slot is emitted so the caller can
-// snapshot g.memBytes into that slot's per-lane memory. Generation stays
-// vector-major inside the batch — the rng draw order is part of the
-// sequence contract (same-seed campaigns replay byte-identically) — only
-// the destination is columnwise.
+// views of the input columns cols (the batched checker points both at the
+// source evaluator's arena, so generation lands straight in the batch
+// arena with no staging Envs). fill, when non-nil, runs after each slot is
+// emitted so the caller can snapshot g.memBytes into that slot's per-lane
+// memory. Generation stays vector-major inside the batch — the rng draw
+// order is part of the sequence contract (same-seed campaigns replay
+// byte-identically) — only the destination is columnwise.
 //
 // It returns the number of slots filled (fewer than len(slots) means the
 // sequence ended) and their tier. Every vector of an exhaustive sequence is
 // TierSpecial, so such batches return that as tier and leave tiers
 // untouched; sampled sequences return TierNone with each slot's tier in
 // tiers[:n]. The exhaustive phase of a signature without pointer
-// parameters — the bulk of all verified vectors — is written straight from
-// the counter into the slots, with no per-vector phase dispatch.
-func (g *inputGen) nextBatch(slots [][]interp.RVal, tiers []int8, fill func(slot int)) (n, tier int) {
+// parameters — the bulk of all verified vectors — draws nothing from the
+// rng, so it is written column by column straight from the counter
+// (counterColumns), with no per-vector dispatch.
+func (g *inputGen) nextBatch(slots [][]interp.RVal, cols [][]interp.Word, tiers []int8, fill func(slot int)) (n, tier int) {
 	if g.phase == phExhaust && g.numPtrs == 0 {
-		for n < len(slots) && g.c < g.cmax {
-			g.setFromCounter(g.c, slots[n])
-			g.c++
-			n++
-		}
+		n = int(min(uint64(len(slots)), g.cmax-g.c))
+		g.counterColumns(cols, n)
 	}
 	for n < len(slots) {
 		g.bind(slots[n])
@@ -276,6 +274,26 @@ func (g *inputGen) nextBatch(slots [][]interp.RVal, tiers []int8, fill func(slot
 	return n, TierNone
 }
 
+// counterColumns writes the next n counter values of a pointer-free
+// exhaustive sequence into the first n slots of the input columns and
+// advances the counter past them. Slot b gets counter value g.c+b, whose
+// bits map onto the arguments as in setFromCounter; each column is written
+// in one pass per lane.
+func (g *inputGen) counterColumns(cols [][]interp.Word, n int) {
+	bit := uint(0)
+	for i := range g.params {
+		col, w, mask := cols[i], uint(g.widths[i]), g.masks[i]
+		L := len(g.inputs[i].Lanes)
+		for l := 0; l < L; l++ {
+			for b, c := 0, g.c; b < n; b, c = b+1, c+1 {
+				col[b*L+l] = interp.Word{V: (c >> bit) & mask}
+			}
+			bit += w
+		}
+	}
+	g.c += uint64(n)
+}
+
 // tier attributes the vector the latest next() emitted to a scheduler tier:
 // random samples are TierRandom, every other phase (exhaustive enumeration,
 // corner values, corner mixes, poison trials) is TierSpecial.
@@ -287,6 +305,9 @@ func (g *inputGen) tier() int {
 }
 
 // setFromCounter maps the bits of c onto the non-pointer arguments of args.
+// Only the per-vector next path uses it (ReferenceVerify, and exhaustive
+// sequences with pointer parameters); counterColumns is its column-major
+// twin for the batched checker.
 func (g *inputGen) setFromCounter(c uint64, args []interp.RVal) {
 	bit := uint(0)
 	for i := range g.params {

@@ -227,18 +227,25 @@ func checkBatches(t *testing.T, f *ir.Func, opts Options, width int, want []eage
 	t.Helper()
 	g := newInputGen(f, opts)
 	defer g.release()
+	// The slots view the columns, lane-strided, as they view the batch
+	// arena in the checker.
+	cols := make([][]interp.Word, len(f.Params))
+	for i, p := range f.Params {
+		cols[i] = make([]interp.Word, width*ir.Lanes(p.Ty))
+	}
 	slots := make([][]interp.RVal, width)
 	for s := range slots {
 		slots[s] = make([]interp.RVal, len(f.Params))
 		for i, p := range f.Params {
-			slots[s][i] = interp.RVal{Ty: p.Ty, Lanes: make([]interp.Word, ir.Lanes(p.Ty))}
+			L := ir.Lanes(p.Ty)
+			slots[s][i] = interp.RVal{Ty: p.Ty, Lanes: cols[i][s*L : (s+1)*L : (s+1)*L]}
 		}
 	}
 	tiers := make([]int8, width)
 	mems := make([][][]byte, width)
 	i := 0
 	for {
-		n, tier := g.nextBatch(slots, tiers, func(s int) { mems[s] = g.memBytes })
+		n, tier := g.nextBatch(slots, cols, tiers, func(s int) { mems[s] = g.memBytes })
 		if n == 0 {
 			break
 		}

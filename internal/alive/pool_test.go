@@ -1,0 +1,211 @@
+package alive
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"repro/internal/interp"
+	"repro/internal/ir"
+	"repro/internal/parser"
+)
+
+// loopSrc counts up to max(n, 1) in a loop: a multi-block program whose
+// trip count, and so its step count, depends on the input.
+const loopSrc = `define i8 @src(i8 %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i2, %loop ]
+  %i2 = add i8 %i, 1
+  %c = icmp ult i8 %i2, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  ret i8 %i2
+}`
+
+// recycleCases are refuted pairs whose verification exercises each kind of
+// per-lane state a recycled evaluator or checker carries over: UB kills,
+// budget exhaustion in the multi-block scheduler, per-lane slab memories
+// and vector return columns. dirty runs first on the same program cache,
+// leaving that state behind in the pooled scratch.
+var recycleCases = []struct {
+	name, src, tgt string
+	dirty          func(t *testing.T, cache *interp.Cache, src, tgt *ir.Func)
+}{
+	{"ub-kills",
+		// Both sides are UB for y = 0, the first four exhaustive batches;
+		// the target is wrong from x = 77, y = 1 on (batch 5, lane 13).
+		`define i8 @src(i8 %x, i8 %y) { %q = udiv i8 %x, %y ret i8 %q }`,
+		`define i8 @tgt(i8 %x, i8 %y) {
+  %q = udiv i8 %x, %y
+  %e = icmp eq i8 %x, 77
+  %r = select i1 %e, i8 0, i8 %q
+  ret i8 %r
+}`,
+		func(t *testing.T, cache *interp.Cache, src, tgt *ir.Func) {
+			Verify(src, tgt, Options{Seed: 9, Samples: 128, MaxExhaustiveBits: 8, Programs: cache})
+			// A refuting sweep leaves a recycled checker that was seeded
+			// with another width's counterexample.
+			and := parser.MustParseFunc(`define i8 @s(i8 %x, i8 %y) { %r = and i8 %x, %y ret i8 %r }`)
+			or := parser.MustParseFunc(`define i8 @t(i8 %x, i8 %y) { %r = or i8 %x, %y ret i8 %r }`)
+			VerifyWidths([]int{8, 8}, Options{Seed: 2, Programs: cache}, func(int) (*ir.Func, *ir.Func, error) {
+				return and, or, nil
+			})
+		}},
+	{"multi-block-budget",
+		loopSrc,
+		`define i8 @tgt(i8 %n) { %r = call i8 @llvm.umax.i8(i8 %n, i8 2) ret i8 %r }`,
+		func(t *testing.T, cache *interp.Cache, src, tgt *ir.Func) {
+			ev := interp.NewEvaluator(cache.Program(src))
+			envs := make([]interp.Env, interp.BatchWidth)
+			out := make([]interp.Result, len(envs))
+			for b := range envs {
+				envs[b] = interp.Env{Args: []interp.RVal{interp.Scalar(ir.I8, uint64(200+b))}, MaxSteps: 40 + b}
+			}
+			ev.RunBatch(envs, out)
+			if out[0].Completed {
+				t.Fatal("the dirtying batch did not exhaust its budget")
+			}
+			ev.Release()
+		}},
+	{"pointer-slabs",
+		`define void @src(ptr %p, i8 %x) { %d = shl i8 %x, 1 store i8 %d, ptr %p ret void }`,
+		`define void @tgt(ptr %p, i8 %x) { %d = shl i8 %x, 2 store i8 %d, ptr %p ret void }`,
+		func(t *testing.T, cache *interp.Cache, src, tgt *ir.Func) {
+			// Another pointer pair, with its region at another parameter
+			// and name: the slabs are recycled and relabelled both ways.
+			s := parser.MustParseFunc(`define void @s(i8 %x, ptr %q) { store i8 %x, ptr %q ret void }`)
+			tq := parser.MustParseFunc(`define void @t(i8 %x, ptr %q) { %y = xor i8 %x, 1 store i8 %y, ptr %q ret void }`)
+			opts := Options{Seed: 4, Samples: 64, Programs: cache}
+			if diff := resultsEqual(Verify(s, tq, opts), ReferenceVerify(s, tq, opts)); diff != "" {
+				t.Fatalf("pair on recycled slabs vs ReferenceVerify: %s", diff)
+			}
+			Verify(src, tgt, Options{Seed: 5, Samples: 64, MemFills: 3, Programs: cache})
+		}},
+	{"vector-return",
+		// Exhaustive over 16 bits; lane 0 of the target clamps at 250, so
+		// the first violation is x = <250, 0> (batch 3, lane 58).
+		`define <2 x i8> @src(<2 x i8> %x) { %r = add <2 x i8> %x, <i8 1, i8 1> ret <2 x i8> %r }`,
+		`define <2 x i8> @tgt(<2 x i8> %x) {
+  %r = add <2 x i8> %x, <i8 1, i8 1>
+  %u = call <2 x i8> @llvm.umin.v2i8(<2 x i8> %r, <2 x i8> <i8 250, i8 255>)
+  ret <2 x i8> %u
+}`,
+		func(t *testing.T, cache *interp.Cache, src, tgt *ir.Func) {
+			Verify(src, tgt, Options{Seed: 8, Samples: 96, MaxExhaustiveBits: 8, Programs: cache})
+		}},
+}
+
+// TestRecycledScratchMatchesFresh pins scratch reuse: verifying a pair on
+// evaluators and checker buffers recycled from an earlier run must give the
+// verdict, Checked, kill tier and counterexample text of a run on freshly
+// compiled programs — and the counterexample must be ReferenceVerify's.
+func TestRecycledScratchMatchesFresh(t *testing.T) {
+	opts := Options{Seed: 3, Samples: 256}
+	for _, tc := range recycleCases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, tgt := parser.MustParseFunc(tc.src), parser.MustParseFunc(tc.tgt)
+			fresh := Verify(src, tgt, opts)
+			ref := ReferenceVerify(src, tgt, opts)
+			if fresh.Verdict != Incorrect || fresh.CE == nil {
+				t.Fatalf("want a refuted pair, got verdict %v", fresh.Verdict)
+			}
+			if diff := resultsEqual(fresh, ref); diff != "" {
+				t.Fatalf("fresh vs ReferenceVerify: %s", diff)
+			}
+			cache := interp.NewCache()
+			cached := opts
+			cached.Programs = cache
+			Verify(src, tgt, cached) // compile, and pool the evaluators
+			tc.dirty(t, cache, src, tgt)
+			got := Verify(src, tgt, cached)
+			if diff := resultsEqual(got, fresh); diff != "" {
+				t.Fatalf("recycled vs fresh: %s", diff)
+			}
+			if got.Tiers.KillTier != fresh.Tiers.KillTier {
+				t.Fatalf("recycled kill tier %d, fresh %d", got.Tiers.KillTier, fresh.Tiers.KillTier)
+			}
+			// The counterexample owns its storage: runs on the same
+			// recycled scratch must not change its text.
+			text := got.CE.Format()
+			tc.dirty(t, cache, src, tgt)
+			if got.CE.Format() != text {
+				t.Fatalf("counterexample changed after its scratch was reused:\n%s\nvs\n%s", got.CE.Format(), text)
+			}
+		})
+	}
+}
+
+// TestConcurrentVerifySharedCache runs one-shot Verify from 8 goroutines
+// on one shared program cache, so pooled evaluators and checkers change
+// hands between goroutines; every result must equal the sequential one
+// (run under -race in CI).
+func TestConcurrentVerifySharedCache(t *testing.T) {
+	opts := Options{Seed: 6, Samples: 128}
+	pairs := make([][2]*ir.Func, len(recycleCases))
+	want := make([]Result, len(recycleCases))
+	for i, tc := range recycleCases {
+		pairs[i] = [2]*ir.Func{parser.MustParseFunc(tc.src), parser.MustParseFunc(tc.tgt)}
+		want[i] = Verify(pairs[i][0], pairs[i][1], opts)
+	}
+	cached := opts
+	cached.Programs = interp.NewCache()
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(pairs); k++ {
+				i := (g + k) % len(pairs)
+				if diff := resultsEqual(Verify(pairs[i][0], pairs[i][1], cached), want[i]); diff != "" {
+					errs <- recycleCases[i].name + ": " + diff
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestOneShotVerifySteadyStateAllocs bounds the bytes a one-shot Verify
+// allocates on a warm program cache: evaluators and checker buffers are
+// recycled, so what is left is the generator and the Result, not the
+// per-call batch arenas (tens of KB each).
+func TestOneShotVerifySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by the race runtime")
+	}
+	src := parser.MustParseFunc(`define i8 @src(i8 %x, i8 %y) {
+  %r = call i8 @llvm.fshl.i8(i8 %x, i8 %x, i8 %y)
+  ret i8 %r
+}`)
+	tgt := parser.MustParseFunc(`define i8 @tgt(i8 %x, i8 %y) {
+  %n = sub i8 0, %y
+  %r = call i8 @llvm.fshr.i8(i8 %x, i8 %x, i8 %n)
+  ret i8 %r
+}`)
+	opts := Options{Seed: 1, Programs: interp.NewCache()}
+	if r := Verify(src, tgt, opts); r.Verdict != Correct || !r.Exhaustive {
+		t.Fatalf("rotate pair: verdict %v, exhaustive %v", r.Verdict, r.Exhaustive)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Verify(src, tgt, opts)
+	}
+	runtime.ReadMemStats(&after)
+	// A garbage collection mid-loop empties the pools, so allow a rebuild
+	// or two on top of the steady state.
+	const budget = 4 << 10
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
+		t.Fatalf("one-shot Verify allocates %d bytes per call on a warm cache, want <= %d", per, budget)
+	}
+}

@@ -11,6 +11,7 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/benchdata"
 	"repro/internal/ir"
@@ -131,11 +132,30 @@ var fillerOps = []ir.Opcode{
 // the extractor's dedup removes the repeats.
 const fillerTemplates = 48
 
-// fillerFunc builds a random, valid, mostly-canonical straight-line
-// function. Some filler is further optimizable — exactly like real corpus
-// code — and gets filtered by the extractor.
+// fillerShapes holds the filler templates, built once: a template's shape
+// is a pure function of its index.
+var (
+	fillerOnce   sync.Once
+	fillerShapes [fillerTemplates]*ir.Func
+)
+
+// fillerFunc returns a copy of a randomly drawn filler template, named for
+// id. Filler is valid, mostly-canonical straight-line code; some is further
+// optimizable — exactly like real corpus code — and gets filtered by the
+// extractor.
 func fillerFunc(outer *rand.Rand, id int) *ir.Func {
-	template := outer.Intn(fillerTemplates)
+	fillerOnce.Do(func() {
+		for t := range fillerShapes {
+			fillerShapes[t] = fillerTemplate(t)
+		}
+	})
+	f := ir.CloneFunc(fillerShapes[outer.Intn(fillerTemplates)])
+	f.Name = fmt.Sprintf("filler_%d", id)
+	return f
+}
+
+// fillerTemplate builds filler template number template.
+func fillerTemplate(template int) *ir.Func {
 	rng := rand.New(rand.NewSource(int64(template) * 7919))
 	// Narrow widths dominate peephole windows in practice.
 	widths := []ir.IntType{ir.I8, ir.I8, ir.I8, ir.I16, ir.I16, ir.I16, ir.I32, ir.I64}
@@ -171,7 +191,6 @@ func fillerFunc(outer *rand.Rand, id int) *ir.Func {
 	last := instrs[len(instrs)-1]
 	instrs = append(instrs, ir.RetI(last))
 	return &ir.Func{
-		Name:   fmt.Sprintf("filler_%d", id),
 		Ret:    ty,
 		Params: params,
 		Blocks: []*ir.Block{{Name: "entry", Instrs: instrs}},

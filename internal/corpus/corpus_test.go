@@ -26,6 +26,23 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateGoldenHashes pins the generated IR of two seeds, so a change
+// to how the corpus is built (such as sharing the filler templates) cannot
+// silently change what a seeded campaign sees.
+func TestGenerateGoldenHashes(t *testing.T) {
+	for _, g := range []struct {
+		seed uint64
+		hash uint64
+	}{
+		{7, 0x12a3ad53e01842f3},
+		{8, 0xc207f3806cb5f247},
+	} {
+		if h := corpusHash(Generate(Options{Seed: g.seed})); h != g.hash {
+			t.Errorf("seed %d: corpus hash %#x, want %#x", g.seed, h, g.hash)
+		}
+	}
+}
+
 func corpusHash(ps []*Project) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, p := range ps {

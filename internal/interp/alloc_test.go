@@ -56,15 +56,14 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 			col[b] = Word{V: uint64(b*(i+3)) & 0xFFFF}
 		}
 	}
-	out := make([]Result, BatchWidth)
-	ev.RunBatchFilled(BatchWidth, out, nil)
+	ev.RunBatchFilled(BatchWidth, nil)
 	for gi, ci := range ev.p.code {
 		if ci.in.Op == ir.OpCall && ev.bs.kinds[gi] != bkIntrinsic {
 			t.Fatalf("%s runs on batch kind %d, want the intrinsic kernel", ci.in, ev.bs.kinds[gi])
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		ev.RunBatchFilled(BatchWidth, out, nil)
+		ev.RunBatchFilled(BatchWidth, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state RunBatchFilled allocates %.1f times per batch, want 0", allocs)

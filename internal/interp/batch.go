@@ -11,6 +11,12 @@ package interp
 // vector) and are bit-identical to running Exec on each vector in isolation
 // — guarded by the randomized differential tests in batch_test.go.
 //
+// Outcomes are columns, not per-lane Results: a retiring lane sets its bit
+// in one of the three LaneMasks and records its step count (and, for UB,
+// its reason) in per-lane arrays; a returning lane's value is the lane's
+// run of the return column. Result structs are built only on request
+// (LaneResult), which RunBatch does for its callers.
+//
 // Two execution modes cover every program:
 //
 //   - Straight-line programs — the shape of essentially every extracted
@@ -67,92 +73,207 @@ const (
 // batchState is the Evaluator's batch scratch: the structure-of-arrays
 // register arena plus per-lane liveness and budget tracking.
 type batchState struct {
-	words  []Word // register arena, BatchWidth vectors per register lane
-	kinds  []batchKind
-	bargs  [][][]Word // per code index: operand runs (specialized kinds)
-	bdst   [][]Word   // per code index: result run (specialized kinds)
-	alive  []bool     // per batch lane: still executing
-	mems   []*Memory  // per batch lane: memory (emptyMem when absent)
-	argBuf []RVal     // reusable per-vector operand views (generic kind)
+	words  []Word      // register arena, BatchWidth vectors per register lane
+	kinds  []batchKind // the Program's (planBatch)
+	bargs  [][][]Word  // per code index: operand runs (specialized kinds)
+	bdst   [][]Word    // per code index: result run (specialized kinds)
+	views  [][]Word    // backing store of bargs
+	consts []Word      // broadcast constant columns (Program.constOff)
+	alive  []bool      // per batch lane: still executing
+	mems   []*Memory   // per batch lane: memory (emptyMem when absent; hasMem programs only)
+	argBuf []RVal      // reusable per-vector operand views (generic kind)
 	sc     scratch
+
+	// Outcome columns of the latest run (see Evaluator.Masks, RetColumn and
+	// LaneResult). Straight programs view the returned register or
+	// constant as retCol; multi-block programs own it and copy into it.
+	// Every lane that returns from a straight program does so at its one
+	// ret, straightRet, so such lanes record neither a step count nor a
+	// retAt entry.
+	out         LaneMasks
+	steps       []int    // per lane: dynamic instruction count (at retirement, after a run)
+	why         []string // per lane: UB reason (out.UB lanes); allocated at the first UB
+	retCol      []Word
+	retStride   int
+	straightRet int32
+	straightTy  ir.Type // straight programs: type of the returned value (nil: none)
+	ownRet      []Word  // multi-block programs' retCol storage
 
 	// Masked multi-block scheduler state (runBatchBlocks). Lane masks are
 	// uint64 bitsets, which BatchWidth = 64 fills exactly.
-	steps   []int    // per lane: dynamic instruction count so far
+	retAt   []int32  // per lane: code index of the ret taken
 	budget  []int    // per lane: step budget
 	prev    []int32  // per lane: predecessor block index (-1 at entry)
 	defs    []uint64 // per register: lanes holding a bound value
 	waiting []uint64 // per block: lanes parked on its entry
 }
 
-// newBatchState builds the batch scratch for p.
-func newBatchState(p *Program, emptyMem *Memory) *batchState {
-	bs := &batchState{
-		words: make([]Word, p.arenaLen*BatchWidth),
-		kinds: make([]batchKind, len(p.code)),
-		bargs: make([][][]Word, len(p.code)),
-		bdst:  make([][]Word, len(p.code)),
-		alive: make([]bool, BatchWidth),
-		mems:  make([]*Memory, BatchWidth),
+// planBatch fixes the part of the batch set-up that depends on the Program
+// alone: each instruction's batch kernel, and where in an evaluator's
+// constant arena the broadcast column (BatchWidth copies, lane-strided) of
+// each constant that a specialized kernel or a straight program's ret
+// reads lives. The columns themselves belong to the evaluators (bind), so
+// cached Programs stay small.
+func (p *Program) planBatch() {
+	p.kinds = make([]batchKind, len(p.code))
+	p.constOff = make([]int32, len(p.consts))
+	for i := range p.constOff {
+		p.constOff[i] = -1
 	}
-	for b := range bs.mems {
-		bs.mems[b] = emptyMem
+	broadcast := func(slot int32) {
+		if slot >= 0 || p.constOff[^slot] >= 0 {
+			return
+		}
+		p.constOff[^slot] = int32(p.constWords)
+		p.constWords += len(p.consts[^slot].Lanes) * BatchWidth
+	}
+	for gi := range p.code {
+		ci := &p.code[gi]
+		p.kinds[gi] = classifyBatch(p, ci)
+		switch {
+		case p.kinds[gi].specialized():
+			for _, slot := range ci.args {
+				broadcast(slot)
+			}
+		case p.kinds[gi] == bkRet && p.straight && len(ci.args) == 1:
+			broadcast(ci.args[0])
+		}
+	}
+}
+
+// specialized reports whether k has a dedicated batch kernel.
+func (k batchKind) specialized() bool {
+	return k != bkGeneric && k != bkRet && k != bkUnreachable
+}
+
+// bind lays the batch scratch out for p, reusing the storage a recycled
+// evaluator already holds: every slice is resized in place when its
+// capacity suffices. Stale arena contents are harmless — callers write the
+// input columns before a run, and every register is written before it is
+// read (straight programs by construction, multi-block ones under their
+// defined-register masks).
+func (bs *batchState) bind(p *Program, emptyMem *Memory) {
+	bs.words = resize(bs.words, p.arenaLen*BatchWidth)
+	bs.kinds = p.kinds
+	bs.bargs = resize(bs.bargs, len(p.code))
+	bs.bdst = resize(bs.bdst, len(p.code))
+	clear(bs.bargs) // drop views of a previous layout
+	clear(bs.bdst)
+	bs.alive = resize(bs.alive, BatchWidth)
+	bs.steps = resize(bs.steps, BatchWidth)
+	bs.mems = bs.mems[:0]
+	if p.hasMem {
+		bs.mems = resize(bs.mems, BatchWidth)
+		for b := range bs.mems {
+			bs.mems[b] = emptyMem
+		}
 	}
 	if !p.straight {
-		bs.steps = make([]int, BatchWidth)
-		bs.budget = make([]int, BatchWidth)
-		bs.prev = make([]int32, BatchWidth)
-		bs.defs = make([]uint64, len(p.regLanes))
-		bs.waiting = make([]uint64, len(p.blocks))
+		bs.retAt = resize(bs.retAt, BatchWidth)
+		bs.budget = resize(bs.budget, BatchWidth)
+		bs.prev = resize(bs.prev, BatchWidth)
+		bs.defs = resize(bs.defs, len(p.regLanes))
+		bs.waiting = resize(bs.waiting, len(p.blocks))
 	}
 	maxArgs := 1
-	specialized := func(k batchKind) bool {
-		return k != bkGeneric && k != bkRet && k != bkUnreachable
-	}
 	totalOps := 0
 	for gi := range p.code {
 		ci := &p.code[gi]
-		if len(ci.args) > maxArgs {
-			maxArgs = len(ci.args)
-		}
-		bs.kinds[gi] = classifyBatch(p, ci)
-		if specialized(bs.kinds[gi]) {
+		maxArgs = max(maxArgs, len(ci.args))
+		if p.kinds[gi].specialized() {
 			totalOps += len(ci.args)
 		}
 	}
-	flat := make([][]Word, totalOps)
+	bs.consts = resize(bs.consts, p.constWords)
+	for c, off := range p.constOff {
+		if lanes := p.consts[c].Lanes; off >= 0 {
+			for b := 0; b < BatchWidth; b++ {
+				copy(bs.consts[int(off)+b*len(lanes):], lanes)
+			}
+		}
+	}
+	bs.views = resize(bs.views, totalOps)
 	next := 0
-	constCols := make(map[int32][]Word)
 	for gi := range p.code {
-		if !specialized(bs.kinds[gi]) {
+		if !p.kinds[gi].specialized() {
 			continue
 		}
 		ci := &p.code[gi]
-		views := flat[next : next+len(ci.args) : next+len(ci.args)]
+		views := bs.views[next : next+len(ci.args) : next+len(ci.args)]
 		next += len(ci.args)
 		for k, slot := range ci.args {
 			if slot >= 0 {
 				base := int(p.regOff[slot]) * BatchWidth
 				views[k] = bs.words[base : base+BatchWidth : base+BatchWidth]
 			} else {
-				col, ok := constCols[^slot]
-				if !ok {
-					col = make([]Word, BatchWidth)
-					w := p.consts[^slot].Lanes[0]
-					for j := range col {
-						col[j] = w
-					}
-					constCols[^slot] = col
-				}
-				views[k] = col
+				views[k] = bs.constCol(p, slot)
 			}
 		}
 		bs.bargs[gi] = views
 		base := int(p.regOff[ci.dst]) * BatchWidth
 		bs.bdst[gi] = bs.words[base : base+BatchWidth : base+BatchWidth]
 	}
-	bs.argBuf = make([]RVal, maxArgs)
-	return bs
+	bs.argBuf = resize(bs.argBuf, maxArgs)
+	bs.initRetColumn(p)
+}
+
+// constCol returns the broadcast column of constant operand slot.
+func (bs *batchState) constCol(p *Program, slot int32) []Word {
+	off, n := int(p.constOff[^slot]), len(p.consts[^slot].Lanes)*BatchWidth
+	return bs.consts[off : off+n : off+n]
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. Reused elements keep their old contents.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// initRetColumn sets up the return column. A straight program has one ret
+// at most, so the column is a view of what it returns: the returned
+// register's arena run, or the returned constant's broadcast column. A
+// multi-block program gets a column of its own, sized for its widest ret,
+// that every ret writes its lanes into.
+func (bs *batchState) initRetColumn(p *Program) {
+	bs.retStride, bs.retCol, bs.straightTy = 0, nil, nil
+	for gi := range p.code {
+		ci := &p.code[gi]
+		if ci.in.Op != ir.OpRet {
+			continue
+		}
+		if len(ci.args) == 1 {
+			bs.retStride = max(bs.retStride, p.operandLanes(ci.args[0]))
+		}
+		if !p.straight {
+			continue
+		}
+		// The first ret ends every straight run.
+		bs.straightRet = int32(gi)
+		if len(ci.args) == 1 {
+			bs.straightTy = ci.in.Args[0].Type()
+			if slot := ci.args[0]; slot >= 0 {
+				base := int(p.regOff[slot]) * BatchWidth
+				bs.retCol = bs.words[base : base+bs.retStride*BatchWidth]
+			} else {
+				bs.retCol = bs.constCol(p, slot)
+			}
+		}
+		return
+	}
+	bs.ownRet = resize(bs.ownRet, bs.retStride*BatchWidth)
+	bs.retCol = bs.ownRet
+}
+
+// operandLanes is the lane count of an operand slot: a register's or a
+// constant's.
+func (p *Program) operandLanes(slot int32) int {
+	if slot >= 0 {
+		return int(p.regLanes[slot])
+	}
+	return len(p.consts[^slot].Lanes)
 }
 
 // classifyBatch picks the batch kernel for one compiled instruction.
@@ -196,11 +317,12 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 }
 
 // RunBatch executes the program on every environment and writes one Result
-// per input into out (which must be at least as long as envs). Semantics per
-// vector — values, poison lanes, UB reasons, step accounting — are
-// bit-identical to Exec on each environment. Returned Ret values may alias
-// the evaluator's batch scratch and are valid only until the next run;
-// clone to retain them.
+// per input into out (which must be at least as long as envs), built from
+// the outcome columns with LaneResult. Semantics per vector — values,
+// poison lanes, UB reasons, step accounting — are bit-identical to Exec on
+// each environment. The Ret values of the last chunk of BatchWidth vectors
+// alias the evaluator's batch scratch and are valid only until the next
+// run; clone to retain them.
 func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 	if len(out) < len(envs) {
 		panic("interp: RunBatch needs len(out) >= len(envs)")
@@ -210,7 +332,11 @@ func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
 		if hi > len(envs) {
 			hi = len(envs)
 		}
-		ev.runBatchChunk(envs[base:hi], out[base:hi], hi < len(envs))
+		ev.runBatchChunk(envs[base:hi])
+		ev.fillResults(out[base:hi])
+		for b := base; b < hi && hi < len(envs); b++ {
+			out[b].Ret = out[b].Ret.Clone() // the next chunk reuses the arena
+		}
 	}
 }
 
@@ -229,13 +355,14 @@ func (ev *Evaluator) ArgColumn(i int) []Word {
 // RunBatchFilled executes the first n batch lanes against inputs the caller
 // already wrote into the ArgColumn runs, with default step budgets. mems
 // optionally carries one memory per lane (nil entries and a nil slice mean
-// no memory, as for an Env without Mem). Results are written like RunBatch.
-// n must be <= BatchWidth.
-func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) {
-	if n > BatchWidth || len(out) < n {
+// no memory, as for an Env without Mem). Outcomes are read back through
+// Masks, RetColumn and LaneResult. n must be <= BatchWidth.
+func (ev *Evaluator) RunBatchFilled(n int, mems []*Memory) {
+	if n > BatchWidth {
 		panic("interp: RunBatchFilled bounds")
 	}
 	bs := ev.bs
+	bs.out = LaneMasks{}
 	for b := 0; b < n; b++ {
 		bs.alive[b] = true
 	}
@@ -249,28 +376,25 @@ func (ev *Evaluator) RunBatchFilled(n int, out []Result, mems []*Memory) {
 		}
 	}
 	if ev.p.straight {
-		ev.runBatchCore(n, out, nil, defaultMaxSteps, n)
+		ev.runBatchCore(n, nil, defaultMaxSteps, n)
 	} else {
-		ev.runBatchBlocks(n, out, nil)
+		ev.runBatchBlocks(n, nil)
 	}
 }
 
 // runBatchChunk executes one chunk of at most BatchWidth environments on the
-// lane-batched fast path. cloneRets detaches the chunk's return values from
-// the shared batch arena (needed for every chunk but the last, whose Rets
-// stay valid until the next RunBatch).
-func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
+// lane-batched fast path.
+func (ev *Evaluator) runBatchChunk(envs []Env) {
 	p := ev.p
 	bs := ev.bs
+	bs.out = LaneMasks{}
 	B := len(envs)
 	live := 0
 	minMax := defaultMaxSteps
 	for b := 0; b < B; b++ {
 		if len(envs[b].Args) != len(p.fn.Params) {
-			out[b] = Result{UB: true, Completed: true,
-				UBReason: fmt.Sprintf("argument count mismatch: have %d, want %d",
-					len(envs[b].Args), len(p.fn.Params))}
-			bs.alive[b] = false
+			bs.retireUB(b, fmt.Sprintf("argument count mismatch: have %d, want %d",
+				len(envs[b].Args), len(p.fn.Params)), 0)
 			continue
 		}
 		if ms := envs[b].MaxSteps; ms != 0 && ms < minMax {
@@ -322,32 +446,26 @@ func (ev *Evaluator) runBatchChunk(envs []Env, out []Result, cloneRets bool) {
 		}
 	}
 	if p.straight {
-		ev.runBatchCore(B, out, envs, minMax, live)
+		ev.runBatchCore(B, envs, minMax, live)
 	} else {
-		ev.runBatchBlocks(B, out, envs)
-	}
-	if cloneRets {
-		for b := 0; b < B; b++ {
-			out[b].Ret = out[b].Ret.Clone()
-		}
+		ev.runBatchBlocks(B, envs)
 	}
 }
 
 // runBatchCore is the shared execution loop: arguments are already in the
 // batch arena and bs.alive/live describe the runnable lanes. envs is only
 // consulted for per-lane step budgets and may be nil (default budgets).
-func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live int) {
+func (ev *Evaluator) runBatchCore(B int, envs []Env, minMax, live int) {
 	p := ev.p
 	bs := ev.bs
 
 	// kill retires lane b with UB. Lanes retire at most once, and every
-	// retirement writes the full Result, so out needs no up-front zeroing.
-	// step tracks the current instruction (uniform across lanes on the
-	// straight-line path).
+	// retirement sets the lane's mask bit and step count, so the per-lane
+	// arrays need no up-front zeroing. step tracks the current instruction
+	// (uniform across lanes on the straight-line path).
 	step := 0
 	kill := func(b int, why string) {
-		out[b] = Result{UB: true, UBReason: why, Completed: true, DynInstrs: step}
-		bs.alive[b] = false
+		bs.retireUB(b, why, step)
 		live--
 	}
 
@@ -364,7 +482,8 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 					ms = envs[b].MaxSteps
 				}
 				if step > ms {
-					out[b] = Result{Completed: false, DynInstrs: step}
+					bs.steps[b] = step
+					bs.out.OutOfBudget |= 1 << uint(b)
 					bs.alive[b] = false
 					live--
 				}
@@ -394,56 +513,11 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 		}
 		switch bs.kinds[gi] {
 		case bkRet:
-			hasRet := len(ci.in.Args) == 1
-			var retTy ir.Type
-			var slot, retL, retBase int32
-			var constRet RVal
-			if hasRet {
-				retTy = ci.in.Args[0].Type()
-				slot = ci.args[0]
-				if slot >= 0 {
-					retL = p.regLanes[slot]
-					retBase = p.regOff[slot] * BatchWidth
-				} else {
-					constRet = p.consts[^slot]
-				}
-			}
-			for b := 0; b < B; b++ {
-				if !bs.alive[b] {
-					continue
-				}
-				// Lane b's ret view is the same arena slice on every call,
-				// so when the caller reuses its out buffer (the checker's
-				// steady state) the pointer fields are already correct —
-				// skipping the rewrite avoids a GC write barrier per lane
-				// on the hottest line of the batch path.
-				r := &out[b]
-				if r.UB || r.UBReason != "" {
-					r.UB = false
-					r.UBReason = ""
-				}
-				r.Completed = true
-				r.DynInstrs = step
-				if hasRet {
-					if slot >= 0 {
-						lo := retBase + int32(b)*retL
-						lanes := bs.words[lo : lo+retL : lo+retL]
-						// A matching lane pointer can only come from this
-						// same ret view (registers never share arena
-						// offsets), so the Ty is already right too — no
-						// interface compare needed.
-						if len(r.Ret.Lanes) != int(retL) || &r.Ret.Lanes[0] != &lanes[0] {
-							r.Ret = RVal{Ty: retTy, Lanes: lanes}
-						}
-					} else if len(r.Ret.Lanes) != len(constRet.Lanes) ||
-						len(constRet.Lanes) == 0 || &r.Ret.Lanes[0] != &constRet.Lanes[0] {
-						r.Ret = constRet
-					}
-				} else if r.Ret.Lanes != nil || r.Ret.Ty != nil {
-					r.Ret = RVal{}
-				}
-				bs.alive[b] = false
-			}
+			// Every lane still running returns here. Their values are
+			// already in the return column, which views the returned
+			// register or constant, and their step count is this ret's
+			// (LaneResult), so retiring them is one mask.
+			bs.out.Returned = lanesBelow(B) &^ (bs.out.UB | bs.out.OutOfBudget)
 			live = 0
 		case bkUnreachable:
 			for b := 0; b < B; b++ {
@@ -498,6 +572,26 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 	}
 }
 
+// retireUB retires lane b with undefined behaviour after steps dynamic
+// instructions.
+func (bs *batchState) retireUB(b int, why string, steps int) {
+	if bs.why == nil {
+		bs.why = make([]string, BatchWidth) // programs that never hit UB skip it
+	}
+	bs.why[b] = why
+	bs.steps[b] = steps
+	bs.out.UB |= 1 << uint(b)
+	bs.alive[b] = false
+}
+
+// lanesBelow returns the mask of lanes [0, n).
+func lanesBelow(n int) uint64 {
+	if n >= BatchWidth {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
+}
+
 // runBatchBlocks is the masked multi-block scheduler: arguments are already
 // in the batch arena and bs.alive marks the runnable lanes. All lanes of a
 // wave step the current block's instructions together; a lane leaves the
@@ -510,7 +604,7 @@ func (ev *Evaluator) runBatchCore(B int, out []Result, envs []Env, minMax, live 
 // semantics — including UB reasons and DynInstrs — bit-identical to running
 // Exec per vector. envs is only consulted for per-lane step budgets and may
 // be nil (default budgets).
-func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
+func (ev *Evaluator) runBatchBlocks(B int, envs []Env) {
 	p := ev.p
 	bs := ev.bs
 
@@ -544,8 +638,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 	// it with UB at its own step count.
 	var wave uint64
 	kill := func(b int, why string) {
-		out[b] = Result{UB: true, UBReason: why, Completed: true, DynInstrs: steps[b]}
-		bs.alive[b] = false
+		bs.retireUB(b, why, steps[b])
 		wave &^= 1 << uint(b)
 	}
 	// checkLanes applies one instruction's runtime guards lane by lane, in
@@ -602,7 +695,7 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 				b := bits.TrailingZeros64(m)
 				steps[b]++
 				if steps[b] > budget[b] {
-					out[b] = Result{Completed: false, DynInstrs: steps[b]}
+					bs.out.OutOfBudget |= 1 << uint(b)
 					bs.alive[b] = false
 					wave &^= 1 << uint(b)
 				}
@@ -614,32 +707,22 @@ func (ev *Evaluator) runBatchBlocks(B int, out []Result, envs []Env) {
 			case ir.OpRet:
 				if len(ci.in.Args) == 1 {
 					checkLanes(ci)
-					if wave == 0 {
-						break
-					}
-					retTy := ci.in.Args[0].Type()
-					if slot := ci.args[0]; slot >= 0 {
-						for m := wave; m != 0; m &= m - 1 {
-							b := bits.TrailingZeros64(m)
-							out[b] = Result{Completed: true, DynInstrs: steps[b],
-								Ret: RVal{Ty: retTy, Lanes: laneView(slot, b)}}
-							bs.alive[b] = false
-						}
-					} else {
-						rv := p.consts[^slot]
-						for m := wave; m != 0; m &= m - 1 {
-							b := bits.TrailingZeros64(m)
-							out[b] = Result{Completed: true, DynInstrs: steps[b], Ret: rv}
-							bs.alive[b] = false
-						}
-					}
-				} else {
+					slot := ci.args[0]
 					for m := wave; m != 0; m &= m - 1 {
 						b := bits.TrailingZeros64(m)
-						out[b] = Result{Completed: true, DynInstrs: steps[b]}
-						bs.alive[b] = false
+						if slot >= 0 {
+							copy(bs.retCol[b*bs.retStride:], laneView(slot, b))
+						} else {
+							copy(bs.retCol[b*bs.retStride:], p.consts[^slot].Lanes)
+						}
 					}
 				}
+				for m := wave; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					bs.retAt[b] = int32(gi)
+					bs.alive[b] = false
+				}
+				bs.out.Returned |= wave
 				wave = 0
 			case ir.OpBr:
 				if len(ci.in.Args) == 0 {

@@ -622,12 +622,43 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 				copy(col[b*L:(b+1)*L], vectors[b][i].Lanes)
 			}
 		}
-		outB := make([]Result, n)
-		evB.RunBatchFilled(n, outB, nil)
+		evB.RunBatchFilled(n, nil)
+		m := evB.Masks()
+		col, stride := evB.RetColumn()
 		for i := range outA {
-			if diff := sameResult(outA[i], outB[i]); diff != "" {
+			if diff := sameResult(outA[i], evB.LaneResult(i)); diff != "" {
 				t.Fatalf("func %d vector %d: filled vs batch: %s", fi, i, diff)
 			}
+			// The masks partition the lanes, and a returning lane's value
+			// is its run of the return column.
+			bit := uint64(1) << uint(i)
+			var got []string
+			for _, c := range []struct {
+				mask uint64
+				name string
+			}{{m.Returned, "returned"}, {m.UB, "ub"}, {m.OutOfBudget, "budget"}} {
+				if c.mask&bit != 0 {
+					got = append(got, c.name)
+				}
+			}
+			want := "budget"
+			switch {
+			case outA[i].UB:
+				want = "ub"
+			case outA[i].Completed:
+				want = "returned"
+			}
+			if len(got) != 1 || got[0] != want {
+				t.Fatalf("func %d vector %d: lane in masks %v, want only %s", fi, i, got, want)
+			}
+			ret := want == "returned"
+			if ret && !(RVal{Ty: outA[i].Ret.Ty, Lanes: col[i*stride : (i+1)*stride]}).Equal(outA[i].Ret) {
+				t.Fatalf("func %d vector %d: return column %v, want %s", fi, i,
+					col[i*stride:(i+1)*stride], outA[i].Ret.Format())
+			}
+		}
+		if hi := uint64(1)<<uint(n) - 1; n < BatchWidth && (m.Returned|m.UB|m.OutOfBudget)&^hi != 0 {
+			t.Fatalf("func %d: masks %+v mark lanes past %d", fi, m, n)
 		}
 	}
 }
@@ -655,6 +686,102 @@ func TestRunBatchBudgetAndArgc(t *testing.T) {
 	for i, env := range envs {
 		if diff := sameResult(Exec(f, env), out[i]); diff != "" {
 			t.Fatalf("env %d: %s", i, diff)
+		}
+	}
+}
+
+// TestReleasedEvaluatorMatchesExec pins evaluator recycling: storage
+// released after a batch that ran lanes out of budget, killed lanes with UB
+// and wrote lane memories — whether taken again for the same Program or
+// laid out for the next, differently shaped one — must run the next batch
+// exactly like Exec, with no outcome, return value or memory carried over.
+func TestReleasedEvaluatorMatchesExec(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	for fi := 0; fi < 40; fi++ {
+		var src string
+		switch fi % 3 {
+		case 0:
+			src = genStraightLine(rng)
+		case 1:
+			src = genMultiBlock(rng)
+		default:
+			src = genMemory(rng)
+		}
+		f := parser.MustParseFunc(src)
+		p := Compile(f)
+		batch := func(maxSteps int) ([]Env, []Env) {
+			var vectors [][]RVal
+			for k := 0; k < BatchWidth; k++ {
+				vectors = append(vectors, fuzzVector(f, rng))
+			}
+			return batchEnvs(f, vectors, maxSteps), batchEnvs(f, vectors, maxSteps)
+		}
+		ev := NewEvaluator(p)
+		dirty, _ := batch(1 + fi%5)
+		ev.RunBatch(dirty, make([]Result, len(dirty)))
+		ev.Release()
+
+		ev = NewEvaluator(p)
+		envs, refEnvs := batch(0)
+		out := make([]Result, len(envs))
+		ev.RunBatch(envs, out)
+		for i := range envs {
+			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
+				t.Fatalf("func %d vector %d: recycled evaluator vs Exec: %s\n%s", fi, i, diff, src)
+			}
+			if diff := sameMemory(refEnvs[i].Mem, envs[i].Mem); diff != "" {
+				t.Fatalf("func %d vector %d: recycled evaluator final memory vs Exec: %s\n%s", fi, i, diff, src)
+			}
+		}
+		ev.Release() // the next function's evaluator reuses this storage
+	}
+}
+
+// TestRunBatchMultiBlockReturnKinds covers the multi-block return column
+// with every kind of ret: a register, a constant and no value at all (a
+// void function), matching Exec lane by lane.
+func TestRunBatchMultiBlockReturnKinds(t *testing.T) {
+	for _, src := range []string{
+		`define i8 @f(i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 10
+  br i1 %c, label %a, label %b
+a:
+  ret i8 7
+b:
+  %y = add i8 %x, 1
+  ret i8 %y
+}`,
+		`define void @f(ptr %p, i8 %x) {
+entry:
+  %c = icmp ult i8 %x, 10
+  br i1 %c, label %a, label %b
+a:
+  store i8 %x, ptr %p
+  ret void
+b:
+  ret void
+}`,
+	} {
+		f := parser.MustParseFunc(src)
+		var vectors [][]RVal
+		for k := 0; k < BatchWidth+3; k++ {
+			var args []RVal
+			for _, p := range f.Params {
+				args = append(args, Scalar(p.Ty, uint64(k*3)))
+			}
+			vectors = append(vectors, args)
+		}
+		envs, refEnvs := batchEnvs(f, vectors, 0), batchEnvs(f, vectors, 0)
+		out := make([]Result, len(envs))
+		NewEvaluator(Compile(f)).RunBatch(envs, out)
+		for i := range envs {
+			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
+				t.Fatalf("%s\nvector %d: batch vs Exec: %s", src, i, diff)
+			}
+			if diff := sameMemory(refEnvs[i].Mem, envs[i].Mem); diff != "" {
+				t.Fatalf("%s\nvector %d: final memory: %s", src, i, diff)
+			}
 		}
 	}
 }

@@ -38,6 +38,13 @@ type Program struct {
 	// hasMem marks programs touching memory (load/store/gep). Batched
 	// executions of such programs carry one Memory per lane.
 	hasMem bool
+
+	// Batch plan (planBatch), fixed at Compile: each instruction's batch
+	// kernel, and per constant pool slot the word offset of its broadcast
+	// column in an evaluator's constant arena (-1: none), constWords long.
+	kinds      []batchKind
+	constOff   []int32
+	constWords int
 }
 
 type cblock struct {
@@ -244,6 +251,7 @@ func Compile(fn *ir.Func) *Program {
 		cb.end = int32(len(p.code))
 		p.blocks = append(p.blocks, cb)
 	}
+	p.planBatch()
 	return p
 }
 

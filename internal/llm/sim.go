@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/opt"
@@ -105,6 +106,7 @@ func (s *Sim) respond(prompt string, attempt, round int) string {
 	}
 	h := ir.Hash(src)
 	rng := s.rng(h, round)
+	defer rngPool.Put(rng)
 	uChannel := rng.Float64()
 
 	ideal := opt.Run(src, opt.Options{Rules: s.kb})
@@ -148,15 +150,27 @@ func (s *Sim) successFor(h uint64, round int, rng *rand.Rand) (s1, s2 bool) {
 	if !ok {
 		return rng.Float64() < s.prof.DiscoverP, rng.Float64() < s.prof.DiscoverP
 	}
-	perm := s.rng(h, -1).Perm(5)
+	prng := s.rng(h, -1)
+	perm := prng.Perm(5)
+	rngPool.Put(prng)
 	slot := perm[((round%5)+5)%5]
 	return slot < c.Minus, slot < c.Plus
 }
 
+// rngPool recycles the simulator's per-response random sources. Seeding a
+// recycled rand.Rand puts it in exactly the state rand.New(rand.NewSource(s))
+// starts in, so every draw is unchanged; only the ~5 KiB source allocation
+// per response is saved.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rng returns the random source for one (window, round) draw, taken from
+// rngPool; the caller puts it back when done.
 func (s *Sim) rng(h uint64, round int) *rand.Rand {
 	f := fnv.New64a()
 	fmt.Fprintf(f, "%s|%d|%d|%d", s.prof.Name, s.seed, h, round)
-	return rand.New(rand.NewSource(int64(f.Sum64())))
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(int64(f.Sum64()))
+	return r
 }
 
 // wrapIR renders an assistant message around a function body the way chat

@@ -247,7 +247,17 @@ func TestServiceDegradedStore(t *testing.T) {
 		t.Fatalf("degraded finding malformed: %v", err)
 	}
 
-	stats := getStats(t, hs.URL)
+	// The finding serves from memory as soon as it is put, which can be
+	// before the committer's first (failing) commit: wait for the backlog
+	// to be reported instead of racing it.
+	var stats Stats
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		stats = getStats(t, hs.URL)
+		if stats.Store.CommitFails > 0 && stats.Store.Pending > 0 && stats.Server.Degraded ||
+			time.Now().After(deadline) {
+			break
+		}
+	}
 	if stats.Store.CommitFails == 0 || stats.Store.Pending == 0 || !stats.Server.Degraded {
 		t.Fatalf("degraded durability not reported: commit_fails=%d pending=%d degraded=%v",
 			stats.Store.CommitFails, stats.Store.Pending, stats.Server.Degraded)

@@ -32,11 +32,33 @@ import (
 	"repro/internal/store"
 )
 
-// streamEntry is one published finding: the window key plus the SSE data
-// payload (compact JSON, single line — the SSE framing requirement).
+// streamEntry is one published finding: the window key and the stored
+// finding's bytes, nil when they are not valid JSON. The bytes are the
+// store's own, which are immutable, so the log costs a few words per window
+// rather than a second copy of every finding; data compacts them when a
+// subscriber reads the entry.
 type streamEntry struct {
-	window string
-	data   []byte
+	window  string
+	finding []byte
+}
+
+// data renders the SSE data payload (compact JSON, single line — the SSE
+// framing requirement): the window key and, when valid, the finding.
+func (e streamEntry) data() []byte {
+	var buf bytes.Buffer
+	buf.Grow(len(e.window) + len(e.finding) + len(`{"window":"","finding":}`))
+	buf.WriteString(`{"window":"`)
+	buf.WriteString(e.window)
+	if e.finding == nil {
+		// A stored finding that is not valid JSON cannot be framed; publish
+		// the window key alone so the subscriber still learns of it.
+		buf.WriteString(`"}`)
+		return buf.Bytes()
+	}
+	buf.WriteString(`","finding":`)
+	_ = json.Compact(&buf, e.finding) // cannot fail: validated when appended
+	buf.WriteByte('}')
+	return buf.Bytes()
 }
 
 // stream is the durable-findings broadcast log.
@@ -63,7 +85,8 @@ func newStream(st store.Backend) *stream {
 }
 
 // append publishes one finding's bytes under the lock-free fast checks done
-// by callers; it is idempotent per window.
+// by callers; it is idempotent per window. val must be the store's own
+// bytes (from Get or Scan), which the entry keeps.
 func (s *stream) append(window string, val []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -74,21 +97,12 @@ func (s *stream) appendLocked(window string, val []byte) {
 	if s.seen[window] {
 		return
 	}
-	var buf bytes.Buffer
-	buf.WriteString(`{"window":"`)
-	buf.WriteString(window)
-	buf.WriteString(`","finding":`)
-	if err := json.Compact(&buf, val); err != nil {
-		// A stored finding that is not valid JSON cannot be framed; publish
-		// the window key alone so the subscriber still learns of it.
-		buf.Reset()
-		buf.WriteString(`{"window":"`)
-		buf.WriteString(window)
-		buf.WriteString(`"`)
+	finding := val
+	if !json.Valid(val) {
+		finding = nil
 	}
-	buf.WriteString(`}`)
 	s.seen[window] = true
-	s.entries = append(s.entries, streamEntry{window: window, data: buf.Bytes()})
+	s.entries = append(s.entries, streamEntry{window: window, finding: finding})
 	close(s.sig)
 	s.sig = make(chan struct{})
 }
@@ -164,7 +178,7 @@ func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
 		entries, next, _ := s.strm.since(cursor)
 		findings := make([]json.RawMessage, 0, len(entries))
 		for _, e := range entries {
-			findings = append(findings, json.RawMessage(e.data))
+			findings = append(findings, json.RawMessage(e.data()))
 		}
 		writeJSON(w, http.StatusOK, map[string]any{
 			"cursor":      cursor,
@@ -192,7 +206,7 @@ func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		entries, next, sig := s.strm.since(cursor)
 		for i, e := range entries {
-			fmt.Fprintf(w, "event: finding\nid: %d\ndata: %s\n\n", cursor+i+1, e.data)
+			fmt.Fprintf(w, "event: finding\nid: %d\ndata: %s\n\n", cursor+i+1, e.data())
 		}
 		if len(entries) > 0 {
 			cursor = next
@@ -206,7 +220,7 @@ func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
 			// stream so subscribers reconnect to the successor.
 			entries, _, _ := s.strm.since(cursor)
 			for i, e := range entries {
-				fmt.Fprintf(w, "event: finding\nid: %d\ndata: %s\n\n", cursor+i+1, e.data)
+				fmt.Fprintf(w, "event: finding\nid: %d\ndata: %s\n\n", cursor+i+1, e.data())
 			}
 			fl.Flush()
 			return
