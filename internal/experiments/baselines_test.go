@@ -94,8 +94,8 @@ func TestBaselinesGolden(t *testing.T) {
 	golden := map[string]string{
 		"souper-enum0": "found 10, timeouts 0, candidates 10, digest 9e23fe3385d4d477",
 		"souper-enum1": "found 35, timeouts 17, candidates 29404, digest 762c7cc8145f5e53",
-		"souper-enum2": "found 36, timeouts 24, candidates 111015, digest 73c41837579aaea0",
-		"souper-enum3": "found 35, timeouts 26, candidates 192544, digest 1cb8ade6d3a6bff2",
+		"souper-enum2": "found 36, timeouts 24, candidates 111015, digest 47dd37d54cb24497",
+		"souper-enum3": "found 35, timeouts 26, candidates 192544, digest 085d7a29824a36aa",
 		"minotaur":     "found 18, timeouts 0, candidates 0, digest f0f21edc60eee5e7",
 	}
 	for i, tool := range tools {

@@ -207,6 +207,7 @@ func Optimize(src *ir.Func, opts Options) Result {
 			}
 			if res.VirtualSeconds > opts.TimeoutSec {
 				res.TimedOut = true
+				res.VirtualSeconds = opts.TimeoutSec
 				return res
 			}
 		}

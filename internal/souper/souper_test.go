@@ -120,6 +120,24 @@ func TestWideInputsTimeOutUnderEnum(t *testing.T) {
 	}
 }
 
+// An i16 window whose space construction fits the budget but whose
+// enumeration does not: the run stops inside the depth-1..Enum loop, and a
+// timed-out run must occupy exactly the budget there too.
+func TestEnumerationTimeoutOccupiesBudget(t *testing.T) {
+	src := parser.MustParseFunc(`define i16 @src(i16 %a0, i16 %a1) {
+  %v2 = and i16 %a0, %a1
+  %v3 = shl i16 %v2, 3
+  ret i16 %v3
+}`)
+	res := Optimize(src, Options{Enum: 2, Seed: 10})
+	if !res.TimedOut || res.Candidates <= len(buildLeaves(src)) {
+		t.Fatalf("run should time out during enumeration: %+v", res)
+	}
+	if res.VirtualSeconds != 1200 {
+		t.Fatalf("timed-out run reports %v virtual seconds, want the 1200 s budget", res.VirtualSeconds)
+	}
+}
+
 func TestDefaultFindsWideConstWhereEnumTimesOut(t *testing.T) {
 	pair := benchdata.FindingByID("143957").Pair // icmp-const on i64
 	src := parser.MustParseFunc(pair.Src)
