@@ -153,6 +153,12 @@ func TestTable5ImpactShape(t *testing.T) {
 			t.Errorf("compile-time delta implausible for %s: %+.1f%%", row.PatchID, row.DeltaPct)
 		}
 	}
+	var buf bytes.Buffer
+	rep.Print(&buf)
+	header := strings.Split(buf.String(), "\n")[1]
+	if want := "Patch             files   projects          dT%   paper-files  paper-prj    paper-dT%"; header != want {
+		t.Errorf("table 5 header:\n got %q\nwant %q", header, want)
+	}
 }
 
 func TestFigure5WithinNoise(t *testing.T) {

@@ -126,7 +126,7 @@ func medianDuration(ds []time.Duration) time.Duration {
 func (r *Table5Report) Print(w io.Writer) {
 	fmt.Fprintln(w, "Table 5: patch impact (measured on the synthetic corpus vs paper)")
 	fmt.Fprintf(w, "%-12s %10s %10s %12s   %10s %10s %12s\n",
-		"Patch", "files", "projects", "dT%%", "paper-files", "paper-prj", "paper-dT%%")
+		"Patch", "files", "projects", "dT%", "paper-files", "paper-prj", "paper-dT%")
 	for _, row := range r.Rows {
 		paperFiles, paperPrj, paperD := "N/A", "N/A", "N/A"
 		if row.PaperIRFiles > 0 {
