@@ -204,9 +204,10 @@ type Result struct {
 //
 // Checkers and their evaluators are recycled: NewChecker takes its batch
 // buffers from checkerPool and its evaluators from the Programs' pools, and
-// the one-shot Verify and VerifyWidths hand all of them back when they
-// finish. Counterexamples are cloned out of the scratch, so they never
-// alias recycled storage.
+// Release hands all of them back. The one-shot Verify and VerifyWidths
+// release their checkers; a caller that builds one releases it when done.
+// Counterexamples are cloned out of the scratch, so they never alias
+// recycled storage.
 type Checker struct {
 	src, tgt *ir.Func
 	opts     Options
@@ -236,8 +237,7 @@ type Checker struct {
 	ptrSave          [][interp.BatchWidth]interp.Word // per ptr param: raw input pointer words, per slot
 }
 
-// checkerPool recycles Checkers released by the one-shot Verify and
-// VerifyWidths. Like every sync.Pool it drops idle entries across garbage
+// checkerPool recycles released Checkers. Like every sync.Pool it drops idle entries across garbage
 // collections, so recycled scratch is never retained for long.
 var checkerPool = sync.Pool{New: func() any { return new(Checker) }}
 
@@ -261,10 +261,10 @@ func NewChecker(src, tgt *ir.Func, opts Options) *Checker {
 	return c
 }
 
-// release hands c's evaluators back to their Programs and c itself to
+// Release hands c's evaluators back to their Programs and c itself to
 // checkerPool, dropping every reference to caller data first. c must not be
-// used afterwards.
-func (c *Checker) release() {
+// used afterwards; the Results it returned stay valid.
+func (c *Checker) Release() {
 	if c.se != nil {
 		c.se.Release()
 		c.te.Release()
@@ -287,7 +287,9 @@ func regionBase(i int) uint64 { return uint64(0x10000 + i*0x1000) }
 // Seed adds extra tier-0 vectors that subsequent Verify calls replay before
 // the generated sequence, alongside any Options.Pool entries. VerifyWidths
 // uses this to reseed each width of a sweep with the (rescaled)
-// counterexamples earlier widths produced.
+// counterexamples earlier widths produced, and the Souper and Minotaur
+// baselines to run their test-vector filter, so a filter kill reads as
+// KillTier TierPool.
 func (c *Checker) Seed(vecs []PoolVector) {
 	c.seeds = append(c.seeds, vecs...)
 }
@@ -307,10 +309,9 @@ func (c *Checker) windowKey() uint64 {
 // and the random phases to tier 2. Both run lane-batched through the same
 // fill, run and in-order scan, so the first violating vector, Checked and
 // the counterexample are identical to ReferenceVerify; only tier 0 can find
-// a violation earlier, and only when a previous candidate for the same
-// window already failed on that input. Any violation deposits its vector
-// into Options.Pool. Verify may be called repeatedly (e.g. with the checker
-// reused across CEGIS rounds).
+// a violation earlier, and only on a pooled or seeded vector. Any violation
+// deposits its vector into Options.Pool. Verify may be called repeatedly
+// (e.g. with the checker reused across CEGIS rounds).
 func (c *Checker) Verify() Result {
 	if c.sigErr != "" {
 		return Result{Verdict: Unsupported, Err: c.sigErr}
@@ -459,8 +460,8 @@ func (c *Checker) runBatch(n, tier int, res *Result) (int, *CounterExample) {
 	if len(c.ptrParams) > 0 {
 		srcMems, tgtMems = c.srcBM.Mems, c.tgtBM.Mems
 	}
-	c.se.RunBatchFilled(n, srcMems)
-	c.te.RunBatchFilled(n, tgtMems)
+	c.se.RunBatchFilled(n, srcMems, 0)
+	c.te.RunBatchFilled(n, tgtMems, 0)
 	sm, tm := c.se.Masks(), c.te.Masks()
 	live := sm.Returned &^ tm.OutOfBudget // the source returned, the target finished
 	bad := live & tm.UB
@@ -697,7 +698,7 @@ func memDiff(srcMem, tgtMem *interp.Memory) string {
 // (or share an Options.Programs cache) instead of paying NewChecker per call.
 func Verify(src, tgt *ir.Func, opts Options) Result {
 	c := NewChecker(src, tgt, opts)
-	defer c.release()
+	defer c.Release()
 	return c.Verify()
 }
 

@@ -6,8 +6,9 @@ package alive
 // falsifying vector found during a campaign, keyed by the source window it
 // refuted a candidate for, and the Checker replays the window's pooled
 // vectors as verification tier 0 — killing repeat offenders after a handful
-// of executions instead of hundreds. Souper/Minotaur-style CEGIS loops
-// deposit and replay their counterexamples through the same pool.
+// of executions instead of hundreds. The Souper and Minotaur baselines use
+// no pool: they seed each candidate's checker with their own test vectors
+// (Checker.Seed), which tier 0 replays the same way.
 
 import (
 	"hash/fnv"
@@ -281,28 +282,6 @@ func hashVector(inputs []interp.RVal, mem [][]byte) uint64 {
 		h.Write(buf[8:])
 	}
 	return h.Sum64()
-}
-
-// CEFilterVector adapts a counterexample into a CEGIS test-vector filter
-// entry for superoptimizer loops (souper/minotaur): the refuting inputs
-// plus the source's output on them, recomputed through the caller's
-// compiled source evaluator. ok is false for poison-bearing inputs — they
-// stay useful in the verification pool but cannot filter, because the
-// source output is poison too. defined is false when the source run is UB,
-// incomplete or poison-valued; callers keep the vector but skip the output
-// comparison for it, mirroring their seeded test vectors.
-func CEFilterVector(ce *CounterExample, srcEval *interp.Evaluator) (args []interp.RVal, want interp.RVal, defined, ok bool) {
-	for _, in := range ce.Inputs {
-		if in.AnyPoison() {
-			return nil, interp.RVal{}, false, false
-		}
-	}
-	out := make([]interp.Result, 1)
-	srcEval.RunBatch([]interp.Env{{Args: ce.Inputs}}, out)
-	if r := out[0]; r.Completed && !r.UB && !r.Ret.AnyPoison() {
-		return ce.Inputs, r.Ret.Clone(), true, true
-	}
-	return ce.Inputs, interp.RVal{}, false, true
 }
 
 // RescaleVector adapts a pooled vector to a checker whose parameters may sit

@@ -57,15 +57,16 @@ var recycleCases = []struct {
 		loopSrc,
 		`define i8 @tgt(i8 %n) { %r = call i8 @llvm.umax.i8(i8 %n, i8 2) ret i8 %r }`,
 		func(t *testing.T, cache *interp.Cache, src, tgt *ir.Func) {
+			// n = 200..255 loops past the 40-step budget; n wraps to 0..7
+			// on the last lanes, which return.
 			ev := interp.NewEvaluator(cache.Program(src))
-			envs := make([]interp.Env, interp.BatchWidth)
-			out := make([]interp.Result, len(envs))
-			for b := range envs {
-				envs[b] = interp.Env{Args: []interp.RVal{interp.Scalar(ir.I8, uint64(200+b))}, MaxSteps: 40 + b}
+			col := ev.ArgColumn(0)
+			for b := range col {
+				col[b] = interp.Word{V: uint64(200+b) & 0xFF}
 			}
-			ev.RunBatch(envs, out)
-			if out[0].Completed {
-				t.Fatal("the dirtying batch did not exhaust its budget")
+			ev.RunBatchFilled(interp.BatchWidth, nil, 40)
+			if m := ev.Masks(); m.OutOfBudget&1 == 0 || m.Returned == 0 {
+				t.Fatalf("the dirtying batch did not mix budget exhaustion and returns: %+v", m)
 			}
 			ev.Release()
 		}},

@@ -39,7 +39,7 @@ func VerifyWidths(widths []int, opts Options, inst func(w int) (src, tgt *ir.Fun
 			}
 		}
 		r := c.Verify()
-		c.release()
+		c.Release()
 		if r.Verdict == Incorrect && r.CE != nil {
 			carry = append(carry, PoolVector{Inputs: r.CE.Inputs, Mem: r.CE.Memory})
 		}

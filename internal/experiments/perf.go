@@ -399,23 +399,30 @@ func BenchInterpExec(b *testing.B) {
 }
 
 // BenchInterpBatch executes one lane batch (interp.BatchWidth input
-// vectors) of the clamp window through a warm evaluator per op — divide
-// ns/op by interp.BatchWidth for the per-vector cost the verifier pays,
-// against interp_exec's tree-walking cost.
+// vectors) of the clamp window through a warm evaluator per op: it writes
+// the input column, runs the batch and reads the outcome masks and return
+// column, as the verifier does — divide ns/op by interp.BatchWidth for the
+// per-vector cost the verifier pays, against interp_exec's tree-walking
+// cost.
 func BenchInterpBatch(b *testing.B) {
 	perfFuncs()
 	ev := interp.NewEvaluator(interp.Compile(perfClampSrcF))
-	args := []interp.RVal{interp.Scalar(ir.I32, 1234)}
-	envs := make([]interp.Env, interp.BatchWidth)
-	for i := range envs {
-		envs[i] = interp.Env{Args: args}
+	col := ev.ArgColumn(0)
+	run := func() {
+		for i := range col {
+			col[i] = interp.Word{V: 1234}
+		}
+		ev.RunBatchFilled(interp.BatchWidth, nil, 0)
+		ret, _ := ev.RetColumn()
+		if ev.Masks().Returned != ^uint64(0) || ret[0].V != 255 {
+			b.Fatal("clamp batch did not return 255 on every lane")
+		}
 	}
-	out := make([]interp.Result, interp.BatchWidth)
-	ev.RunBatch(envs, out)
+	run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.RunBatch(envs, out)
+		run()
 	}
 }
 

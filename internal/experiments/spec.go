@@ -131,13 +131,11 @@ func RunFigure5(iters int) (*SpecReport, error) {
 	// program; run them through the compile-once evaluator instead of
 	// re-walking the tree per instruction.
 	run := func(f *ir.Func) (int, uint64, error) {
-		env := interp.Env{
-			Args:     []interp.RVal{interp.Scalar(ir.I64, uint64(iters))},
-			MaxSteps: 1 << 24,
-		}
-		out := make([]interp.Result, 1)
-		interp.NewEvaluator(interp.Compile(f)).RunBatch([]interp.Env{env}, out)
-		r := out[0]
+		ev := interp.NewEvaluator(interp.Compile(f))
+		defer ev.Release()
+		ev.ArgColumn(0)[0] = interp.Word{V: uint64(iters)}
+		ev.RunBatchFilled(1, nil, 1<<24)
+		r := ev.LaneResult(0)
 		if r.UB || !r.Completed {
 			return 0, 0, fmt.Errorf("program failed: ub=%v reason=%s", r.UB, r.UBReason)
 		}

@@ -24,14 +24,16 @@ func TestEvaluatorSteadyStateAllocs(t *testing.T) {
   ret i8 %5
 }`)
 	ev := NewEvaluator(Compile(f))
-	envs := []Env{{Args: []RVal{Scalar(ir.I32, 1234)}}}
-	out := make([]Result, 1)
-	ev.RunBatch(envs, out)
-	allocs := testing.AllocsPerRun(200, func() {
-		ev.RunBatch(envs, out)
-	})
+	col := ev.ArgColumn(0)
+	run := func() Result {
+		col[0] = Word{V: 1234}
+		ev.RunBatchFilled(1, nil, 0)
+		return ev.LaneResult(0)
+	}
+	run()
+	allocs := testing.AllocsPerRun(200, func() { run() })
 	if allocs != 0 {
-		t.Fatalf("steady-state one-vector RunBatch allocates %.1f times per execution, want 0", allocs)
+		t.Fatalf("steady-state one-vector run allocates %.1f times per execution, want 0", allocs)
 	}
 }
 
@@ -56,14 +58,14 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 			col[b] = Word{V: uint64(b*(i+3)) & 0xFFFF}
 		}
 	}
-	ev.RunBatchFilled(BatchWidth, nil)
+	ev.RunBatchFilled(BatchWidth, nil, 0)
 	for gi, ci := range ev.p.code {
 		if ci.in.Op == ir.OpCall && ev.bs.kinds[gi] != bkIntrinsic {
 			t.Fatalf("%s runs on batch kind %d, want the intrinsic kernel", ci.in, ev.bs.kinds[gi])
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		ev.RunBatchFilled(BatchWidth, nil)
+		ev.RunBatchFilled(BatchWidth, nil, 0)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state RunBatchFilled allocates %.1f times per batch, want 0", allocs)

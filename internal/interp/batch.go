@@ -1,21 +1,23 @@
 package interp
 
-// Lane-batched execution, the one compiled engine: RunBatch streams many
-// input vectors through one compiled Program, executing each instruction
-// across the whole batch before moving to the next. The batch dimension is
-// laid out structure-of-arrays in the evaluator's register arena (for the
-// dominant scalar registers every instruction's operands and results are
-// contiguous runs of BatchWidth words), so per-instruction dispatch is paid
-// once per batch instead of once per vector. Undefined behaviour, poison,
-// return values and step accounting are tracked per lane (= per input
-// vector) and are bit-identical to running Exec on each vector in isolation
-// — guarded by the randomized differential tests in batch_test.go.
+// Lane-batched execution, the one compiled engine: RunBatchFilled streams
+// up to BatchWidth input vectors through one compiled Program, executing
+// each instruction across the whole batch before moving to the next. The
+// batch dimension is laid out structure-of-arrays in the evaluator's
+// register arena (for the dominant scalar registers every instruction's
+// operands and results are contiguous runs of BatchWidth words), so
+// per-instruction dispatch is paid once per batch instead of once per
+// vector. Undefined behaviour, poison, return values and step accounting
+// are tracked per lane (= per input vector) and are bit-identical to
+// running Exec on each vector in isolation — guarded by the randomized
+// differential tests in batch_test.go.
 //
-// Outcomes are columns, not per-lane Results: a retiring lane sets its bit
-// in one of the three LaneMasks and records its step count (and, for UB,
-// its reason) in per-lane arrays; a returning lane's value is the lane's
-// run of the return column. Result structs are built only on request
-// (LaneResult), which RunBatch does for its callers.
+// There is one way in and one way out. Inputs are written straight into
+// the parameters' ArgColumn runs. Outcomes are columns, not per-lane
+// Results: a retiring lane sets its bit in one of the three LaneMasks and
+// records its step count (and, for UB, its reason) in per-lane arrays; a
+// returning lane's value is the lane's run of the return column. A Result
+// struct is built only on request (LaneResult).
 //
 // Two execution modes cover every program:
 //
@@ -36,15 +38,14 @@ package interp
 // registers before the consuming instruction runs.
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/ir"
 )
 
-// BatchWidth is the number of input vectors executed per batch chunk.
-// Callers may pass any number of environments to RunBatch; they are
-// processed in chunks of this size.
+// BatchWidth is the number of input vectors one RunBatchFilled call
+// executes at most: the lanes of the ArgColumn runs and of the outcome
+// columns. Callers with more vectors run them in batches of this size.
 const BatchWidth = 64
 
 // batchKind classifies one compiled instruction for the batch executor.
@@ -71,7 +72,7 @@ const (
 // kernels' inner loops index plain slices with no per-element dispatch.
 
 // batchState is the Evaluator's batch scratch: the structure-of-arrays
-// register arena plus per-lane liveness and budget tracking.
+// register arena plus per-lane liveness and step tracking.
 type batchState struct {
 	words  []Word      // register arena, BatchWidth vectors per register lane
 	kinds  []batchKind // the Program's (planBatch)
@@ -102,7 +103,6 @@ type batchState struct {
 	// Masked multi-block scheduler state (runBatchBlocks). Lane masks are
 	// uint64 bitsets, which BatchWidth = 64 fills exactly.
 	retAt   []int32  // per lane: code index of the ret taken
-	budget  []int    // per lane: step budget
 	prev    []int32  // per lane: predecessor block index (-1 at entry)
 	defs    []uint64 // per register: lanes holding a bound value
 	waiting []uint64 // per block: lanes parked on its entry
@@ -170,7 +170,6 @@ func (bs *batchState) bind(p *Program, emptyMem *Memory) {
 	}
 	if !p.straight {
 		bs.retAt = resize(bs.retAt, BatchWidth)
-		bs.budget = resize(bs.budget, BatchWidth)
 		bs.prev = resize(bs.prev, BatchWidth)
 		bs.defs = resize(bs.defs, len(p.regLanes))
 		bs.waiting = resize(bs.waiting, len(p.blocks))
@@ -316,35 +315,10 @@ func classifyBatch(p *Program, ci *cinstr) batchKind {
 	return bkGeneric
 }
 
-// RunBatch executes the program on every environment and writes one Result
-// per input into out (which must be at least as long as envs), built from
-// the outcome columns with LaneResult. Semantics per vector — values,
-// poison lanes, UB reasons, step accounting — are bit-identical to Exec on
-// each environment. The Ret values of the last chunk of BatchWidth vectors
-// alias the evaluator's batch scratch and are valid only until the next
-// run; clone to retain them.
-func (ev *Evaluator) RunBatch(envs []Env, out []Result) {
-	if len(out) < len(envs) {
-		panic("interp: RunBatch needs len(out) >= len(envs)")
-	}
-	for base := 0; base < len(envs); base += BatchWidth {
-		hi := base + BatchWidth
-		if hi > len(envs) {
-			hi = len(envs)
-		}
-		ev.runBatchChunk(envs[base:hi])
-		ev.fillResults(out[base:hi])
-		for b := base; b < hi && hi < len(envs); b++ {
-			out[b].Ret = out[b].Ret.Clone() // the next chunk reuses the arena
-		}
-	}
-}
-
 // ArgColumn returns the batch arena's input column for parameter i: vector
 // b's lanes occupy [b*L, (b+1)*L) of the returned run, the exact layout the
-// batch kernels read. Callers streaming many batches (the alive checker)
-// write inputs directly into the columns and execute with RunBatchFilled,
-// eliding the per-vector Env staging and scatter entirely.
+// batch kernels read. Callers write each run's inputs directly into the
+// columns and execute with RunBatchFilled.
 func (ev *Evaluator) ArgColumn(i int) []Word {
 	r := ev.p.paramReg[i]
 	L := int(ev.p.regLanes[r])
@@ -353,13 +327,18 @@ func (ev *Evaluator) ArgColumn(i int) []Word {
 }
 
 // RunBatchFilled executes the first n batch lanes against inputs the caller
-// already wrote into the ArgColumn runs, with default step budgets. mems
-// optionally carries one memory per lane (nil entries and a nil slice mean
-// no memory, as for an Env without Mem). Outcomes are read back through
-// Masks, RetColumn and LaneResult. n must be <= BatchWidth.
-func (ev *Evaluator) RunBatchFilled(n int, mems []*Memory) {
+// already wrote into the ArgColumn runs. mems optionally carries one memory
+// per lane (nil entries and a nil slice mean no memory, as for an Env
+// without Mem). maxSteps is every lane's step budget; 0 means the default,
+// as for Env.MaxSteps. Outcomes — values, poison lanes, UB reasons, step
+// accounting — are bit-identical to Exec on each lane's inputs and are read
+// back through Masks, RetColumn and LaneResult. n must be <= BatchWidth.
+func (ev *Evaluator) RunBatchFilled(n int, mems []*Memory, maxSteps int) {
 	if n > BatchWidth {
 		panic("interp: RunBatchFilled bounds")
+	}
+	if maxSteps == 0 {
+		maxSteps = defaultMaxSteps
 	}
 	bs := ev.bs
 	bs.out = LaneMasks{}
@@ -376,88 +355,19 @@ func (ev *Evaluator) RunBatchFilled(n int, mems []*Memory) {
 		}
 	}
 	if ev.p.straight {
-		ev.runBatchCore(n, nil, defaultMaxSteps, n)
+		ev.runBatchCore(n, maxSteps)
 	} else {
-		ev.runBatchBlocks(n, nil)
+		ev.runBatchBlocks(n, maxSteps)
 	}
 }
 
-// runBatchChunk executes one chunk of at most BatchWidth environments on the
-// lane-batched fast path.
-func (ev *Evaluator) runBatchChunk(envs []Env) {
+// runBatchCore is the straight-line execution loop: arguments are already
+// in the batch arena and bs.alive marks the B runnable lanes, each with a
+// budget of maxSteps steps.
+func (ev *Evaluator) runBatchCore(B, maxSteps int) {
 	p := ev.p
 	bs := ev.bs
-	bs.out = LaneMasks{}
-	B := len(envs)
-	live := 0
-	minMax := defaultMaxSteps
-	for b := 0; b < B; b++ {
-		if len(envs[b].Args) != len(p.fn.Params) {
-			bs.retireUB(b, fmt.Sprintf("argument count mismatch: have %d, want %d",
-				len(envs[b].Args), len(p.fn.Params)), 0)
-			continue
-		}
-		if ms := envs[b].MaxSteps; ms != 0 && ms < minMax {
-			minMax = ms
-		}
-		bs.alive[b] = true
-		live++
-	}
-
-	// Scatter the arguments into the batch arena, zero-padding short lanes.
-	// Scalar parameters (the dominant case) take the direct-store path.
-	allAlive := live == B
-	for i, r := range p.paramReg {
-		L := int(p.regLanes[r])
-		base := int(p.regOff[r]) * BatchWidth
-		if L == 1 {
-			run := bs.words[base : base+B : base+B]
-			for b := 0; b < B; b++ {
-				if !allAlive && !bs.alive[b] {
-					continue
-				}
-				if lanes := envs[b].Args[i].Lanes; len(lanes) > 0 {
-					run[b] = lanes[0]
-				} else {
-					run[b] = Word{}
-				}
-			}
-			continue
-		}
-		for b := 0; b < B; b++ {
-			if !allAlive && !bs.alive[b] {
-				continue
-			}
-			dst := bs.words[base+b*L : base+(b+1)*L : base+(b+1)*L]
-			n := copy(dst, envs[b].Args[i].Lanes)
-			for ; n < len(dst); n++ {
-				dst[n] = Word{}
-			}
-		}
-	}
-
-	if p.hasMem {
-		for b := 0; b < B; b++ {
-			if m := envs[b].Mem; m != nil {
-				bs.mems[b] = m
-			} else {
-				bs.mems[b] = ev.emptyMem
-			}
-		}
-	}
-	if p.straight {
-		ev.runBatchCore(B, envs, minMax, live)
-	} else {
-		ev.runBatchBlocks(B, envs)
-	}
-}
-
-// runBatchCore is the shared execution loop: arguments are already in the
-// batch arena and bs.alive/live describe the runnable lanes. envs is only
-// consulted for per-lane step budgets and may be nil (default budgets).
-func (ev *Evaluator) runBatchCore(B int, envs []Env, minMax, live int) {
-	p := ev.p
-	bs := ev.bs
+	live := B
 
 	// kill retires lane b with UB. Lanes retire at most once, and every
 	// retirement sets the lane's mask bit and step count, so the per-lane
@@ -472,25 +382,17 @@ func (ev *Evaluator) runBatchCore(B int, envs []Env, minMax, live int) {
 	for gi := 0; gi < len(p.code) && live > 0; gi++ {
 		ci := &p.code[gi]
 		step = gi + 1
-		if step > minMax {
+		if step > maxSteps {
+			// Lanes advance in lockstep, so every live lane runs out here.
 			for b := 0; b < B; b++ {
-				if !bs.alive[b] {
-					continue
-				}
-				ms := defaultMaxSteps
-				if envs != nil && envs[b].MaxSteps != 0 {
-					ms = envs[b].MaxSteps
-				}
-				if step > ms {
+				if bs.alive[b] {
 					bs.steps[b] = step
 					bs.out.OutOfBudget |= 1 << uint(b)
 					bs.alive[b] = false
-					live--
 				}
 			}
-			if live == 0 {
-				break
-			}
+			live = 0
+			break
 		}
 		// In straight-line programs every register read is bound, so the
 		// only runtime checks guard operands that always fault: the first
@@ -600,11 +502,10 @@ func lanesBelow(n int) uint64 {
 // lowest-numbered block with parked lanes: forward branches reconverge
 // naturally (both arms of a diamond run before their join block) and back
 // edges re-run loop bodies until every lane has exited. Per-lane step
-// counts, budgets, defined-register masks and predecessor blocks keep the
+// counts, defined-register masks and predecessor blocks keep the
 // semantics — including UB reasons and DynInstrs — bit-identical to running
-// Exec per vector. envs is only consulted for per-lane step budgets and may
-// be nil (default budgets).
-func (ev *Evaluator) runBatchBlocks(B int, envs []Env) {
+// Exec per vector. Every lane's step budget is maxSteps.
+func (ev *Evaluator) runBatchBlocks(B, maxSteps int) {
 	p := ev.p
 	bs := ev.bs
 
@@ -612,10 +513,6 @@ func (ev *Evaluator) runBatchBlocks(B int, envs []Env) {
 	for b := 0; b < B; b++ {
 		bs.steps[b] = 0
 		bs.prev[b] = -1
-		bs.budget[b] = defaultMaxSteps
-		if envs != nil && envs[b].MaxSteps != 0 {
-			bs.budget[b] = envs[b].MaxSteps
-		}
 		if bs.alive[b] {
 			entry |= 1 << uint(b)
 		}
@@ -632,7 +529,7 @@ func (ev *Evaluator) runBatchBlocks(B int, envs []Env) {
 		waiting[i] = 0
 	}
 	waiting[0] = entry
-	steps, budget, prev := bs.steps, bs.budget, bs.prev
+	steps, prev := bs.steps, bs.prev
 
 	// wave is the lane mask currently executing; kill retires one lane of
 	// it with UB at its own step count.
@@ -694,7 +591,7 @@ func (ev *Evaluator) runBatchBlocks(B int, envs []Env) {
 			for m := wave; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
 				steps[b]++
-				if steps[b] > budget[b] {
+				if steps[b] > maxSteps {
 					bs.out.OutOfBudget |= 1 << uint(b)
 					bs.alive[b] = false
 					wave &^= 1 << uint(b)

@@ -51,11 +51,43 @@ func batchEnvs(f *ir.Func, vectors [][]RVal, maxSteps int) []Env {
 	return envs
 }
 
+// runColumns executes envs through the column API, the engine's one way in
+// and out: each batch of up to BatchWidth vectors is written into the
+// ArgColumn runs (short lanes zero-padded), run by RunBatchFilled on the
+// envs' memories with a step budget of maxSteps, and read back with
+// LaneResult. It returns one Result per env, its Ret cloned. Every env must
+// carry one argument per parameter.
+func runColumns(ev *Evaluator, envs []Env, maxSteps int) []Result {
+	out := make([]Result, len(envs))
+	mems := make([]*Memory, BatchWidth)
+	for base := 0; base < len(envs); base += BatchWidth {
+		batch := envs[base:min(base+BatchWidth, len(envs))]
+		for i := range ev.p.paramReg {
+			col := ev.ArgColumn(i)
+			L := len(col) / BatchWidth
+			for b, env := range batch {
+				n := copy(col[b*L:(b+1)*L], env.Args[i].Lanes)
+				clear(col[b*L+n : (b+1)*L])
+			}
+		}
+		for b, env := range batch {
+			mems[b] = env.Mem
+		}
+		ev.RunBatchFilled(len(batch), mems, maxSteps)
+		for b := range batch {
+			r := ev.LaneResult(b)
+			r.Ret = r.Ret.Clone() // the next batch reuses the arena
+			out[base+b] = r
+		}
+	}
+	return out
+}
+
 // TestRunBatchMatchesRunOnDiffCases drives every construct case — including
 // the multi-block, memory, vector and dynamic-vector-constant cases —
-// through RunBatch and requires bit-identical results to Exec on fresh
-// environments. More vectors than BatchWidth are used so chunking and
-// the cross-chunk Ret cloning are exercised.
+// through the batch engine and requires bit-identical results to Exec on
+// fresh environments. More vectors than BatchWidth are used so consecutive
+// batches reuse the arena.
 func TestRunBatchMatchesRunOnDiffCases(t *testing.T) {
 	for _, tc := range diffCases {
 		f, err := parser.ParseFunc(tc.src)
@@ -72,8 +104,7 @@ func TestRunBatchMatchesRunOnDiffCases(t *testing.T) {
 			}
 			vectors = append(vectors, diffArgs(f, rng, mask))
 		}
-		out := make([]Result, len(vectors))
-		ev.RunBatch(batchEnvs(f, vectors, 0), out)
+		out := runColumns(ev, batchEnvs(f, vectors, 0), 0)
 		ref := batchEnvs(f, vectors, 0)
 		for i := range vectors {
 			want := Exec(f, ref[i])
@@ -310,8 +341,7 @@ func TestRunBatchFuzzStraightLine(t *testing.T) {
 			vectors = append(vectors, fuzzVector(f, rng))
 		}
 		envs := batchEnvs(f, vectors, 0)
-		out := make([]Result, len(envs))
-		ev.RunBatch(envs, out)
+		out := runColumns(ev, envs, 0)
 		for i, env := range envs {
 			if diff := sameResult(Exec(f, env), out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
@@ -522,9 +552,9 @@ func genMemory(rng *rand.Rand) string {
 // TestRunBatchFuzzMultiBlock is the randomized differential of the masked
 // multi-block scheduler: generated branchy functions (diamonds, loops,
 // cross-block unbound uses, dynamic vector operands in phis and joins)
-// execute through Exec and RunBatch with mixed per-lane step budgets, and
-// every vector's values, poison, UB reason and per-lane DynInstrs must agree
-// bit for bit.
+// execute through Exec and the batch engine under mixed step budgets (one
+// batch run per budget), and every vector's values, poison, UB reason and
+// per-lane DynInstrs must agree bit for bit.
 func TestRunBatchFuzzMultiBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	nFuncs := 150
@@ -542,21 +572,27 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 		for k := 0; k < BatchWidth+9; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
 		}
-		budget := func(envs []Env) []Env {
-			for vi := range envs {
-				if vi%7 == 3 {
-					envs[vi].MaxSteps = 1 + vi%29
-				}
+		// Vectors 3, 10, 17, ... get small budgets of their own; the rest
+		// run under the default.
+		byBudget := map[int][][]RVal{}
+		var budgets []int
+		for vi, v := range vectors {
+			ms := 0
+			if vi%7 == 3 {
+				ms = 1 + vi%29
 			}
-			return envs
+			if byBudget[ms] == nil {
+				budgets = append(budgets, ms)
+			}
+			byBudget[ms] = append(byBudget[ms], v)
 		}
-		envs := budget(batchEnvs(f, vectors, 0))
-		refEnvs := budget(batchEnvs(f, vectors, 0))
-		out := make([]Result, len(envs))
-		ev.RunBatch(envs, out)
-		for i := range envs {
-			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
-				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
+		for _, ms := range budgets {
+			envs := batchEnvs(f, byBudget[ms], ms)
+			out := runColumns(ev, envs, ms)
+			for i, env := range envs {
+				if diff := sameResult(Exec(f, env), out[i]); diff != "" {
+					t.Fatalf("func %d budget %d vector %d: batch vs Exec: %s\n%s", fi, ms, i, diff, src)
+				}
 			}
 		}
 	}
@@ -564,7 +600,7 @@ func TestRunBatchFuzzMultiBlock(t *testing.T) {
 
 // TestRunBatchFuzzMemory is the randomized differential of per-lane batch
 // memories: generated load/store/GEP functions execute through Exec and
-// RunBatch on per-vector memories, and every
+// the batch engine on per-vector memories, and every
 // vector's results and final memory (data and poison shadows) must agree.
 func TestRunBatchFuzzMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -585,8 +621,7 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 		}
 		envs := batchEnvs(f, vectors, 0)
 		refEnvs := batchEnvs(f, vectors, 0)
-		out := make([]Result, len(envs))
-		ev.RunBatch(envs, out)
+		out := runColumns(ev, envs, 0)
 		for i := range envs {
 			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: batch vs Exec: %s\n%s", fi, i, diff, src)
@@ -598,23 +633,25 @@ func TestRunBatchFuzzMemory(t *testing.T) {
 	}
 }
 
-// TestRunBatchFilledMatchesRunBatch pins the zero-copy input path: writing
-// the argument columns directly and calling RunBatchFilled must equal
-// RunBatch over the same vectors.
-func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
+// TestRunBatchFilledMatchesExec pins the outcome columns of a partial
+// batch: after writing the argument columns and calling RunBatchFilled, the
+// three masks partition the run lanes, mark no lane past them, and agree
+// with Exec's outcome per vector, and a returning lane's value is its run
+// of the return column.
+func TestRunBatchFilledMatchesExec(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for fi := 0; fi < 25; fi++ {
 		f := parser.MustParseFunc(genStraightLine(rng))
-		p := Compile(f)
-		evA, evB := NewEvaluator(p), NewEvaluator(p)
+		evB := NewEvaluator(Compile(f))
 		n := 1 + rng.Intn(BatchWidth)
 		var vectors [][]RVal
 		for k := 0; k < n; k++ {
 			vectors = append(vectors, fuzzVector(f, rng))
 		}
-		envs := batchEnvs(f, vectors, 0)
 		outA := make([]Result, n)
-		evA.RunBatch(envs, outA)
+		for i, env := range batchEnvs(f, vectors, 0) {
+			outA[i] = Exec(f, env)
+		}
 		for i, prm := range f.Params {
 			col := evB.ArgColumn(i)
 			L := ir.Lanes(prm.Ty)
@@ -622,12 +659,12 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 				copy(col[b*L:(b+1)*L], vectors[b][i].Lanes)
 			}
 		}
-		evB.RunBatchFilled(n, nil)
+		evB.RunBatchFilled(n, nil, 0)
 		m := evB.Masks()
 		col, stride := evB.RetColumn()
 		for i := range outA {
 			if diff := sameResult(outA[i], evB.LaneResult(i)); diff != "" {
-				t.Fatalf("func %d vector %d: filled vs batch: %s", fi, i, diff)
+				t.Fatalf("func %d vector %d: filled vs Exec: %s", fi, i, diff)
 			}
 			// The masks partition the lanes, and a returning lane's value
 			// is its run of the return column.
@@ -663,10 +700,10 @@ func TestRunBatchFilledMatchesRunBatch(t *testing.T) {
 	}
 }
 
-// TestRunBatchBudgetAndArgc covers the per-lane bookkeeping edges: mixed
-// step budgets within one batch and argument-count mismatches on individual
-// lanes, both matching Exec exactly.
-func TestRunBatchBudgetAndArgc(t *testing.T) {
+// TestRunBatchStepBudgets covers the straight-line budget edge: runs on
+// one evaluator under the default budget and under budgets that end before,
+// at and after the ret match Exec exactly, DynInstrs included.
+func TestRunBatchStepBudgets(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) {
   %a = add i8 %x, 1
   %b = add i8 %a, 2
@@ -674,18 +711,10 @@ func TestRunBatchBudgetAndArgc(t *testing.T) {
   ret i8 %c
 }`)
 	ev := NewEvaluator(Compile(f))
-	envs := []Env{
-		{Args: []RVal{Scalar(ir.I8, 5)}},
-		{Args: []RVal{Scalar(ir.I8, 5)}, MaxSteps: 2},
-		{Args: []RVal{Scalar(ir.I8, 5)}, MaxSteps: 4},
-		{Args: []RVal{}},
-		{Args: []RVal{Scalar(ir.I8, 7), Scalar(ir.I8, 7)}},
-	}
-	out := make([]Result, len(envs))
-	ev.RunBatch(envs, out)
-	for i, env := range envs {
-		if diff := sameResult(Exec(f, env), out[i]); diff != "" {
-			t.Fatalf("env %d: %s", i, diff)
+	for _, ms := range []int{0, 2, 4, 1, 3, 5} {
+		env := Env{Args: []RVal{Scalar(ir.I8, 5)}, MaxSteps: ms}
+		if diff := sameResult(Exec(f, env), runColumns(ev, []Env{env}, ms)[0]); diff != "" {
+			t.Fatalf("budget %d: %s", ms, diff)
 		}
 	}
 }
@@ -718,13 +747,12 @@ func TestReleasedEvaluatorMatchesExec(t *testing.T) {
 		}
 		ev := NewEvaluator(p)
 		dirty, _ := batch(1 + fi%5)
-		ev.RunBatch(dirty, make([]Result, len(dirty)))
+		runColumns(ev, dirty, 1+fi%5)
 		ev.Release()
 
 		ev = NewEvaluator(p)
 		envs, refEnvs := batch(0)
-		out := make([]Result, len(envs))
-		ev.RunBatch(envs, out)
+		out := runColumns(ev, envs, 0)
 		for i := range envs {
 			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
 				t.Fatalf("func %d vector %d: recycled evaluator vs Exec: %s\n%s", fi, i, diff, src)
@@ -773,8 +801,7 @@ b:
 			vectors = append(vectors, args)
 		}
 		envs, refEnvs := batchEnvs(f, vectors, 0), batchEnvs(f, vectors, 0)
-		out := make([]Result, len(envs))
-		NewEvaluator(Compile(f)).RunBatch(envs, out)
+		out := runColumns(NewEvaluator(Compile(f)), envs, 0)
 		for i := range envs {
 			if diff := sameResult(Exec(f, refEnvs[i]), out[i]); diff != "" {
 				t.Fatalf("%s\nvector %d: batch vs Exec: %s", src, i, diff)

@@ -17,8 +17,6 @@ import (
 // Program is a function compiled for repeated execution. It is immutable
 // after Compile and may be shared by any number of Evaluators concurrently.
 type Program struct {
-	fn *ir.Func
-
 	regLanes []int32 // lanes per register
 	regOff   []int32 // arena word offset per register
 	arenaLen int     // total words across all registers
@@ -113,7 +111,7 @@ type cinstr struct {
 // would fault on at runtime are compiled into instructions that raise the
 // same UB when (and only when) an execution reaches them.
 func Compile(fn *ir.Func) *Program {
-	p := &Program{fn: fn}
+	p := &Program{}
 
 	// Pass 1: number parameters and instruction results into registers.
 	reg := make(map[ir.Value]int32)

@@ -163,7 +163,7 @@ use:
 }
 
 // runBoth executes f on equivalent fresh environments through Exec and a
-// compiled Evaluator's one-vector RunBatch and requires bit-identical
+// one-vector batch run of a compiled Evaluator and requires bit-identical
 // results.
 func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int, label string) {
 	t.Helper()
@@ -190,7 +190,7 @@ func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int,
 	}
 	e1, e2 := mkEnv(), mkEnv()
 	r1 := Exec(f, e1)
-	r2 := runOne(ev, e2)
+	r2 := runColumns(ev, []Env{e2}, maxSteps)[0]
 	if r1.UB != r2.UB || r1.UBReason != r2.UBReason ||
 		r1.Completed != r2.Completed || r1.DynInstrs != r2.DynInstrs {
 		t.Fatalf("%s: result mismatch\nexec:      %+v\nevaluator: %+v", label, r1, r2)
@@ -211,13 +211,6 @@ func runBoth(t *testing.T, f *ir.Func, ev *Evaluator, args []RVal, maxSteps int,
 			}
 		}
 	}
-}
-
-// runOne executes one environment through RunBatch.
-func runOne(ev *Evaluator, env Env) Result {
-	out := make([]Result, 1)
-	ev.RunBatch([]Env{env}, out)
-	return out[0]
 }
 
 func diffArgs(f *ir.Func, rng *rand.Rand, poisonMask int) []RVal {
@@ -293,17 +286,6 @@ done:
 	}
 }
 
-// TestCompiledEvaluatorArgMismatch checks the argument-count error path.
-func TestCompiledEvaluatorArgMismatch(t *testing.T) {
-	f := parser.MustParseFunc(`define i8 @f(i8 %x) { ret i8 %x }`)
-	ev := NewEvaluator(Compile(f))
-	r1 := Exec(f, Env{})
-	r2 := runOne(ev, Env{})
-	if r1.UBReason != r2.UBReason || !r1.UB || !r2.UB {
-		t.Fatalf("mismatch: %+v vs %+v", r1, r2)
-	}
-}
-
 // TestCompiledEvaluatorFallback covers a dynamic vector constant built
 // through the IR API: a constant vector referencing a parameter is resolved
 // dynamically by the reference interpreter and gathered per lane by the
@@ -318,7 +300,7 @@ func TestCompiledEvaluatorFallback(t *testing.T) {
 	ev := NewEvaluator(Compile(f))
 	args := []RVal{Scalar(ir.I8, 5), VecOf(vec, 1, 2)}
 	r1 := Exec(f, Env{Args: args})
-	r2 := runOne(ev, Env{Args: args})
+	r2 := runColumns(ev, []Env{{Args: args}}, 0)[0]
 	if diff := sameResult(r1, r2); diff != "" {
 		t.Fatalf("dynamic vector constant: %s", diff)
 	}
@@ -358,9 +340,11 @@ func TestCacheSharesPrograms(t *testing.T) {
 func TestEvaluatorRetLifetime(t *testing.T) {
 	f := parser.MustParseFunc(`define i8 @f(i8 %x) { %r = add i8 %x, 1 ret i8 %r }`)
 	ev := NewEvaluator(Compile(f))
-	r1 := runOne(ev, Env{Args: []RVal{Scalar(ir.I8, 1)}})
-	kept := r1.Ret.Clone()
-	_ = runOne(ev, Env{Args: []RVal{Scalar(ir.I8, 100)}})
+	ev.ArgColumn(0)[0] = Word{V: 1}
+	ev.RunBatchFilled(1, nil, 0)
+	kept := ev.LaneResult(0).Ret.Clone()
+	ev.ArgColumn(0)[0] = Word{V: 100}
+	ev.RunBatchFilled(1, nil, 0)
 	if kept.Lanes[0].V != 2 {
 		t.Fatalf("cloned return mutated: %v", kept.Lanes[0])
 	}

@@ -26,9 +26,9 @@ import (
 type Evaluator struct {
 	p *Program
 
-	// emptyMem substitutes for a nil Env.Mem. Loads and stores against an
-	// empty memory are always out of bounds and never mutate it, so one
-	// shared instance is safe across runs.
+	// emptyMem substitutes for an absent lane memory. Loads and stores
+	// against an empty memory are always out of bounds and never mutate it,
+	// so one shared instance is safe across runs.
 	emptyMem *Memory
 
 	bs *batchState // lane-batched execution state (batch.go)
@@ -86,22 +86,12 @@ func (ev *Evaluator) RetColumn() (col []Word, stride int) {
 // what Exec returns for that lane's vector. Its Ret aliases the return
 // column.
 func (ev *Evaluator) LaneResult(b int) Result {
-	var r Result
-	ev.laneResult(b, &r)
-	return r
-}
-
-// laneResult writes lane b's Result into *r (RunBatch fills its caller's
-// slice this way, without copying whole Results around).
-func (ev *Evaluator) laneResult(b int, r *Result) {
 	bs, bit := ev.bs, uint64(1)<<uint(b)
 	switch {
 	case bs.out.UB&bit != 0:
-		*r = Result{UB: true, UBReason: bs.why[b], Completed: true, DynInstrs: bs.steps[b]}
-		return
+		return Result{UB: true, UBReason: bs.why[b], Completed: true, DynInstrs: bs.steps[b]}
 	case bs.out.Returned&bit == 0:
-		*r = Result{DynInstrs: bs.steps[b]} // out of budget
-		return
+		return Result{DynInstrs: bs.steps[b]} // out of budget
 	}
 	var ty ir.Type
 	var lanes []Word
@@ -120,31 +110,5 @@ func (ev *Evaluator) laneResult(b int, r *Result) {
 			lanes = bs.retCol[lo:hi:hi]
 		}
 	}
-	*r = Result{Completed: true, DynInstrs: dyn, Ret: RVal{Ty: ty, Lanes: lanes}}
-}
-
-// fillResults writes the latest run's Results into out, one per lane. A
-// straight program whose lanes all returned — RunBatch's usual case — takes
-// a loop with the per-lane dispatch hoisted out.
-func (ev *Evaluator) fillResults(out []Result) {
-	bs := ev.bs
-	if !ev.p.straight || bs.out.Returned != lanesBelow(len(out)) {
-		for b := range out {
-			ev.laneResult(b, &out[b])
-		}
-		return
-	}
-	dyn, ty, L := int(bs.straightRet)+1, bs.straightTy, bs.retStride
-	for b := range out {
-		r := &out[b]
-		if r.UB || r.UBReason != "" {
-			r.UB, r.UBReason = false, ""
-		}
-		r.Completed, r.DynInstrs = true, dyn
-		if ty == nil {
-			r.Ret = RVal{}
-		} else {
-			r.Ret = RVal{Ty: ty, Lanes: bs.retCol[b*L : (b+1)*L : (b+1)*L]}
-		}
-	}
+	return Result{Completed: true, DynInstrs: dyn, Ret: RVal{Ty: ty, Lanes: lanes}}
 }

@@ -27,9 +27,10 @@ const defaultMaxSteps = 1 << 20
 // Exec runs fn on the given environment with the reference tree-walking
 // interpreter. It is the semantic baseline: Compile/Evaluator run the same
 // per-opcode kernels over a lane-batched register file and are checked
-// against Exec by differential tests. Use Exec for one-shot executions;
-// batch executors (the alive checker, the superoptimizer baselines) compile
-// once and stream inputs through an Evaluator instead.
+// against Exec by differential tests. Use Exec for one-shot executions,
+// such as the superoptimizer baselines' source outputs on their test
+// vectors; the alive checker compiles once and streams inputs through an
+// Evaluator instead.
 func Exec(fn *ir.Func, env Env) Result {
 	maxSteps := env.MaxSteps
 	if maxSteps == 0 {

@@ -313,6 +313,15 @@ loop:
 	}
 }
 
+// TestExecArgCountMismatch checks the argument-count error path: a call
+// with the wrong number of arguments is UB with a reason naming both counts.
+func TestExecArgCountMismatch(t *testing.T) {
+	r := run(t, `define i8 @f(i8 %x) { ret i8 %x }`, Env{})
+	if !r.UB || !r.Completed || r.UBReason != "argument count mismatch: have 0, want 1" {
+		t.Fatalf("got %+v", r)
+	}
+}
+
 func TestVectorOpsPerLane(t *testing.T) {
 	src := `define <4 x i32> @f(<4 x i32> %v) {
   %c = icmp slt <4 x i32> %v, zeroinitializer

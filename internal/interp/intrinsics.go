@@ -110,8 +110,8 @@ func (id intrinsic) minArgs() int {
 // intLane evaluates one lane of the integer intrinsic id at width w (mask =
 // ir.MaskW(w)). x, y, z are the lane's operands in order; for the flagged
 // intrinsics y is the i1 immediate (the zero Word when absent). Operands
-// id does not take are ignored. Exec, Run and RunBatch all evaluate integer
-// intrinsics through this one function.
+// id does not take are ignored. Exec and the batch engine both evaluate
+// integer intrinsics through this one function.
 func intLane(id intrinsic, w int, mask uint64, x, y, z Word) Word {
 	switch id {
 	case intrFshl, intrFshr:

@@ -52,7 +52,7 @@ func VecOf(ty ir.VecType, vals ...uint64) RVal {
 }
 
 // Clone returns a deep copy of v. Use it to retain values that alias an
-// Evaluator's scratch storage beyond its next Run.
+// Evaluator's scratch storage beyond its next run.
 func (v RVal) Clone() RVal {
 	if v.Lanes == nil {
 		return v

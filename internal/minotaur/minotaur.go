@@ -81,24 +81,15 @@ func Optimize(src *ir.Func, opts Options) Result {
 		}
 		vectors = append(vectors, args)
 	}
-	// Compile once per function; the cache is shared with the final
-	// refinement checks so src never recompiles. The counterexample pool
-	// replays refuting inputs against every later candidate (tier 0).
+	// Each candidate that passes the size check gets a checker seeded with
+	// the filter — the test vectors on which src returns a poison-free
+	// value — and every function compiles once through progs. CEGIS: a
+	// counterexample joins the filter for every later candidate.
 	progs := interp.NewCache()
-	pool := alive.NewCEPool()
-	want := make([]interp.RVal, len(vectors))
-	defined := make([]bool, len(vectors))
-	srcEval := interp.NewEvaluator(progs.Program(src))
-	envs := make([]interp.Env, len(vectors))
-	for i, v := range vectors {
-		envs[i] = interp.Env{Args: v}
-	}
-	out := make([]interp.Result, len(envs))
-	srcEval.RunBatch(envs, out)
-	for i, r := range out {
-		if r.Completed && !r.UB && !r.Ret.AnyPoison() {
-			want[i] = r.Ret.Clone()
-			defined[i] = true
+	var filter []alive.PoolVector
+	for _, v := range vectors {
+		if r := interp.Exec(src, interp.Env{Args: v}); r.Completed && !r.UB && !r.Ret.AnyPoison() {
+			filter = append(filter, alive.PoolVector{Inputs: v})
 		}
 	}
 	srcInstrs := src.NumInstrs(true)
@@ -108,30 +99,17 @@ func Optimize(src *ir.Func, opts Options) Result {
 		if cand.NumInstrs(true) >= srcInstrs {
 			return false
 		}
-		interp.NewEvaluator(progs.Program(cand)).RunBatch(envs, out)
-		for i, r := range out {
-			if !defined[i] {
-				continue
-			}
-			if !r.Completed || r.UB || !r.Ret.Equal(want[i]) {
-				return false
-			}
-		}
-		v := alive.Verify(src, cand, alive.Options{Samples: 1024, Seed: opts.Seed,
-			Programs: progs, Pool: pool})
+		c := alive.NewChecker(src, cand, alive.Options{Samples: 1024, Seed: opts.Seed, Programs: progs})
+		c.Seed(filter)
+		v := c.Verify()
+		c.Release()
 		if v.Verdict == alive.Correct {
 			res.Found = true
 			res.Candidate = cand
 			return true
 		}
-		if v.Verdict == alive.Incorrect && v.CE != nil {
-			// CEGIS: the refuting input joins the test-vector filter.
-			if args, w, def, ok := alive.CEFilterVector(v.CE, srcEval); ok {
-				envs = append(envs, interp.Env{Args: args})
-				out = append(out, interp.Result{})
-				want = append(want, w)
-				defined = append(defined, def)
-			}
+		if v.Verdict == alive.Incorrect && v.Tiers.KillTier != alive.TierPool && filterable(v.CE) {
+			filter = append(filter, alive.PoolVector{Inputs: v.CE.Inputs})
 		}
 		return false
 	}
@@ -197,6 +175,21 @@ func supported(f *ir.Func) (string, bool) {
 		}
 	}
 	return "", true
+}
+
+// filterable reports whether a counterexample can join the test-vector
+// filter: its inputs and the source's output on them must be poison-free,
+// and the source must be defined there.
+func filterable(ce *alive.CounterExample) bool {
+	if ce.SrcUB || ce.SrcRet.AnyPoison() {
+		return false
+	}
+	for _, in := range ce.Inputs {
+		if in.AnyPoison() {
+			return false
+		}
+	}
+	return true
 }
 
 func randomVal(ty ir.Type, rng *rand.Rand) interp.RVal {

@@ -88,33 +88,24 @@ func Optimize(src *ir.Func, opts Options) Result {
 		widthFactor = 1
 	}
 
-	// The run's hot loop executes src once and every candidate many times:
-	// compile each function once (the hash-keyed cache also collapses
-	// structurally repeated candidates across enumeration levels) and reuse
-	// the same cache for the final refinement check. The counterexample
-	// pool makes the loop properly CEGIS: an input that refuted one
-	// candidate is replayed (verification tier 0) against every later one.
+	// The source's outputs on the test vectors seed constant inference, and
+	// the vectors it returns a poison-free value on form the filter. Each
+	// candidate that passes the cost check gets a checker seeded with the
+	// filter, which tier 0 replays before the sampled sequence; every
+	// function compiles once through progs (the hash-keyed cache also
+	// collapses structurally repeated candidates across enumeration
+	// levels). A counterexample joins the filter, which makes the loop
+	// properly CEGIS: later candidates with the same bug die in the filter.
 	progs := interp.NewCache()
-	pool := alive.NewCEPool()
-	vectors := testVectors(src, opts)
-	want := make([]interp.RVal, len(vectors))
-	defined := make([]bool, len(vectors))
-	anyDefined := false
-	srcEval := interp.NewEvaluator(progs.Program(src))
-	envs := make([]interp.Env, len(vectors))
-	for i, v := range vectors {
-		envs[i] = interp.Env{Args: v}
-	}
-	out := make([]interp.Result, len(envs))
-	srcEval.RunBatch(envs, out)
-	for i, r := range out {
-		if r.Completed && !r.UB && !r.Ret.AnyPoison() {
-			want[i] = r.Ret.Clone()
-			defined[i] = true
-			anyDefined = true
+	var outs []interp.RVal
+	var filter []alive.PoolVector
+	for _, v := range testVectors(src, opts) {
+		if r := interp.Exec(src, interp.Env{Args: v}); r.Completed && !r.UB && !r.Ret.AnyPoison() {
+			outs = append(outs, r.Ret)
+			filter = append(filter, alive.PoolVector{Inputs: v})
 		}
 	}
-	if !anyDefined {
+	if len(filter) == 0 {
 		return res
 	}
 	srcCost := windowCost(src)
@@ -124,40 +115,29 @@ func Optimize(src *ir.Func, opts Options) Result {
 		if windowCost(cand) >= srcCost {
 			return false
 		}
-		interp.NewEvaluator(progs.Program(cand)).RunBatch(envs, out)
-		for i, r := range out {
-			if !defined[i] {
-				continue
-			}
-			if !r.Completed || r.UB || !r.Ret.Equal(want[i]) {
-				return false
-			}
+		c := alive.NewChecker(src, cand, alive.Options{Samples: 1024, Seed: opts.Seed, Programs: progs})
+		c.Seed(filter)
+		v := c.Verify()
+		c.Release()
+		if v.Tiers.KillTier == alive.TierPool {
+			return false // refuted by the filter
 		}
-		// Survivor: full verification.
+		// Survivor of the filter: full verification.
 		res.VirtualSeconds += verifyCostPerB * float64(inputBytes)
-		v := alive.Verify(src, cand, alive.Options{Samples: 1024, Seed: opts.Seed,
-			Programs: progs, Pool: pool})
 		if v.Verdict == alive.Correct {
 			res.Found = true
 			res.Candidate = cand
 			return true
 		}
-		if v.Verdict == alive.Incorrect && v.CE != nil {
-			// Fold the falsifying input into the test-vector filter so later
-			// candidates with the same bug die before full verification.
-			if args, w, def, ok := alive.CEFilterVector(v.CE, srcEval); ok {
-				envs = append(envs, interp.Env{Args: args})
-				out = append(out, interp.Result{})
-				want = append(want, w)
-				defined = append(defined, def)
-			}
+		if v.Verdict == alive.Incorrect && filterable(v.CE) {
+			filter = append(filter, alive.PoolVector{Inputs: v.CE.Inputs})
 		}
 		return false
 	}
 
 	if opts.Enum <= 0 {
 		// Default mode: constant inference from the test vectors only.
-		if c, ok := inferConstant(src, want, defined); ok {
+		if c, ok := inferConstant(src, outs); ok {
 			tryCandidate(c)
 		}
 		return res
@@ -177,7 +157,7 @@ func Optimize(src *ir.Func, opts Options) Result {
 		return res
 	}
 	// Constant inference still runs (it is part of every strategy).
-	if c, ok := inferConstant(src, want, defined); ok {
+	if c, ok := inferConstant(src, outs); ok {
 		if tryCandidate(c) {
 			return res
 		}
@@ -305,29 +285,34 @@ func testVectors(f *ir.Func, opts Options) [][]interp.RVal {
 	return out
 }
 
-// inferConstant returns a ret-constant candidate when all defined test
-// vectors produced the same value.
-func inferConstant(src *ir.Func, want []interp.RVal, defined []bool) (*ir.Func, bool) {
-	var first *interp.RVal
-	for i := range want {
-		if !defined[i] {
-			continue
-		}
-		if first == nil {
-			w := want[i]
-			first = &w
-		} else if !first.Equal(want[i]) {
-			return nil, false
+// filterable reports whether a counterexample can join the test-vector
+// filter: its inputs and the source's output on them must be poison-free,
+// and the source must be defined there.
+func filterable(ce *alive.CounterExample) bool {
+	if ce.SrcUB || ce.SrcRet.AnyPoison() {
+		return false
+	}
+	for _, in := range ce.Inputs {
+		if in.AnyPoison() {
+			return false
 		}
 	}
-	if first == nil {
-		return nil, false
+	return true
+}
+
+// inferConstant returns a ret-constant candidate when the source produced
+// the same value on every test vector it is defined on (outs, non-empty).
+func inferConstant(src *ir.Func, outs []interp.RVal) (*ir.Func, bool) {
+	for _, o := range outs[1:] {
+		if !o.Equal(outs[0]) {
+			return nil, false
+		}
 	}
 	it, ok := src.Ret.(ir.IntType)
 	if !ok {
 		return nil, false
 	}
-	c := &ir.ConstInt{Ty: it, V: first.Lanes[0].V & ir.MaskW(it.W)}
+	c := &ir.ConstInt{Ty: it, V: outs[0].Lanes[0].V & ir.MaskW(it.W)}
 	return leafFunc(src, c), true
 }
 
