@@ -120,12 +120,12 @@
 // runs on the batch engine, with no per-vector fallback.
 // interp.Cache memoizes Programs by structural hash: the engine installs
 // one cache per campaign shared by its verify stage and the generalize
-// width sweeps, and the Souper/Minotaur CEGIS loops reuse compiled
-// candidates across their filtering vectors and final checks.
+// width sweeps, and a Souper/Minotaur run shares one across the checkers it
+// builds for its candidates, so the source compiles once per run.
 //
 // On top of the compile-once split, execution is lane-batched:
-// Evaluator.RunBatch streams up to interp.BatchWidth input vectors through a
-// program at once, instruction by instruction, over a structure-of-arrays
+// Evaluator.RunBatchFilled streams up to interp.BatchWidth input vectors
+// through a program at once, instruction by instruction, over a structure-of-arrays
 // batch arena in which every scalar register's operands and results are
 // contiguous runs of words. The per-instruction dispatch that dominates
 // single-vector execution is paid once per batch, the hot scalar kernels
@@ -145,17 +145,19 @@
 // carved into BatchWidth isolated Memory views at identical base
 // addresses, so loads and stores index lane-local storage with no
 // cross-lane interference and a lane's final memory can be diffed or reset
-// (ResetLane) independently. Streaming callers write inputs straight into
-// the evaluator's ArgColumn runs and execute with RunBatchFilled, eliding
-// staging and scatter entirely. A run reports its outcome as columns, not
+// (ResetLane) independently. The engine has one way in and one way out.
+// Callers write inputs straight into the evaluator's ArgColumn runs and
+// execute with RunBatchFilled, which takes one step budget for the run
+// (Figure 5's looped programs pass 1<<24). A run reports its outcome as
+// columns, not
 // as one interp.Result per lane: Evaluator.Masks gives three uint64 lane
 // masks (returned, UB, out of budget), RetColumn the return values side by
 // side — for a straight program a view of the returned register or
 // constant, for a multi-block one a column every ret writes its lanes
 // into — and the UB reason and step count of each retired lane stay in
 // evaluator-owned arrays until LaneResult builds one lane's full Result on
-// demand. RunBatch fills its caller's []Result from those same columns, so
-// the Exec-vs-RunBatch differential tests pin the one engine. Released
+// demand. The Exec-vs-batch differential tests drive this same column API
+// through one helper, so they pin the one engine. Released
 // evaluators go to one sync.Pool, and NewEvaluator lays a recycled one out
 // for its Program, reusing its arena, operand views and constant columns;
 // what a Program fixes for every evaluator (each instruction's batch
@@ -189,10 +191,10 @@
 // source's does not refine (a tight poison-then-value loop for scalar
 // integers, the NaN-aware lane rule for vector and FP returns) or a
 // memory diff; only a violation builds Results, through LaneResult, and
-// clones them into the counterexample. The one-shot alive.Verify and
-// alive.VerifyWidths return their checker's batch buffers to a sync.Pool
-// and its evaluators to their Programs when they finish, so a warm
-// Verify allocates no batch arena.
+// clones them into the counterexample. Checker.Release returns a checker's
+// batch buffers to a sync.Pool and its evaluators to their Programs; the
+// one-shot alive.Verify and alive.VerifyWidths release theirs when they
+// finish, so a warm Verify allocates no batch arena.
 // The input generator emits columnwise (inputGen.nextBatch binds each
 // output vector to a different ArgColumn slot before drawing it, keeping
 // the vector-major rng draw order that same-seed reproducibility pins).
@@ -214,9 +216,12 @@
 // alive.VerifyWidths reseeds each width of a sweep with earlier widths'
 // counterexamples rescaled to the new width; the engine installs one CEPool
 // per campaign beside its program cache (Snapshot.TierKills aggregates the
-// kills), and the Souper/Minotaur CEGIS loops deposit and replay through
-// the same pool while folding refuting inputs into their test-vector
-// filters. On one core this makes the clamp verification ~3x and the
+// kills). The Souper/Minotaur CEGIS loops use no pool: each candidate's
+// checker is seeded (Checker.Seed) with the run's test-vector filter — the
+// test vectors on which the source, run through Exec, returns a poison-free
+// value, plus every poison-free counterexample of a defined source — so a
+// filter kill reads as KillTier pool, and Souper charges it no
+// verification cost. On one core this makes the clamp verification ~3x and the
 // generalize width sweep ~3.6x faster than the PR-4 reference.
 //
 // In a learning campaign nearly every verified vector belongs to the i8
@@ -239,7 +244,8 @@
 // verify_widths, interp_exec, interp_batch,
 // opt_dispatch_all_rules and opt_run_o3 (mirrored by the root-level
 // BenchmarkVerify*/BenchmarkInterp* benchmarks; interp_batch measures one
-// whole BatchWidth-vector batch per op, verify_multiblock/verify_memory
+// whole BatchWidth-vector batch per op — writing the input column, running
+// it and reading the masks and return column, as the verifier does — verify_multiblock/verify_memory
 // exercise the masked scheduler and the per-lane slabs on a reused
 // checker) — "tier_kills", the {pool, special, random} kill counters of a
 // fixed refute-twice-then-verify script that makes counterexample sharing
