@@ -237,8 +237,9 @@ type Checker struct {
 	ptrSave          [][interp.BatchWidth]interp.Word // per ptr param: raw input pointer words, per slot
 }
 
-// checkerPool recycles released Checkers. Like every sync.Pool it drops idle entries across garbage
-// collections, so recycled scratch is never retained for long.
+// checkerPool recycles released Checkers. Like every sync.Pool it drops
+// idle entries across garbage collections, so recycled scratch is never
+// retained for long.
 var checkerPool = sync.Pool{New: func() any { return new(Checker) }}
 
 // NewChecker compiles src and tgt (through opts.Programs when set) and
