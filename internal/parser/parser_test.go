@@ -186,20 +186,23 @@ func TestUseOfUndefinedValue(t *testing.T) {
 	}
 }
 
+// parseErrorCases are malformed functions and a fragment of the diagnostic
+// each must produce.
+var parseErrorCases = []struct {
+	name, src, want string
+}{
+	{"bad type", "define wat @f() {\n ret void\n}", "expected type"},
+	{"missing paren", "define void @f( {\n ret void\n}", "expected type"},
+	{"bad predicate", "define i1 @f(i32 %x) {\n %c = icmp wat i32 %x, 0\n ret i1 %c\n}", "expected icmp predicate"},
+	{"store with name", "define void @f(i32 %x, ptr %p) {\n %s = store i32 %x, ptr %p\n ret void\n}", "produces no result"},
+	{"trunc widen", "define i64 @f(i32 %x) {\n %t = trunc i32 %x to i64\n ret i64 %t\n}", "trunc must narrow"},
+	{"vector arity", "define <2 x i32> @f() {\n ret <2 x i32> <i32 1, i32 2, i32 3>\n}", "3 elements"},
+	{"ret type mismatch", "define i64 @f(i32 %x) {\n ret i32 %x\n}", "does not match function return type"},
+	{"shufflevector scalar", "define i8 @f(i8 %x) {\n %s = shufflevector i8 %x, i8 %x, <2 x i32> <i32 0, i32 0>\n ret i8 %x\n}", "shufflevector operands must be vectors"},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"bad type", "define wat @f() {\n ret void\n}", "expected type"},
-		{"missing paren", "define void @f( {\n ret void\n}", "expected type"},
-		{"bad predicate", "define i1 @f(i32 %x) {\n %c = icmp wat i32 %x, 0\n ret i1 %c\n}", "expected icmp predicate"},
-		{"store with name", "define void @f(i32 %x, ptr %p) {\n %s = store i32 %x, ptr %p\n ret void\n}", "produces no result"},
-		{"trunc widen", "define i64 @f(i32 %x) {\n %t = trunc i32 %x to i64\n ret i64 %t\n}", "trunc must narrow"},
-		{"vector arity", "define <2 x i32> @f() {\n ret <2 x i32> <i32 1, i32 2, i32 3>\n}", "3 elements"},
-		{"ret type mismatch", "define i64 @f(i32 %x) {\n ret i32 %x\n}", "does not match function return type"},
-		{"shufflevector scalar", "define i8 @f(i8 %x) {\n %s = shufflevector i8 %x, i8 %x, <2 x i32> <i32 0, i32 0>\n ret i8 %x\n}", "shufflevector operands must be vectors"},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseFunc(tc.src)
 			if err == nil {
