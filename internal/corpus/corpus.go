@@ -56,6 +56,8 @@ func (o Options) withDefaults() Options {
 // Generate builds the 14-project corpus. Planted pattern prevalence follows
 // the shape of the paper's Table 5: the clamp (143636) and absorption
 // (163108) families appear in many projects, the niche families in few.
+// Functions drawn from one template or finding share its body, so every
+// generated function is read-only.
 func Generate(opts Options) []*Project {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(int64(opts.Seed) ^ 0xc0de))
@@ -92,17 +94,17 @@ func Generate(opts Options) []*Project {
 			// module (round-robin), so patch-impact scans always see it.
 			for fidx := moduleIdx; fidx < len(findings); fidx += totalModules {
 				fnCounter++
-				m.Funcs = append(m.Funcs, plantedFunc(findings[fidx], fnCounter))
+				m.Funcs = append(m.Funcs, plantedFunc(findings, fidx, fnCounter))
 			}
 			moduleIdx++
 			// Random extra plants, weighted by Table 5 prevalence.
 			if rng.Float64() < opts.PlantRate {
 				n := 1 + rng.Intn(3)
 				for k := 0; k < n; k++ {
-					f := findings[(pi*31+mi*7+k*13+rng.Intn(len(findings)))%len(findings)]
-					for w := 0; w < weight(f.IssueID); w++ {
+					fidx := (pi*31 + mi*7 + k*13 + rng.Intn(len(findings))) % len(findings)
+					for w := 0; w < weight(findings[fidx].IssueID); w++ {
 						fnCounter++
-						m.Funcs = append(m.Funcs, plantedFunc(f, fnCounter))
+						m.Funcs = append(m.Funcs, plantedFunc(findings, fidx, fnCounter))
 					}
 				}
 			}
@@ -113,11 +115,30 @@ func Generate(opts Options) []*Project {
 	return projects
 }
 
-// plantedFunc embeds a finding's source pattern as a module function.
-func plantedFunc(f *benchdata.Finding, id int) *ir.Func {
-	fn := parser.MustParseFunc(f.Pair.Src)
-	fn.Name = fmt.Sprintf("planted_%s_%d", f.IssueID, id)
-	return fn
+// plantShapes holds every finding's source pattern, parsed once and
+// indexed like benchdata.RQ2Findings.
+var (
+	plantOnce   sync.Once
+	plantShapes []*ir.Func
+)
+
+// plantedFunc embeds the source pattern of findings[i] as a module function.
+func plantedFunc(findings []*benchdata.Finding, i, id int) *ir.Func {
+	plantOnce.Do(func() {
+		for _, f := range benchdata.RQ2Findings() {
+			plantShapes = append(plantShapes, parser.MustParseFunc(f.Pair.Src))
+		}
+	})
+	return shareBody(plantShapes[i], fmt.Sprintf("planted_%s_%d", findings[i].IssueID, id))
+}
+
+// shareBody returns a function named name with t's signature and body.
+// Corpus functions share their parameters and blocks with the template they
+// come from, so they are read-only: a consumer that rewrites one must clone
+// it first (extract.WrapAsFunc copies the instructions it wraps, and
+// opt.Run never mutates its input).
+func shareBody(t *ir.Func, name string) *ir.Func {
+	return &ir.Func{Name: name, Ret: t.Ret, Params: t.Params, Blocks: t.Blocks}
 }
 
 // fillerOps are the canonical straight-line operations filler code uses.
@@ -139,8 +160,8 @@ var (
 	fillerShapes [fillerTemplates]*ir.Func
 )
 
-// fillerFunc returns a copy of a randomly drawn filler template, named for
-// id. Filler is valid, mostly-canonical straight-line code; some is further
+// fillerFunc returns a randomly drawn filler template, sharing its body
+// (see shareBody) and named for id. Filler is valid, mostly-canonical straight-line code; some is further
 // optimizable — exactly like real corpus code — and gets filtered by the
 // extractor.
 func fillerFunc(outer *rand.Rand, id int) *ir.Func {
@@ -149,9 +170,7 @@ func fillerFunc(outer *rand.Rand, id int) *ir.Func {
 			fillerShapes[t] = fillerTemplate(t)
 		}
 	})
-	f := ir.CloneFunc(fillerShapes[outer.Intn(fillerTemplates)])
-	f.Name = fmt.Sprintf("filler_%d", id)
-	return f
+	return shareBody(fillerShapes[outer.Intn(fillerTemplates)], fmt.Sprintf("filler_%d", id))
 }
 
 // fillerTemplate builds filler template number template.

@@ -33,8 +33,7 @@ func BenchmarkRewriteDispatch(b *testing.B) {
 	f := parser.MustParseFunc(dispatchSrc)
 	all := AllRuleNames()
 	rs := NewRuleSet(Options{Patches: all})
-	tr := &transform{fn: f, rs: rs, hits: make(map[string]int)}
-	tr.seedNames()
+	tr := &transform{src: f, fn: f, rs: rs, hits: make(map[string]int)}
 	instrs := f.Instrs()
 
 	b.Run("opcode-index", func(b *testing.B) {

@@ -56,65 +56,124 @@ type RunStats struct {
 	RuleHits map[string]int
 }
 
-// RunO3 optimizes a clone of f with the default baseline pipeline.
+// RunO3 runs the default baseline pipeline on f; see Run.
 func RunO3(f *ir.Func) *ir.Func { return Run(f, Options{}) }
 
-// Run optimizes a clone of f according to opts and returns the result.
-// The input function is never mutated.
+// Run optimizes f according to opts and returns the result. The input is
+// never mutated; the result may be the input itself, when no rewrite
+// applies, so a caller that edits the result must clone it first.
 func Run(f *ir.Func, opts Options) *ir.Func {
 	g, _ := RunWithStats(f, opts)
 	return g
 }
 
-// RunWithStats is Run plus per-rule attribution for the run.
+// RunWithStats is Run plus per-rule attribution for the run. It first
+// probes, without writing, whether the first sweep would change anything;
+// most functions it sees are already optimal, and for those it returns f
+// itself with the stats a full run reports (one iteration, no hits).
+// Otherwise it optimizes a clone.
 func RunWithStats(f *ir.Func, opts Options) (*ir.Func, RunStats) {
-	maxIters := opts.MaxIters
-	if maxIters == 0 {
-		maxIters = 25
+	tr := newTransform(f, opts)
+	if tr.maxIters > 0 && tr.quiescent() {
+		return f, RunStats{Iters: 1, RuleHits: tr.hits}
 	}
-	rs := opts.Rules
-	if rs == nil {
-		rs = NewRuleSet(opts)
+	return tr.run()
+}
+
+func newTransform(f *ir.Func, opts Options) *transform {
+	t := &transform{src: f, fn: f, rs: opts.Rules, maxIters: opts.MaxIters, hits: make(map[string]int)}
+	if t.rs == nil {
+		t.rs = NewRuleSet(opts)
 	}
-	g := ir.CloneFunc(f)
-	tr := &transform{fn: g, rs: rs, hits: make(map[string]int)}
-	tr.seedNames()
-	stats := RunStats{RuleHits: tr.hits}
-	for iter := 0; iter < maxIters; iter++ {
+	if t.maxIters == 0 {
+		t.maxIters = 25
+	}
+	return t
+}
+
+// run optimizes a clone of t.src to a fixpoint, starting afresh whatever a
+// probe left behind.
+func (t *transform) run() (*ir.Func, RunStats) {
+	clear(t.hits)
+	t.fn, t.used, t.fresh = ir.CloneFunc(t.src), nil, 0
+	stats := RunStats{RuleHits: t.hits}
+	for iter := 0; iter < t.maxIters; iter++ {
 		stats.Iters++
-		changed := tr.iterate()
-		changed = tr.dce() || changed
+		changed := t.iterate()
+		changed = t.dce() || changed
 		if !changed {
 			break
 		}
 	}
-	return g, stats
+	return t.fn, stats
 }
 
 // transform holds the per-run rewriting state.
 type transform struct {
-	fn   *ir.Func
-	rs   *RuleSet
-	hits map[string]int
+	src      *ir.Func // the caller's function, never written
+	fn       *ir.Func // the function being rewritten
+	rs       *RuleSet
+	maxIters int
+	hits     map[string]int
 
 	repl  map[ir.Value]ir.Value
-	used  map[string]bool
+	live  map[*ir.Instr]bool
+	used  map[string]bool // names freshName must avoid; nil until first use
 	fresh int
+
+	scratch ir.Instr // quiescent's canonicalization target
 }
 
-func (t *transform) seedNames() {
-	t.used = make(map[string]bool)
-	for _, p := range t.fn.Params {
-		t.used[p.Nm] = true
-	}
-	for _, in := range t.fn.Instrs() {
-		if in.HasResult() {
-			t.used[in.Nm] = true
+// quiescent reports whether the first sweep over t.fn would change
+// nothing: no instruction folds, canonicalizes or fires a rule, and DCE
+// finds every instruction live. It writes nothing reachable from t.fn:
+// canonicalize, the one step that edits in place, runs on a scratch copy.
+// The sweep is exact because every step before the first change sees the
+// function unchanged.
+func (t *transform) quiescent() bool {
+	for _, b := range t.fn.Blocks {
+		for i, in := range b.Instrs {
+			if _, ok := t.constFold(in); ok {
+				return false
+			}
+			args := t.scratch.Args
+			t.scratch = *in
+			t.scratch.Args = append(args[:0], in.Args...)
+			if t.canonicalize(&t.scratch) {
+				return false
+			}
+			if _, _, ok := t.applyRules(in, b.Instrs[:i:i]); ok {
+				return false
+			}
 		}
 	}
+	t.markLive()
+	for _, b := range t.fn.Blocks {
+		for _, in := range b.Instrs {
+			if !t.live[in] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
+// freshName returns a result name unused by the input function and by
+// earlier fresh names.
 func (t *transform) freshName() string {
+	if t.used == nil {
+		t.used = make(map[string]bool)
+		for _, p := range t.src.Params {
+			t.used[p.Nm] = true
+		}
+		for _, b := range t.src.Blocks {
+			for _, in := range b.Instrs {
+				if in.HasResult() {
+					t.used[in.Nm] = true
+				}
+			}
+		}
+	}
 	for {
 		name := "t" + itoa(t.fresh)
 		t.fresh++
@@ -154,7 +213,10 @@ func (t *transform) resolve(v ir.Value) ir.Value {
 // anything changed.
 func (t *transform) iterate() bool {
 	changed := false
-	t.repl = make(map[ir.Value]ir.Value)
+	if t.repl == nil {
+		t.repl = make(map[ir.Value]ir.Value)
+	}
+	clear(t.repl)
 	for _, b := range t.fn.Blocks {
 		var out []*ir.Instr
 		for _, in := range b.Instrs {
@@ -208,33 +270,46 @@ func (t *transform) iterate() bool {
 	return changed
 }
 
-// dce removes instructions whose results are unused and that have no side
-// effects; it reports whether anything was removed.
-func (t *transform) dce() bool {
-	live := make(map[*ir.Instr]bool)
-	var mark func(v ir.Value)
-	mark = func(v ir.Value) {
-		in, ok := v.(*ir.Instr)
-		if !ok || live[in] {
-			return
+// markLive fills t.live with the instructions DCE keeps: those with side
+// effects, terminators, phis and everything they use.
+func (t *transform) markLive() {
+	if t.live == nil {
+		n := 0
+		for _, b := range t.fn.Blocks {
+			n += len(b.Instrs)
 		}
-		live[in] = true
-		for _, a := range in.Args {
-			mark(a)
-		}
+		t.live = make(map[*ir.Instr]bool, n)
 	}
+	clear(t.live)
 	for _, b := range t.fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.HasSideEffects() || in.IsTerminator() || in.Op == ir.OpPhi {
-				mark(in)
+				t.mark(in)
 			}
 		}
 	}
+}
+
+func (t *transform) mark(v ir.Value) {
+	in, ok := v.(*ir.Instr)
+	if !ok || t.live[in] {
+		return
+	}
+	t.live[in] = true
+	for _, a := range in.Args {
+		t.mark(a)
+	}
+}
+
+// dce removes instructions whose results are unused and that have no side
+// effects; it reports whether anything was removed.
+func (t *transform) dce() bool {
+	t.markLive()
 	changed := false
 	for _, b := range t.fn.Blocks {
 		var out []*ir.Instr
 		for _, in := range b.Instrs {
-			if live[in] {
+			if t.live[in] {
 				out = append(out, in)
 			} else {
 				changed = true

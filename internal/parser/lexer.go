@@ -5,10 +5,6 @@
 // to the LLM as repair feedback.
 package parser
 
-import (
-	"strings"
-)
-
 type tokKind int
 
 const (
@@ -18,7 +14,7 @@ const (
 	tGlobal // @name
 	tInt    // integer literal (possibly negative)
 	tFloat  // float literal (scientific, decimal, or 0x hex bits)
-	tPunct  // single punctuation rune
+	tPunct  // single punctuation byte
 )
 
 type token struct {
@@ -28,13 +24,13 @@ type token struct {
 	col  int    // 1-based byte column of the first rune
 }
 
+// lexer hands out tokens on demand: the parser pulls each one with scan, so
+// no token slice is ever built. Token text is a substring of src.
 type lexer struct {
-	src   string
-	lines []string
-	pos   int
-	line  int
-	col   int
-	toks  []token
+	src  string
+	pos  int
+	line int
+	col  int
 }
 
 func isIdentStart(c byte) bool {
@@ -48,105 +44,83 @@ func isIdentCont(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// lex tokenizes src. Unknown bytes become single-rune punctuation tokens so
-// the parser can produce a positioned diagnostic.
-func lex(src string) *lexer {
-	l := &lexer{src: src, lines: strings.Split(src, "\n"), line: 1, col: 1}
+// scan returns the next token, and tEOF at the end of src (again on every
+// later call). Unknown bytes become single-byte punctuation tokens so the
+// parser can produce a positioned diagnostic.
+func (l *lexer) scan() token {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
+		t := token{kind: tPunct, line: l.line, col: l.col}
 		switch {
-		case c == '\n':
+		case c == '\n' || c == ' ' || c == '\t' || c == '\r':
 			l.advance(1)
-		case c == ' ' || c == '\t' || c == '\r':
-			l.advance(1)
+			continue
 		case c == ';':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.advance(1)
-			}
+			l.skipWhile(func(c byte) bool { return c != '\n' })
+			continue
 		case c == '%' || c == '@':
-			kind := tLocal
+			t.kind = tLocal
 			if c == '@' {
-				kind = tGlobal
+				t.kind = tGlobal
 			}
-			startLine, startCol := l.line, l.col
 			l.advance(1)
-			start := l.pos
 			if l.pos < len(l.src) && l.src[l.pos] == '"' {
 				// Quoted name: @"foo bar".
 				l.advance(1)
-				qs := l.pos
-				for l.pos < len(l.src) && l.src[l.pos] != '"' {
-					l.advance(1)
-				}
-				name := l.src[qs:l.pos]
-				if l.pos < len(l.src) {
-					l.advance(1)
-				}
-				l.emitAt(kind, name, startLine, startCol)
-				continue
-			}
-			for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
+				t.text = l.skipWhile(func(c byte) bool { return c != '"' })
 				l.advance(1)
+			} else {
+				t.text = l.skipWhile(isIdentCont)
 			}
-			l.emitAt(kind, l.src[start:l.pos], startLine, startCol)
 		case isDigit(c) || (c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-			l.lexNumber()
+			t.kind, t.text = l.lexNumber()
 		case isIdentStart(c):
-			startLine, startCol := l.line, l.col
-			start := l.pos
-			for l.pos < len(l.src) && isIdentCont(l.src[l.pos]) {
-				l.advance(1)
-			}
-			l.emitAt(tIdent, l.src[start:l.pos], startLine, startCol)
+			t.kind, t.text = tIdent, l.skipWhile(isIdentCont)
 		default:
-			l.emitAt(tPunct, string(c), l.line, l.col)
+			t.text = l.src[l.pos : l.pos+1]
 			l.advance(1)
 		}
+		return t
 	}
-	l.toks = append(l.toks, token{kind: tEOF, line: l.line, col: l.col})
-	return l
+	return token{kind: tEOF, line: l.line, col: l.col}
 }
 
-func (l *lexer) lexNumber() {
-	startLine, startCol := l.line, l.col
+// lexNumber scans an integer or float literal and returns its kind and text.
+func (l *lexer) lexNumber() (tokKind, string) {
 	start := l.pos
 	if l.src[l.pos] == '-' {
 		l.advance(1)
 	}
 	if l.pos+1 < len(l.src) && l.src[l.pos] == '0' && (l.src[l.pos+1] == 'x' || l.src[l.pos+1] == 'X') {
 		l.advance(2)
-		for l.pos < len(l.src) && isHex(l.src[l.pos]) {
-			l.advance(1)
-		}
-		l.emitAt(tFloat, l.src[start:l.pos], startLine, startCol)
-		return
+		l.skipWhile(isHex)
+		return tFloat, l.src[start:l.pos]
 	}
-	isFloat := false
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.advance(1)
-	}
+	kind := tInt
+	l.skipWhile(isDigit)
 	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		isFloat = true
+		kind = tFloat
 		l.advance(1)
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.advance(1)
-		}
+		l.skipWhile(isDigit)
 	}
 	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		isFloat = true
+		kind = tFloat
 		l.advance(1)
 		if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
 			l.advance(1)
 		}
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.advance(1)
-		}
+		l.skipWhile(isDigit)
 	}
-	kind := tInt
-	if isFloat {
-		kind = tFloat
+	return kind, l.src[start:l.pos]
+}
+
+// skipWhile advances past the bytes ok accepts and returns them.
+func (l *lexer) skipWhile(ok func(byte) bool) string {
+	start := l.pos
+	for l.pos < len(l.src) && ok(l.src[l.pos]) {
+		l.advance(1)
 	}
-	l.emitAt(kind, l.src[start:l.pos], startLine, startCol)
+	return l.src[start:l.pos]
 }
 
 func isHex(c byte) bool {
@@ -163,8 +137,4 @@ func (l *lexer) advance(n int) {
 		}
 		l.pos++
 	}
-}
-
-func (l *lexer) emitAt(kind tokKind, text string, line, col int) {
-	l.toks = append(l.toks, token{kind: kind, text: text, line: line, col: col})
 }

@@ -56,9 +56,11 @@ func (r *forwardRef) Type() ir.Type { return r.ty }
 func (r *forwardRef) Ident() string { return "%" + r.name }
 
 type parser struct {
-	toks  []token
-	i     int
-	lines []string
+	lex lexer
+	// la holds the n tokens pulled from lex but not yet consumed; peek2 is
+	// the deepest lookahead, and the parser never backtracks.
+	la [2]token
+	n  int
 
 	// Per-function state.
 	vals    map[string]ir.Value
@@ -69,8 +71,7 @@ type parser struct {
 // Parse parses an .ll module. Unrecognized top-level constructs (declares,
 // attributes, metadata) are skipped; only define bodies are materialized.
 func Parse(src string) (*ir.Module, error) {
-	l := lex(src)
-	p := &parser{toks: l.toks, lines: l.lines}
+	p := &parser{lex: lexer{src: src, line: 1, col: 1}}
 	m := &ir.Module{}
 	for {
 		t := p.peek()
@@ -118,30 +119,45 @@ func MustParseFunc(src string) *ir.Func {
 	return f
 }
 
-func (p *parser) peek() token  { return p.toks[p.i] }
-func (p *parser) peek2() token { return p.toks[min(p.i+1, len(p.toks)-1)] }
+func (p *parser) peek() token  { return p.lookahead(0) }
+func (p *parser) peek2() token { return p.lookahead(1) }
+
+func (p *parser) lookahead(k int) token {
+	for p.n <= k {
+		p.la[p.n] = p.lex.scan()
+		p.n++
+	}
+	return p.la[k]
+}
 
 func (p *parser) next() token {
-	t := p.toks[p.i]
-	if p.i < len(p.toks)-1 {
-		p.i++
-	}
+	t := p.peek()
+	p.la[0] = p.la[1]
+	p.n--
 	return t
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+func (p *parser) errAt(t token, format string, args ...any) error {
+	return NewParseError(fmt.Sprintf(format, args...), t.line, t.col, sourceLine(p.lex.src, t.line))
 }
 
-func (p *parser) errAt(t token, format string, args ...any) error {
-	srcLine := ""
-	if t.line-1 >= 0 && t.line-1 < len(p.lines) {
-		srcLine = p.lines[t.line-1]
+// sourceLine returns line n (1-based) of src split at "\n", any "\r" kept,
+// or "" when src has no line n.
+func sourceLine(src string, n int) string {
+	if n < 1 {
+		return ""
 	}
-	return NewParseError(fmt.Sprintf(format, args...), t.line, t.col, srcLine)
+	for ; n > 1; n-- {
+		i := strings.IndexByte(src, '\n')
+		if i < 0 {
+			return ""
+		}
+		src = src[i+1:]
+	}
+	if i := strings.IndexByte(src, '\n'); i >= 0 {
+		return src[:i]
+	}
+	return src
 }
 
 func (p *parser) expectPunct(s string) error {
