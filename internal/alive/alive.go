@@ -321,7 +321,12 @@ func (c *Checker) Verify() Result {
 	// Tier 0: replay counterexamples that killed earlier candidates for
 	// this window, plus explicitly seeded vectors.
 	if c.opts.Pool != nil || len(c.seeds) > 0 {
-		key := c.windowKey()
+		// Only a pool is keyed: a checker with seeds alone (the Souper and
+		// Minotaur filters) never hashes its window.
+		var key uint64
+		if c.opts.Pool != nil {
+			key = c.windowKey()
+		}
 		pooled := c.opts.Pool.Vectors(key)
 		vecs := append(pooled, c.seeds...)
 		if vi, ce := c.replay(vecs, &res); ce != nil {
