@@ -161,9 +161,9 @@ var (
 )
 
 // fillerFunc returns a randomly drawn filler template, sharing its body
-// (see shareBody) and named for id. Filler is valid, mostly-canonical straight-line code; some is further
-// optimizable — exactly like real corpus code — and gets filtered by the
-// extractor.
+// (see shareBody) and named for id. Filler is valid, mostly-canonical
+// straight-line code; some is further optimizable — exactly like real
+// corpus code — and gets filtered by the extractor.
 func fillerFunc(outer *rand.Rand, id int) *ir.Func {
 	fillerOnce.Do(func() {
 		for t := range fillerShapes {

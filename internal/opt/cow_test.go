@@ -28,6 +28,18 @@ func TestRunCopyOnWriteMatchesClone(t *testing.T) {
 			fns = append(fns, f)
 		}
 	}
+	// One function per probe step that alone changes it: a constant fold,
+	// an operand swap, a rule and a dead instruction; then a multi-block
+	// function whose phi keeps its operands live.
+	for _, src := range []string{
+		"define i8 @f(i8 %x) {\n  %a = add i8 3, 4\n  %b = add i8 %x, %a\n  ret i8 %b\n}",
+		"define i8 @f(i8 %x) {\n  %a = add i8 1, %x\n  ret i8 %a\n}",
+		"define i8 @f(i8 %x) {\n  %a = add i8 %x, 0\n  ret i8 %a\n}",
+		"define i8 @f(i8 %x, i8 %y) {\n  %a = add i8 %x, %y\n  %b = mul i8 %x, %y\n  ret i8 %a\n}",
+		"define i8 @f(i1 %c, i8 %x, i8 %y) {\nentry:\n  %a = add i8 %x, %y\n  br i1 %c, label %l, label %r\nl:\n  br label %r\nr:\n  %p = phi i8 [ %a, %entry ], [ %x, %l ]\n  ret i8 %p\n}",
+	} {
+		add(parser.MustParseFunc(src))
+	}
 	for _, c := range benchdata.RQ1Cases() {
 		add(parser.MustParseFunc(c.Pair.Src))
 		add(parser.MustParseFunc(c.Pair.Tgt))
