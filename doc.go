@@ -235,6 +235,23 @@
 // rules; per campaign job, the generalize layer's busy time falls 38% and
 // the verify stage's 31%.
 //
+// The front half of a job — corpus, extraction, the simulator's prompt
+// parse, preprocess — allocates only what it keeps. The parser is
+// pull-lexed: it takes each token from the lexer on demand through a
+// two-token lookahead, never building a token slice, and slices a source
+// line out of the input only when a diagnostic quotes it. opt.Run never
+// mutates its input and may return it: RunWithStats first probes the
+// first sweep without writing (constant folding, canonicalization on a
+// scratch copy of each instruction, the rule dispatch and DCE liveness)
+// and, when nothing would change, returns f itself with the stats a full
+// run reports; a caller that edits the result clones it first. Corpus
+// functions share read-only bodies: each filler template and each
+// benchdata finding is built or parsed once, and the functions drawn from
+// it differ only in their name. Together they take BenchmarkCampaignJob
+// from 14.9 to 7.3 MB and from 229k to 140k allocations per job, and the
+// campaign workload from 123.4 to 60.8 KiB allocated per window (2-vCPU
+// KVM guest, Go 1.24).
+//
 // `lpo-bench -json FILE` records the hot-path numbers as a machine-readable
 // snapshot so later PRs have a trajectory to compare against. The format
 // (schema "lpo-bench-perf/6") is one JSON object: "schema", "go_max_procs",

@@ -80,6 +80,7 @@ func RunWithStats(f *ir.Func, opts Options) (*ir.Func, RunStats) {
 	return tr.run()
 }
 
+// newTransform resolves opts into the state of one run over f.
 func newTransform(f *ir.Func, opts Options) *transform {
 	t := &transform{src: f, fn: f, rs: opts.Rules, maxIters: opts.MaxIters, hits: make(map[string]int)}
 	if t.rs == nil {
