@@ -803,11 +803,12 @@ func (ev *Evaluator) gatherLane(ci *cinstr, b int) {
 	}
 }
 
-// The batch kernels below mirror the shared per-opcode kernels element for
-// element (see kernels.go / intrinsics.go); they differ only in iterating
-// the batch dimension and killing individual lanes on UB instead of
-// aborting the whole execution. The randomized differential test pins them
-// to the scalar kernels.
+// The batch kernels below run the shared per-lane kernels (intBinLane,
+// icmpLane, convIntLane in kernels.go, intLane in intrinsics.go) over the
+// batch dimension, killing individual lanes on UB instead of aborting the
+// whole execution; only the flagless bitwise and additive binaries, select
+// and freeze have loops of their own. The randomized differential test pins
+// them to Exec.
 
 func batchIntBin(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int,
 	kill func(int, string)) {
@@ -890,122 +891,16 @@ func batchIntBin(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int,
 			return
 		}
 	}
-	isDiv := op == ir.OpUDiv || op == ir.OpSDiv || op == ir.OpURem || op == ir.OpSRem
 	for b := 0; b < B; b++ {
 		if !alive[b] {
 			continue
 		}
-		x, y := xs[b], ys[b]
-		if isDiv {
-			if y.Poison {
-				kill(b, "division by poison")
-				continue
-			}
-			if y.V&mask == 0 {
-				kill(b, "division by zero")
-				continue
-			}
-			if (op == ir.OpSDiv || op == ir.OpSRem) && !x.Poison {
-				if ir.SignExt(x.V, w) == minSigned(w) && ir.SignExt(y.V, w) == -1 {
-					kill(b, "signed division overflow")
-					continue
-				}
-			}
-		}
-		if x.Poison || y.Poison {
-			dst[b] = Word{Poison: true}
+		r, why := intBinLane(op, flags, w, mask, xs[b], ys[b])
+		if why != "" {
+			kill(b, why)
 			continue
 		}
-		xv, yv := x.V&mask, y.V&mask
-		var r uint64
-		poison := false
-		switch op {
-		case ir.OpAdd:
-			r = (xv + yv) & mask
-			if flags.Has(ir.NUW) && r < xv {
-				poison = true
-			}
-			if flags.Has(ir.NSW) && addNSWOverflow(xv, yv, r, w) {
-				poison = true
-			}
-		case ir.OpSub:
-			r = (xv - yv) & mask
-			if flags.Has(ir.NUW) && yv > xv {
-				poison = true
-			}
-			if flags.Has(ir.NSW) && subNSWOverflow(xv, yv, r, w) {
-				poison = true
-			}
-		case ir.OpMul:
-			hi, lo := bits.Mul64(xv, yv)
-			r = lo & mask
-			if flags.Has(ir.NUW) {
-				if hi != 0 || lo&^mask != 0 {
-					poison = true
-				}
-			}
-			if flags.Has(ir.NSW) && mulNSWOverflow(xv, yv, w) {
-				poison = true
-			}
-		case ir.OpUDiv:
-			r = xv / yv
-			if flags.Has(ir.Exact) && xv%yv != 0 {
-				poison = true
-			}
-		case ir.OpSDiv:
-			sr := ir.SignExt(xv, w) / ir.SignExt(yv, w)
-			r = uint64(sr) & mask
-			if flags.Has(ir.Exact) && ir.SignExt(xv, w)%ir.SignExt(yv, w) != 0 {
-				poison = true
-			}
-		case ir.OpURem:
-			r = xv % yv
-		case ir.OpSRem:
-			r = uint64(ir.SignExt(xv, w)%ir.SignExt(yv, w)) & mask
-		case ir.OpShl:
-			if yv >= uint64(w) {
-				poison = true
-				break
-			}
-			r = (xv << yv) & mask
-			if flags.Has(ir.NUW) && (r>>yv) != xv {
-				poison = true
-			}
-			if flags.Has(ir.NSW) {
-				back := uint64(ir.SignExt(r, w)>>yv) & mask
-				if back != xv {
-					poison = true
-				}
-			}
-		case ir.OpLShr:
-			if yv >= uint64(w) {
-				poison = true
-				break
-			}
-			r = xv >> yv
-			if flags.Has(ir.Exact) && (r<<yv)&mask != xv {
-				poison = true
-			}
-		case ir.OpAShr:
-			if yv >= uint64(w) {
-				poison = true
-				break
-			}
-			r = uint64(ir.SignExt(xv, w)>>yv) & mask
-			if flags.Has(ir.Exact) && xv&((uint64(1)<<yv)-1) != 0 {
-				poison = true
-			}
-		case ir.OpAnd:
-			r = xv & yv
-		case ir.OpOr:
-			r = xv | yv
-			if flags.Has(ir.Disjoint) && xv&yv != 0 {
-				poison = true
-			}
-		case ir.OpXor:
-			r = xv ^ yv
-		}
-		dst[b] = Word{V: r & mask, Poison: poison}
+		dst[b] = r
 	}
 }
 
@@ -1017,43 +912,8 @@ func batchICmp(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) {
 	alive = alive[:B]
 	dst = dst[:B]
 	for b := 0; b < B; b++ {
-		if !alive[b] {
-			continue
-		}
-		x, y := xs[b], ys[b]
-		if x.Poison || y.Poison {
-			dst[b] = Word{Poison: true}
-			continue
-		}
-		xv, yv := x.V&mask, y.V&mask
-		sx, sy := ir.SignExt(xv, w), ir.SignExt(yv, w)
-		var r bool
-		switch pred {
-		case ir.EQ:
-			r = xv == yv
-		case ir.NE:
-			r = xv != yv
-		case ir.UGT:
-			r = xv > yv
-		case ir.UGE:
-			r = xv >= yv
-		case ir.ULT:
-			r = xv < yv
-		case ir.ULE:
-			r = xv <= yv
-		case ir.SGT:
-			r = sx > sy
-		case ir.SGE:
-			r = sx >= sy
-		case ir.SLT:
-			r = sx < sy
-		case ir.SLE:
-			r = sx <= sy
-		}
-		if r {
-			dst[b] = Word{V: 1}
-		} else {
-			dst[b] = Word{V: 0}
+		if alive[b] {
+			dst[b] = icmpLane(pred, w, mask, xs[b], ys[b])
 		}
 	}
 }
@@ -1086,34 +946,9 @@ func batchConvInt(in *ir.Instr, dst []Word, args [][]Word, alive []bool, B int) 
 	alive = alive[:B]
 	dst = dst[:B]
 	for b := 0; b < B; b++ {
-		if !alive[b] {
-			continue
+		if alive[b] {
+			dst[b] = convIntLane(op, flags, fw, tw, xs[b])
 		}
-		x := xs[b]
-		if x.Poison {
-			dst[b] = Word{Poison: true}
-			continue
-		}
-		var r uint64
-		poison := false
-		switch op {
-		case ir.OpZExt:
-			r = x.V & ir.MaskW(fw)
-			if flags.Has(ir.NNeg) && ir.SignExt(x.V, fw) < 0 {
-				poison = true
-			}
-		case ir.OpSExt:
-			r = uint64(ir.SignExt(x.V, fw)) & ir.MaskW(tw)
-		case ir.OpTrunc:
-			r = x.V & ir.MaskW(tw)
-			if flags.Has(ir.NUW) && x.V&ir.MaskW(fw) != r {
-				poison = true
-			}
-			if flags.Has(ir.NSW) && ir.SignExt(x.V, fw) != ir.SignExt(r, tw) {
-				poison = true
-			}
-		}
-		dst[b] = Word{V: r, Poison: poison}
 	}
 }
 

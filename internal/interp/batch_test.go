@@ -165,7 +165,8 @@ func fuzzIntrinsic(rng *rand.Rand, w int, operand func() string) string {
 // and vector-constant operands whose elements are parameters, earlier
 // values, literals and poison, extracted back to a scalar.
 func genStraightLine(rng *rand.Rand) string {
-	widths := []int{8, 16, 32, 64}
+	// i1 and i4 live below a packed lane; i8 and i16 fill one.
+	widths := []int{1, 4, 8, 16, 32, 64}
 	nParams := 1 + rng.Intn(3)
 	type val struct {
 		name string

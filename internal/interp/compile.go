@@ -43,6 +43,10 @@ type Program struct {
 	kinds      []batchKind
 	constOff   []int32
 	constWords int
+
+	// pk is the packed tier's plan (packed.go); nil when p is not
+	// packable.
+	pk *packedPlan
 }
 
 type cblock struct {
@@ -250,6 +254,7 @@ func Compile(fn *ir.Func) *Program {
 		p.blocks = append(p.blocks, cb)
 	}
 	p.planBatch()
+	p.planPacked(fn)
 	return p
 }
 

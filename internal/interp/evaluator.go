@@ -31,7 +31,8 @@ type Evaluator struct {
 	// so one shared instance is safe across runs.
 	emptyMem *Memory
 
-	bs *batchState // lane-batched execution state (batch.go)
+	bs *batchState  // lane-batched execution state (batch.go)
+	ps *packedState // packed-tier state (packed.go), laid out on first use
 }
 
 // LaneMasks classifies the lanes of the latest run, one bit per lane: every

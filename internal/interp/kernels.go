@@ -149,120 +149,132 @@ func evalIntBinary(in *ir.Instr, dst []Word, a, b RVal) (bool, string) {
 	w := ir.ScalarBits(ir.Elem(in.Ty))
 	mask := ir.MaskW(w)
 	for i := range dst {
-		x, y := a.Lanes[i], b.Lanes[i]
-		// Division by a non-poison zero is UB even with poison dividends,
-		// so check UB cases before poison short-circuiting.
-		switch in.Op {
-		case ir.OpUDiv, ir.OpSDiv, ir.OpURem, ir.OpSRem:
-			if y.Poison {
-				return true, "division by poison"
-			}
-			if y.V&mask == 0 {
-				return true, "division by zero"
-			}
-			if (in.Op == ir.OpSDiv || in.Op == ir.OpSRem) && !x.Poison {
-				if ir.SignExt(x.V, w) == minSigned(w) && ir.SignExt(y.V, w) == -1 {
-					return true, "signed division overflow"
-				}
-			}
+		r, why := intBinLane(in.Op, in.Flags, w, mask, a.Lanes[i], b.Lanes[i])
+		if why != "" {
+			return true, why
 		}
-		if x.Poison || y.Poison {
-			dst[i] = Word{Poison: true}
-			continue
-		}
-		xv, yv := x.V&mask, y.V&mask
-		var r uint64
-		poison := false
-		switch in.Op {
-		case ir.OpAdd:
-			r = (xv + yv) & mask
-			if in.Flags.Has(ir.NUW) && r < xv {
-				poison = true
-			}
-			if in.Flags.Has(ir.NSW) && addNSWOverflow(xv, yv, r, w) {
-				poison = true
-			}
-		case ir.OpSub:
-			r = (xv - yv) & mask
-			if in.Flags.Has(ir.NUW) && yv > xv {
-				poison = true
-			}
-			if in.Flags.Has(ir.NSW) && subNSWOverflow(xv, yv, r, w) {
-				poison = true
-			}
-		case ir.OpMul:
-			hi, lo := bits.Mul64(xv, yv)
-			r = lo & mask
-			if in.Flags.Has(ir.NUW) {
-				if hi != 0 || lo&^mask != 0 {
-					poison = true
-				}
-			}
-			if in.Flags.Has(ir.NSW) && mulNSWOverflow(xv, yv, w) {
-				poison = true
-			}
-		case ir.OpUDiv:
-			r = xv / yv
-			if in.Flags.Has(ir.Exact) && xv%yv != 0 {
-				poison = true
-			}
-		case ir.OpSDiv:
-			sr := ir.SignExt(xv, w) / ir.SignExt(yv, w)
-			r = uint64(sr) & mask
-			if in.Flags.Has(ir.Exact) && ir.SignExt(xv, w)%ir.SignExt(yv, w) != 0 {
-				poison = true
-			}
-		case ir.OpURem:
-			r = xv % yv
-		case ir.OpSRem:
-			r = uint64(ir.SignExt(xv, w)%ir.SignExt(yv, w)) & mask
-		case ir.OpShl:
-			if yv >= uint64(w) {
-				poison = true
-				break
-			}
-			r = (xv << yv) & mask
-			if in.Flags.Has(ir.NUW) && (r>>yv) != xv {
-				poison = true
-			}
-			if in.Flags.Has(ir.NSW) {
-				back := uint64(ir.SignExt(r, w)>>yv) & mask
-				if back != xv {
-					poison = true
-				}
-			}
-		case ir.OpLShr:
-			if yv >= uint64(w) {
-				poison = true
-				break
-			}
-			r = xv >> yv
-			if in.Flags.Has(ir.Exact) && (r<<yv)&mask != xv {
-				poison = true
-			}
-		case ir.OpAShr:
-			if yv >= uint64(w) {
-				poison = true
-				break
-			}
-			r = uint64(ir.SignExt(xv, w)>>yv) & mask
-			// Exact ashr: poison if any shifted-out bit is non-zero.
-			if in.Flags.Has(ir.Exact) && xv&((uint64(1)<<yv)-1) != 0 {
-				poison = true
-			}
-		case ir.OpAnd:
-			r = xv & yv
-		case ir.OpOr:
-			r = xv | yv
-			if in.Flags.Has(ir.Disjoint) && xv&yv != 0 {
-				poison = true
-			}
-		case ir.OpXor:
-			r = xv ^ yv
-		}
-		dst[i] = Word{V: r & mask, Poison: poison}
+		dst[i] = r
 	}
 	return false, ""
+}
+
+// intBinLane evaluates one lane of the integer binary op at width w (mask =
+// ir.MaskW(w)). A non-empty why names the undefined behaviour the lane
+// raises; the returned Word is then meaningless. Exec and both compiled
+// engines evaluate integer binaries through this one function (the batch
+// engine's flagless bitwise and additive loops and the packed tier's SWAR
+// kernels are its specializations).
+func intBinLane(op ir.Opcode, flags ir.Flags, w int, mask uint64, x, y Word) (r Word, why string) {
+	// Division by a non-poison zero is UB even with poison dividends, so
+	// check UB cases before poison short-circuiting.
+	switch op {
+	case ir.OpUDiv, ir.OpSDiv, ir.OpURem, ir.OpSRem:
+		if y.Poison {
+			return Word{}, "division by poison"
+		}
+		if y.V&mask == 0 {
+			return Word{}, "division by zero"
+		}
+		if (op == ir.OpSDiv || op == ir.OpSRem) && !x.Poison {
+			if ir.SignExt(x.V, w) == minSigned(w) && ir.SignExt(y.V, w) == -1 {
+				return Word{}, "signed division overflow"
+			}
+		}
+	}
+	if x.Poison || y.Poison {
+		return Word{Poison: true}, ""
+	}
+	xv, yv := x.V&mask, y.V&mask
+	var v uint64
+	poison := false
+	switch op {
+	case ir.OpAdd:
+		v = (xv + yv) & mask
+		if flags.Has(ir.NUW) && v < xv {
+			poison = true
+		}
+		if flags.Has(ir.NSW) && addNSWOverflow(xv, yv, v, w) {
+			poison = true
+		}
+	case ir.OpSub:
+		v = (xv - yv) & mask
+		if flags.Has(ir.NUW) && yv > xv {
+			poison = true
+		}
+		if flags.Has(ir.NSW) && subNSWOverflow(xv, yv, v, w) {
+			poison = true
+		}
+	case ir.OpMul:
+		hi, lo := bits.Mul64(xv, yv)
+		v = lo & mask
+		if flags.Has(ir.NUW) {
+			if hi != 0 || lo&^mask != 0 {
+				poison = true
+			}
+		}
+		if flags.Has(ir.NSW) && mulNSWOverflow(xv, yv, w) {
+			poison = true
+		}
+	case ir.OpUDiv:
+		v = xv / yv
+		if flags.Has(ir.Exact) && xv%yv != 0 {
+			poison = true
+		}
+	case ir.OpSDiv:
+		sr := ir.SignExt(xv, w) / ir.SignExt(yv, w)
+		v = uint64(sr) & mask
+		if flags.Has(ir.Exact) && ir.SignExt(xv, w)%ir.SignExt(yv, w) != 0 {
+			poison = true
+		}
+	case ir.OpURem:
+		v = xv % yv
+	case ir.OpSRem:
+		v = uint64(ir.SignExt(xv, w)%ir.SignExt(yv, w)) & mask
+	case ir.OpShl:
+		if yv >= uint64(w) {
+			poison = true
+			break
+		}
+		v = (xv << yv) & mask
+		if flags.Has(ir.NUW) && (v>>yv) != xv {
+			poison = true
+		}
+		if flags.Has(ir.NSW) {
+			back := uint64(ir.SignExt(v, w)>>yv) & mask
+			if back != xv {
+				poison = true
+			}
+		}
+	case ir.OpLShr:
+		if yv >= uint64(w) {
+			poison = true
+			break
+		}
+		v = xv >> yv
+		if flags.Has(ir.Exact) && (v<<yv)&mask != xv {
+			poison = true
+		}
+	case ir.OpAShr:
+		if yv >= uint64(w) {
+			poison = true
+			break
+		}
+		v = uint64(ir.SignExt(xv, w)>>yv) & mask
+		// Exact ashr: poison if any shifted-out bit is non-zero.
+		if flags.Has(ir.Exact) && xv&((uint64(1)<<yv)-1) != 0 {
+			poison = true
+		}
+	case ir.OpAnd:
+		v = xv & yv
+	case ir.OpOr:
+		v = xv | yv
+		if flags.Has(ir.Disjoint) && xv&yv != 0 {
+			poison = true
+		}
+	case ir.OpXor:
+		v = xv ^ yv
+	}
+	return Word{V: v & mask, Poison: poison}, ""
 }
 
 func minSigned(w int) int64 {
@@ -319,42 +331,45 @@ func evalICmp(in *ir.Instr, dst []Word, a, b RVal) {
 	w := ir.ScalarBits(ir.Elem(in.Args[0].Type()))
 	mask := ir.MaskW(w)
 	for i := range dst {
-		x, y := a.Lanes[i], b.Lanes[i]
-		if x.Poison || y.Poison {
-			dst[i] = Word{Poison: true}
-			continue
-		}
-		var r bool
-		xv, yv := x.V&mask, y.V&mask
-		sx, sy := ir.SignExt(xv, w), ir.SignExt(yv, w)
-		switch in.IPredV {
-		case ir.EQ:
-			r = xv == yv
-		case ir.NE:
-			r = xv != yv
-		case ir.UGT:
-			r = xv > yv
-		case ir.UGE:
-			r = xv >= yv
-		case ir.ULT:
-			r = xv < yv
-		case ir.ULE:
-			r = xv <= yv
-		case ir.SGT:
-			r = sx > sy
-		case ir.SGE:
-			r = sx >= sy
-		case ir.SLT:
-			r = sx < sy
-		case ir.SLE:
-			r = sx <= sy
-		}
-		if r {
-			dst[i] = Word{V: 1}
-		} else {
-			dst[i] = Word{V: 0}
-		}
+		dst[i] = icmpLane(in.IPredV, w, mask, a.Lanes[i], b.Lanes[i])
 	}
+}
+
+// icmpLane evaluates one lane of an integer comparison of w-bit operands
+// (mask = ir.MaskW(w)), shared by Exec and both compiled engines.
+func icmpLane(pred ir.IPred, w int, mask uint64, x, y Word) Word {
+	if x.Poison || y.Poison {
+		return Word{Poison: true}
+	}
+	xv, yv := x.V&mask, y.V&mask
+	sx, sy := ir.SignExt(xv, w), ir.SignExt(yv, w)
+	var r bool
+	switch pred {
+	case ir.EQ:
+		r = xv == yv
+	case ir.NE:
+		r = xv != yv
+	case ir.UGT:
+		r = xv > yv
+	case ir.UGE:
+		r = xv >= yv
+	case ir.ULT:
+		r = xv < yv
+	case ir.ULE:
+		r = xv <= yv
+	case ir.SGT:
+		r = sx > sy
+	case ir.SGE:
+		r = sx >= sy
+	case ir.SLT:
+		r = sx < sy
+	case ir.SLE:
+		r = sx <= sy
+	}
+	if r {
+		return Word{V: 1}
+	}
+	return Word{V: 0}
 }
 
 func evalFCmp(in *ir.Instr, dst []Word, a, b RVal) {
@@ -453,21 +468,9 @@ func evalConvert(in *ir.Instr, dst []Word, a RVal) {
 		var r uint64
 		poison := false
 		switch in.Op {
-		case ir.OpZExt:
-			r = x.V & ir.MaskW(fw)
-			if in.Flags.Has(ir.NNeg) && ir.SignExt(x.V, fw) < 0 {
-				poison = true
-			}
-		case ir.OpSExt:
-			r = uint64(ir.SignExt(x.V, fw)) & ir.MaskW(tw)
-		case ir.OpTrunc:
-			r = x.V & ir.MaskW(tw)
-			if in.Flags.Has(ir.NUW) && x.V&ir.MaskW(fw) != r {
-				poison = true
-			}
-			if in.Flags.Has(ir.NSW) && ir.SignExt(x.V, fw) != ir.SignExt(r, tw) {
-				poison = true
-			}
+		case ir.OpZExt, ir.OpSExt, ir.OpTrunc:
+			dst[i] = convIntLane(in.Op, in.Flags, fw, tw, x)
+			continue
 		case ir.OpFPExt:
 			r = storeFloat(tw, loadFloat(fw, x.V))
 		case ir.OpFPTrunc:
@@ -493,6 +496,34 @@ func evalConvert(in *ir.Instr, dst []Word, a RVal) {
 		}
 		dst[i] = Word{V: r, Poison: poison}
 	}
+}
+
+// convIntLane evaluates one lane of an integer cast (zext, sext, trunc)
+// from fw to tw bits, shared by Exec and both compiled engines.
+func convIntLane(op ir.Opcode, flags ir.Flags, fw, tw int, x Word) Word {
+	if x.Poison {
+		return Word{Poison: true}
+	}
+	var r uint64
+	poison := false
+	switch op {
+	case ir.OpZExt:
+		r = x.V & ir.MaskW(fw)
+		if flags.Has(ir.NNeg) && ir.SignExt(x.V, fw) < 0 {
+			poison = true
+		}
+	case ir.OpSExt:
+		r = uint64(ir.SignExt(x.V, fw)) & ir.MaskW(tw)
+	case ir.OpTrunc:
+		r = x.V & ir.MaskW(tw)
+		if flags.Has(ir.NUW) && x.V&ir.MaskW(fw) != r {
+			poison = true
+		}
+		if flags.Has(ir.NSW) && ir.SignExt(x.V, fw) != ir.SignExt(r, tw) {
+			poison = true
+		}
+	}
+	return Word{V: r, Poison: poison}
 }
 
 // evalBitcast reinterprets a value's bytes as another type of the same total

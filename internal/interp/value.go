@@ -3,6 +3,16 @@
 // behaviour semantics. It backs the refinement verifier (internal/alive),
 // the superoptimizer baselines' counterexample-guided search, and the SPEC
 // performance simulation.
+//
+// Three engines share the per-opcode and per-lane kernels. Exec walks the
+// IR tree on one input vector and is the oracle. Compile lowers a function
+// into a Program that an Evaluator runs lane-batched (batch.go): every
+// program, 64 vectors per run, with a full Result per lane on request. A
+// Program that is packable — straight-line scalar integers of at most 64
+// bits, every instruction a specialized batch kind (packed.go) — also runs
+// on the packed tier, several vectors per uint64 word, which reports only
+// each lane's value, poison and UB; callers that need a reason or a Result
+// for a lane re-run it on the batch engine.
 package interp
 
 import (
