@@ -24,6 +24,17 @@
 // allocations, however many vectors it checks.
 // ReferenceVerify keeps the historic Exec-per-input path as the semantic
 // baseline.
+//
+// The counter phase of an exhaustive sequence — nearly every vector a
+// learning campaign verifies — runs on interp's packed tier when both
+// programs are packable (straight-line scalar integers, every instruction a
+// specialized batch kind; see interp.Program.Packable): argument words come
+// from static ramps, and source and target are compared word by word. The
+// packed tier reports values, poison and UB but no reasons, so the lane
+// path stays the counterexample path: the first group with a violating
+// lane re-runs there and builds the Result, the counterexample and the
+// pool deposit exactly as ReferenceVerify would, and the poison trials
+// that end the sequence run there too (packed.go).
 package alive
 
 import (
@@ -235,6 +246,12 @@ type Checker struct {
 	srcBM, tgtBM     *interp.BatchMems                // per-lane memories (pointer params only)
 	bMem             [interp.BatchWidth][][]byte      // per slot: initial memory, per ptr param (borrowed)
 	ptrSave          [][interp.BatchWidth]interp.Word // per ptr param: raw input pointer words, per slot
+
+	// Packed tier (packed.go): both programs are packable, so the counter
+	// phase of an exhaustive sequence runs on packed words. ramps holds
+	// one group's ramp words per parameter.
+	packable bool
+	ramps    [][64]uint64
 }
 
 // checkerPool recycles released Checkers. Like every sync.Pool it drops
@@ -250,8 +267,9 @@ func NewChecker(src, tgt *ir.Func, opts Options) *Checker {
 	if c.sigErr = signatureError(src, tgt); c.sigErr != "" {
 		return c
 	}
-	c.se = interp.NewEvaluator(c.opts.Programs.Program(src))
-	c.te = interp.NewEvaluator(c.opts.Programs.Program(tgt))
+	sp, tp := c.opts.Programs.Program(src), c.opts.Programs.Program(tgt)
+	c.se, c.te = interp.NewEvaluator(sp), interp.NewEvaluator(tp)
+	c.packable = sp.Packable() && tp.Packable()
 	c.ptrParams = c.ptrParams[:0]
 	for i, p := range src.Params {
 		if ir.IsPtr(p.Ty) {
@@ -348,6 +366,11 @@ func (c *Checker) Verify() Result {
 	gen := newInputGen(c.src, c.opts)
 	defer gen.release()
 	res.Exhaustive = gen.exhaustive
+	if c.packable && gen.phase == phExhaust {
+		if ce := c.runPacked(gen, &res); ce != nil {
+			return c.refuted(res, ce, TierSpecial)
+		}
+	}
 	var fill func(int)
 	if len(c.ptrParams) > 0 {
 		fill = func(b int) { c.fillMem(b, gen.memBytes) }
@@ -361,14 +384,18 @@ func (c *Checker) Verify() Result {
 			if tier == TierNone {
 				tier = int(c.bTiers[i])
 			}
-			res.Verdict = Incorrect
-			res.CE = ce
-			res.Tiers.KillTier = tier
-			c.deposit(ce)
-			return res
+			return c.refuted(res, ce, tier)
 		}
 	}
 	res.Verdict = Correct
+	return res
+}
+
+// refuted completes res with the counterexample a tier found and shares
+// its vector through the pool.
+func (c *Checker) refuted(res Result, ce *CounterExample, tier int) Result {
+	res.Verdict, res.CE, res.Tiers.KillTier = Incorrect, ce, tier
+	c.deposit(ce)
 	return res
 }
 

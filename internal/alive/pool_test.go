@@ -1,6 +1,7 @@
 package alive
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -208,5 +209,79 @@ func TestOneShotVerifySteadyStateAllocs(t *testing.T) {
 	const budget = 4 << 10
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > budget {
 		t.Fatalf("one-shot Verify allocates %d bytes per call on a warm cache, want <= %d", per, budget)
+	}
+}
+
+// TestPackedExhaustiveSteadyStateAllocs bounds a warm exhaustive Verify on
+// the packed tier at the one-shot checker's budget: the packed scratch is
+// recycled with the evaluators, so neither the 1,024 groups of an i8 pair
+// nor the 1,024 of an i16 rule allocate, and a 4-group i4 pair allocates
+// the same as the i8 one.
+func TestPackedExhaustiveSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted by the race runtime")
+	}
+	addSub := func(w int) (*ir.Func, *ir.Func) {
+		return parser.MustParseFunc(fmt.Sprintf(`define i%[1]d @src(i%[1]d %%a0, i%[1]d %%a1) {
+  %%s = add i%[1]d %%a0, %%a1
+  %%r = sub i%[1]d %%s, %%a1
+  ret i%[1]d %%r
+}`, w)), parser.MustParseFunc(fmt.Sprintf(`define i%[1]d @tgt(i%[1]d %%a0, i%[1]d %%a1) {
+  ret i%[1]d %%a0
+}`, w))
+	}
+	rotSrc := parser.MustParseFunc(`define i16 @src(i16 %x) {
+  %h = shl i16 %x, 4
+  %l = lshr i16 %x, 12
+  %r = or i16 %h, %l
+  ret i16 %r
+}`)
+	rotTgt := parser.MustParseFunc(`define i16 @tgt(i16 %x) {
+  %r = call i16 @llvm.fshl.i16(i16 %x, i16 %x, i16 4)
+  ret i16 %r
+}`)
+	opts := Options{Seed: 1, Programs: interp.NewCache()}
+	measure := func(src, tgt *ir.Func) (allocs float64, bytes uint64) {
+		c := NewChecker(src, tgt, opts)
+		packable := c.packable
+		c.Release()
+		if !packable {
+			t.Fatalf("%s is not packable", src)
+		}
+		if r := Verify(src, tgt, opts); r.Verdict != Correct || !r.Exhaustive {
+			t.Fatalf("verdict %v, exhaustive %v", r.Verdict, r.Exhaustive)
+		}
+		allocs = testing.AllocsPerRun(20, func() { Verify(src, tgt, opts) })
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Verify(src, tgt, opts)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	// The one-shot budgets of TestOneShotVerifySteadyStateAllocs and
+	// TestVerifySteadyStateAllocs; a collection mid-loop empties the pools,
+	// so the byte budget leaves room for a rebuild.
+	const maxAllocs, maxBytes = 200, 4 << 10
+	wide, wideBytes := measure(addSub(8))
+	narrow, _ := measure(addSub(4))
+	rot, rotBytes := measure(rotSrc, rotTgt)
+	t.Logf("i8: %.0f allocs, %d bytes; i4: %.0f allocs; i16 rotate: %.0f allocs, %d bytes",
+		wide, wideBytes, narrow, rot, rotBytes)
+	if wide != narrow {
+		t.Fatalf("packed Verify allocates %.0f times over 1,024 groups but %.0f over 4: allocations grow with groups", wide, narrow)
+	}
+	for _, m := range []struct {
+		name   string
+		allocs float64
+		bytes  uint64
+	}{{"i8 add/sub", wide, wideBytes}, {"i16 rotate", rot, rotBytes}} {
+		if m.allocs > maxAllocs || m.bytes > maxBytes {
+			t.Fatalf("%s: warm packed Verify allocates %.0f times, %d bytes; want <= %d, <= %d",
+				m.name, m.allocs, m.bytes, maxAllocs, maxBytes)
+		}
 	}
 }

@@ -337,6 +337,18 @@ func (r *Rule) renderShape(sh *shape, base int) string {
 	return render(sh.ret, ret, 0)
 }
 
+// Instantiate rebuilds the rule's source and target at width w, each
+// constant slot taking its abstraction's value there.
+func (r *Rule) Instantiate(w int) (src, tgt *ir.Func, err error) {
+	if src, err = instantiate(r.src, r.Slots[:len(r.src.occs)], w); err != nil {
+		return nil, nil, err
+	}
+	if tgt, err = instantiate(r.tgt, r.Slots[len(r.src.occs):], w); err != nil {
+		return nil, nil, err
+	}
+	return src, tgt, nil
+}
+
 // OptRules compiles a batch of learned rules into registry rules, preserving
 // order and skipping nothing: any rule that fails to compile aborts the
 // batch (a rulebook with one bad entry should not half-load).

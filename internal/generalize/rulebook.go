@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/alive"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/parser"
 )
@@ -175,17 +174,7 @@ func (b *Rulebook) Verify(opts alive.Options) error {
 		opts.Programs = interp.NewCache()
 	}
 	for _, r := range rules {
-		wrs := alive.VerifyWidths(r.Widths, opts, func(w int) (*ir.Func, *ir.Func, error) {
-			s, err := instantiate(r.src, r.Slots[:len(r.src.occs)], w)
-			if err != nil {
-				return nil, nil, err
-			}
-			t, err := instantiate(r.tgt, r.Slots[len(r.src.occs):], w)
-			if err != nil {
-				return nil, nil, err
-			}
-			return s, t, nil
-		})
+		wrs := alive.VerifyWidths(r.Widths, opts, r.Instantiate)
 		for _, wr := range wrs {
 			if wr.Verdict != alive.Correct {
 				return fmt.Errorf("rule %s does not verify at width i%d", r.ID, wr.Width)
