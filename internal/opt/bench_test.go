@@ -33,7 +33,7 @@ func BenchmarkRewriteDispatch(b *testing.B) {
 	f := parser.MustParseFunc(dispatchSrc)
 	all := AllRuleNames()
 	rs := NewRuleSet(Options{Patches: all})
-	tr := &transform{src: f, fn: f, rs: rs, hits: make(map[string]int)}
+	tr := &transform{src: f, fn: f, rs: rs}
 	instrs := f.Instrs()
 
 	b.Run("opcode-index", func(b *testing.B) {

@@ -29,6 +29,8 @@
 package opt
 
 import (
+	"sync"
+
 	"repro/internal/ir"
 )
 
@@ -52,7 +54,8 @@ type Options struct {
 // RunStats reports per-run observability: how many fixpoint iterations ran
 // and how often each rule fired, keyed by rule ID.
 type RunStats struct {
-	Iters    int
+	Iters int
+	// RuleHits counts hits per rule ID; nil when no rule fired.
 	RuleHits map[string]int
 }
 
@@ -75,14 +78,14 @@ func Run(f *ir.Func, opts Options) *ir.Func {
 func RunWithStats(f *ir.Func, opts Options) (*ir.Func, RunStats) {
 	tr := newTransform(f, opts)
 	if tr.maxIters > 0 && tr.quiescent() {
-		return f, RunStats{Iters: 1, RuleHits: tr.hits}
+		return f, RunStats{Iters: 1}
 	}
 	return tr.run()
 }
 
 // newTransform resolves opts into the state of one run over f.
 func newTransform(f *ir.Func, opts Options) *transform {
-	t := &transform{src: f, fn: f, rs: opts.Rules, maxIters: opts.MaxIters, hits: make(map[string]int)}
+	t := &transform{src: f, fn: f, rs: opts.Rules, maxIters: opts.MaxIters}
 	if t.rs == nil {
 		t.rs = NewRuleSet(opts)
 	}
@@ -95,9 +98,8 @@ func newTransform(f *ir.Func, opts Options) *transform {
 // run optimizes a clone of t.src to a fixpoint, starting afresh whatever a
 // probe left behind.
 func (t *transform) run() (*ir.Func, RunStats) {
-	clear(t.hits)
-	t.fn, t.used, t.fresh = ir.CloneFunc(t.src), nil, 0
-	stats := RunStats{RuleHits: t.hits}
+	t.hits, t.fn, t.used, t.fresh = nil, ir.CloneFunc(t.src), nil, 0
+	var stats RunStats
 	for iter := 0; iter < t.maxIters; iter++ {
 		stats.Iters++
 		changed := t.iterate()
@@ -106,6 +108,7 @@ func (t *transform) run() (*ir.Func, RunStats) {
 			break
 		}
 	}
+	stats.RuleHits = t.hits
 	return t.fn, stats
 }
 
@@ -115,15 +118,17 @@ type transform struct {
 	fn       *ir.Func // the function being rewritten
 	rs       *RuleSet
 	maxIters int
-	hits     map[string]int
+	hits     map[string]int // allocated at the first hit
 
 	repl  map[ir.Value]ir.Value
 	live  map[*ir.Instr]bool
 	used  map[string]bool // names freshName must avoid; nil until first use
 	fresh int
-
-	scratch ir.Instr // quiescent's canonicalization target
 }
+
+// scratchPool recycles quiescent's canonicalization targets, so a probe
+// allocates neither the instruction nor its operand slice.
+var scratchPool = sync.Pool{New: func() any { return new(ir.Instr) }}
 
 // quiescent reports whether the first sweep over t.fn would change
 // nothing: no instruction folds, canonicalizes or fires a rule, and DCE
@@ -132,15 +137,22 @@ type transform struct {
 // The sweep is exact because every step before the first change sees the
 // function unchanged.
 func (t *transform) quiescent() bool {
+	scratch := scratchPool.Get().(*ir.Instr)
+	defer func() {
+		args := scratch.Args[:0]
+		clear(args[:cap(args)]) // retain no caller values
+		*scratch = ir.Instr{Args: args}
+		scratchPool.Put(scratch)
+	}()
 	for _, b := range t.fn.Blocks {
 		for i, in := range b.Instrs {
 			if _, ok := t.constFold(in); ok {
 				return false
 			}
-			args := t.scratch.Args
-			t.scratch = *in
-			t.scratch.Args = append(args[:0], in.Args...)
-			if t.canonicalize(&t.scratch) {
+			args := scratch.Args
+			*scratch = *in
+			scratch.Args = append(args[:0], in.Args...)
+			if t.canonicalize(scratch) {
 				return false
 			}
 			if _, _, ok := t.applyRules(in, b.Instrs[:i:i]); ok {

@@ -335,6 +335,9 @@ func (rs *RuleSet) rulesFor(op ir.Opcode) []*Rule {
 func (t *transform) applyRules(in *ir.Instr, prior []*ir.Instr) ([]*ir.Instr, ir.Value, bool) {
 	for _, r := range t.rs.rulesFor(in.Op) {
 		if news, v, ok := r.apply(t, in, prior); ok {
+			if t.hits == nil {
+				t.hits = make(map[string]int)
+			}
 			t.hits[r.ID]++
 			return news, v, true
 		}
