@@ -324,9 +324,18 @@ func BenchmarkVerify(b *testing.B) { experiments.BenchVerify(b) }
 func BenchmarkVerifyReference(b *testing.B) { experiments.BenchVerifyReference(b) }
 
 // BenchmarkVerifyExhaustive verifies a two-i8-parameter rotate pair by
-// full enumeration (65,536 vectors) per op: the columnar exhaustive tier
-// and the intrinsic batch kernel.
+// full enumeration (65,536 vectors) per op, on the packed tier's funnel
+// shifts by a register amount and abs.
 func BenchmarkVerifyExhaustive(b *testing.B) { experiments.BenchVerifyExhaustive(b) }
+
+// BenchmarkVerifyExhaustiveRule8 verifies the i8 rule (a0+a1)-a1 -> a0 by
+// full enumeration (65,536 vectors) per op: the commonest shape among the
+// vectors a learning campaign verifies.
+func BenchmarkVerifyExhaustiveRule8(b *testing.B) { experiments.BenchVerifyExhaustiveRule8(b) }
+
+// BenchmarkVerifyExhaustiveRule16 verifies the i16 rule rotate-by-4 -> fshl
+// by full enumeration (65,536 vectors) per op.
+func BenchmarkVerifyExhaustiveRule16(b *testing.B) { experiments.BenchVerifyExhaustiveRule16(b) }
 
 // BenchmarkVerifyBatch is the tiered checker reused across calls (the CEGIS
 // steady state): pure lane-batched verification with everything warm.

@@ -221,8 +221,8 @@ const perfSweepTgt = `define i16 @tgt(i16 %x, i16 %y) {
 }`
 
 // perfRotSrc/perfRotTgt rotate left by %y as a right rotate by -%y: two
-// i8 parameters, so verification enumerates all 65,536 input vectors
-// through the intrinsic batch kernel.
+// i8 parameters, so verification enumerates all 65,536 input vectors, with
+// funnel shifts by a register amount and abs on both sides.
 const perfRotSrc = `define i8 @src(i8 %x, i8 %y) {
   %r = call i8 @llvm.fshl.i8(i8 %x, i8 %x, i8 %y)
   %a = call i8 @llvm.abs.i8(i8 %r, i1 false)
@@ -236,13 +236,42 @@ const perfRotTgt = `define i8 @tgt(i8 %x, i8 %y) {
   ret i8 %a
 }`
 
+// perfRule8Src/perfRule8Tgt is the i8 rule (a0+a1)-a1 -> a0: two i8
+// parameters of add/sub, the commonest shape among the vectors a learning
+// campaign verifies (seeds 501-504).
+const perfRule8Src = `define i8 @src(i8 %a0, i8 %a1) {
+  %s = add i8 %a0, %a1
+  %r = sub i8 %s, %a1
+  ret i8 %r
+}`
+
+const perfRule8Tgt = `define i8 @tgt(i8 %a0, i8 %a1) {
+  ret i8 %a0
+}`
+
+// perfRule16Src/perfRule16Tgt is the i16 rule rotate-by-4 -> fshl: one i16
+// parameter, constant shifts against a funnel shift by a constant.
+const perfRule16Src = `define i16 @src(i16 %x) {
+  %h = shl i16 %x, 4
+  %l = lshr i16 %x, 12
+  %r = or i16 %h, %l
+  ret i16 %r
+}`
+
+const perfRule16Tgt = `define i16 @tgt(i16 %x) {
+  %r = call i16 @llvm.fshl.i16(i16 %x, i16 %x, i16 4)
+  ret i16 %r
+}`
+
 var (
-	perfOnce                     sync.Once
-	perfClampSrcF, perfClampTgtF *ir.Func
-	perfSweepSrcF, perfSweepTgtF *ir.Func
-	perfMBSrcF, perfMBTgtF       *ir.Func
-	perfMemSrcF, perfMemTgtF     *ir.Func
-	perfRotSrcF, perfRotTgtF     *ir.Func
+	perfOnce                       sync.Once
+	perfRule8SrcF, perfRule8TgtF   *ir.Func
+	perfRule16SrcF, perfRule16TgtF *ir.Func
+	perfClampSrcF, perfClampTgtF   *ir.Func
+	perfSweepSrcF, perfSweepTgtF   *ir.Func
+	perfMBSrcF, perfMBTgtF         *ir.Func
+	perfMemSrcF, perfMemTgtF       *ir.Func
+	perfRotSrcF, perfRotTgtF       *ir.Func
 )
 
 func perfFuncs() {
@@ -257,6 +286,10 @@ func perfFuncs() {
 		perfMemTgtF = parser.MustParseFunc(perfMemTgt)
 		perfRotSrcF = parser.MustParseFunc(perfRotSrc)
 		perfRotTgtF = parser.MustParseFunc(perfRotTgt)
+		perfRule8SrcF = parser.MustParseFunc(perfRule8Src)
+		perfRule8TgtF = parser.MustParseFunc(perfRule8Tgt)
+		perfRule16SrcF = parser.MustParseFunc(perfRule16Src)
+		perfRule16TgtF = parser.MustParseFunc(perfRule16Tgt)
 	})
 }
 
@@ -277,17 +310,40 @@ func BenchVerify(b *testing.B) {
 }
 
 // BenchVerifyExhaustive measures one Verify of a two-i8-parameter rotate
-// pair, the shape of most verified vectors in a learning campaign: the full
-// 65,536-vector exhaustive enumeration through the columnar input tier and
-// the intrinsic batch kernel, with a fresh Checker per call as the engine
-// builds one.
+// pair by full enumeration (65,536 vectors), with a fresh Checker per call
+// as the engine builds one. Funnel shifts by a register amount and abs do
+// not occur among the vectors a learning campaign verifies;
+// BenchVerifyExhaustiveRule8 and BenchVerifyExhaustiveRule16 measure the
+// shapes that do.
 func BenchVerifyExhaustive(b *testing.B) {
 	perfFuncs()
+	benchExhaustive(b, perfRotSrcF, perfRotTgtF)
+}
+
+// BenchVerifyExhaustiveRule8 measures one exhaustive Verify of the i8 rule
+// (a0+a1)-a1 -> a0 (65,536 vectors), the commonest campaign shape: two i8
+// parameters and add/sub.
+func BenchVerifyExhaustiveRule8(b *testing.B) {
+	perfFuncs()
+	benchExhaustive(b, perfRule8SrcF, perfRule8TgtF)
+}
+
+// BenchVerifyExhaustiveRule16 measures one exhaustive Verify of the i16
+// rule rotate-by-4 -> fshl (65,536 vectors): one i16 parameter, constant
+// shifts and a funnel shift by a constant.
+func BenchVerifyExhaustiveRule16(b *testing.B) {
+	perfFuncs()
+	benchExhaustive(b, perfRule16SrcF, perfRule16TgtF)
+}
+
+// benchExhaustive verifies a correct pair by full enumeration per op, with
+// a shared program cache and a fresh Checker per call.
+func benchExhaustive(b *testing.B, src, tgt *ir.Func) {
 	opts := alive.Options{Seed: 1, Programs: interp.NewCache()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if r := alive.Verify(perfRotSrcF, perfRotTgtF, opts); r.Verdict != alive.Correct || !r.Exhaustive {
+		if r := alive.Verify(src, tgt, opts); r.Verdict != alive.Correct || !r.Exhaustive {
 			b.Fatal("verification regressed")
 		}
 	}
