@@ -326,11 +326,13 @@ func (c *Checker) windowKey() uint64 {
 // counterexamples for this source window, then the generated input sequence
 // streams through, with the exhaustive/special phases attributed to tier 1
 // and the random phases to tier 2. Both run lane-batched through the same
-// fill, run and in-order scan, so the first violating vector, Checked and
-// the counterexample are identical to ReferenceVerify; only tier 0 can find
-// a violation earlier, and only on a pooled or seeded vector. Any violation
-// deposits its vector into Options.Pool. Verify may be called repeatedly
-// (e.g. with the checker reused across CEGIS rounds).
+// fill, run and in-order scan — except the exhaustive counter phase of a
+// packable pair, which runs on packed words and hands its first violating
+// group back to that scan (runPacked) — so the first violating vector,
+// Checked and the counterexample are identical to ReferenceVerify; only
+// tier 0 can find a violation earlier, and only on a pooled or seeded
+// vector. Any violation deposits its vector into Options.Pool. Verify may
+// be called repeatedly (e.g. with the checker reused across CEGIS rounds).
 func (c *Checker) Verify() Result {
 	if c.sigErr != "" {
 		return Result{Verdict: Unsupported, Err: c.sigErr}

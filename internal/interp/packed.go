@@ -532,27 +532,32 @@ func (ps *packedState) run(pi *pinstr) {
 	h := ones << (lb - 1)
 	m := ir.MaskW(int(w)) * ones // every lane's w-bit mask
 	// orPoison sets pd to the union of the operands' poison masks.
-	orPoison := func(ps ...[]uint64) {
-		copy(pd, ps[0])
-		for _, q := range ps[1:] {
+	orPoison := func(masks ...[]uint64) {
+		copy(pd, masks[0])
+		for _, q := range masks[1:] {
 			for i := range pd {
 				pd[i] |= q[i]
 			}
 		}
 	}
-	// flagLanes ORs into pd the lanes whose bit b of f(word index) is set.
+	// poisonLanes marks poison the lanes of result word i set in lanes
+	// (one bit per lane, as laneBitsAt and nonzeroLanes return them).
+	poisonLanes := func(i int, lanes uint64) {
+		pd[uint(i)/uint(lb)] |= lanes << ((uint(i) % uint(lb)) * n)
+	}
+	// flagLanes marks poison the lanes whose bit b of f(word index) is set.
 	flagLanes := func(b uint, f func(i int) uint64) {
 		for i := range d {
 			if t := f(i); t != 0 {
-				pd[uint(i)/uint(lb)] |= laneBitsAt(t, lb, b) << ((uint(i) % uint(lb)) * n)
+				poisonLanes(i, laneBitsAt(t, lb, b))
 			}
 		}
 	}
-	// nonzeroFlag ORs into pd the lanes in which f(word index) is nonzero.
+	// nonzeroFlag marks poison the lanes in which f(word index) is nonzero.
 	nonzeroFlag := func(f func(i int) uint64) {
 		for i := range d {
 			if t := f(i); t != 0 {
-				pd[uint(i)/uint(lb)] |= nonzeroLanes(t, lb) << ((uint(i) % uint(lb)) * n)
+				poisonLanes(i, nonzeroLanes(t, lb))
 			}
 		}
 	}
@@ -625,8 +630,7 @@ func (ps *packedState) run(pi *pinstr) {
 			top := m &^ (ir.MaskW(int(w-s-1)) * ones)
 			for i := range d {
 				if t := x[i] & top; t != 0 {
-					diff := nonzeroLanes(t, lb) & nonzeroLanes(t^top, lb)
-					pd[uint(i)/uint(lb)] |= diff << ((uint(i) % uint(lb)) * n)
+					poisonLanes(i, nonzeroLanes(t, lb)&nonzeroLanes(t^top, lb))
 				}
 			}
 		}
@@ -709,8 +713,7 @@ func (ps *packedState) run(pi *pinstr) {
 		if pi.sh == 1 { // int_min_is_poison: the lanes equal to the sign bit
 			sign := (uint64(1) << (w - 1)) * ones
 			for i := range d {
-				eq := nonzeroLanes(x[i]^sign, lb) ^ ir.MaskW(int(n))
-				pd[uint(i)/uint(lb)] |= eq << ((uint(i) % uint(lb)) * n)
+				poisonLanes(i, nonzeroLanes(x[i]^sign, lb)^ir.MaskW(int(n)))
 			}
 		}
 	case pkMinMax:
