@@ -164,14 +164,14 @@ func TestPackedTierMatchesReference(t *testing.T) {
 			if k >= cmax {
 				continue
 			}
+			hows := []string{"flip", "poison", "ub"}
+			if k > second {
+				hows = hows[:1] // the reference pays for every vector before k
+			}
 			// Keep the lane, moving group by group to an input the source
 			// is defined on.
 			for !definedAt(sp, k) {
 				k += 64
-			}
-			hows := []string{"flip", "poison", "ub"}
-			if k > second {
-				hows = hows[:1] // the reference pays for every vector before k
 			}
 			for _, how := range hows {
 				name := fmt.Sprintf("%s %s at %d", s.name, how, k)
@@ -189,8 +189,8 @@ func TestPackedTierMatchesReference(t *testing.T) {
 }
 
 // TestPackedTierMatchesReferenceOnBenchdata runs every benchdata pair with
-// the default exhaustive bound, so each pair of at most 16 input bits
-// enumerates through the packed tier.
+// the default exhaustive bound, so each packable pair of at most 16 input
+// bits enumerates through the packed tier.
 func TestPackedTierMatchesReferenceOnBenchdata(t *testing.T) {
 	opts := alive.Options{Seed: 11, Samples: 192, MemFills: 2, Programs: interp.NewCache()}
 	var pairs []benchdata.Pair

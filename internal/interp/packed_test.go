@@ -157,7 +157,7 @@ func genPackable(data []byte) string {
 		last.w, strings.Join(params, ", "), sb.String(), last.w, last.name)
 }
 
-// packedLanes reads vector v of a packed group (lb-bit lanes).
+// packedLane reads vector v of a packed group (lb-bit lanes).
 func packedLane(words []uint64, lb, v int) uint64 {
 	n := 64 / lb
 	return (words[v/n] >> uint((v%n)*lb)) & ir.MaskW(lb)
