@@ -276,32 +276,20 @@
 // campaign workload from 123.4 to 60.8 KiB allocated per window (2-vCPU
 // KVM guest, Go 1.24).
 //
-// `lpo-bench -json FILE` records the hot-path numbers as a machine-readable
-// snapshot so later PRs have a trajectory to compare against. The format
-// (schema "lpo-bench-perf/6") is one JSON object: "schema", "go_max_procs",
-// "go_version", "benchmarks" — an array of {name, ns_per_op, allocs_per_op,
-// bytes_per_op, iterations} for the workloads verify_checker,
-// verify_reference, verify_batch, verify_multiblock, verify_memory,
-// verify_widths, interp_exec, interp_batch,
-// opt_dispatch_all_rules and opt_run_o3 (mirrored by the root-level
-// BenchmarkVerify*/BenchmarkInterp* benchmarks; interp_batch measures one
-// whole BatchWidth-vector batch per op — writing the input column, running
-// it and reading the masks and return column, as the verifier does — verify_multiblock/verify_memory
-// exercise the masked scheduler and the per-lane slabs on a reused
-// checker) — "tier_kills", the {pool, special, random} kill counters of a
-// fixed refute-twice-then-verify script that makes counterexample sharing
-// CI-observable. CI uploads the snapshot as an artifact on every run and
-// fails if any tracked workload regresses past 2x ns/op or grows past 2x
-// allocs/op against the committed reference, or if
-// "ingest_speedup" — the ratio of the store_commit workload's ns/op to
-// ingest_throughput's, both measured in the same run — drops below 10x
-// (`lpo-bench -json out.json -against BENCH_8.json`, tolerances via
-// -tolerance / -alloc-tolerance); BENCH_8.json in the repository root is
-// the PR-10 reference point (schema lpo-bench-perf/5, which adds the store
-// ingest workloads store_commit / store_group_commit / ingest_throughput —
-// see "Scaling the Store" below), BENCH_7.json the PR-7 one (schema 4,
-// adding the wasm_decode / wasm_lift frontend workloads), BENCH_6.json the
-// PR-6 one, BENCH_5.json the PR-5 one, BENCH_4.json the PR-4 one.
+// CI compares each commit with its parent in the same job, on the same
+// host (.github/perfgate.sh): it builds both trees and runs five
+// interleaved pairs, alternating which side goes first, of the root
+// verify/interp/opt/parser/wasm/store benchmarks and BenchmarkCampaignJob
+// (with -benchmem) plus a 5 s perfbench campaign per side. With r the five
+// HEAD/parent ratios, a benchmark fails when median(r) exceeds
+// 1 + max(3·MAD(r), 0.25), or when its median allocs/op exceed 1.1 times
+// the parent's plus 2; a campaign metric fails by the same rule
+// with its BENCHMARK.json bound in place of 0.25. A campaign run must be
+// correct with no failed op, and BenchmarkStoreCommit ns/op over
+// BenchmarkIngestThroughput ns/op, both from one run, must stay at 10x or
+// more. The BENCH_4–8.json files in the repository root are frozen
+// snapshots from earlier hosts, kept as history; nothing compares against
+// them.
 //
 // # The WebAssembly Frontend
 //
@@ -475,7 +463,7 @@
 // serial: the old submit path), store_group_commit (8 clients, a barrier
 // per record, one group-committed log), and ingest_throughput (4 shards +
 // group commit + 32-record client batches: >10x submissions/sec over the
-// baseline, the floor CI enforces via the snapshot's ingest_speedup).
+// baseline, a floor the CI perf gate holds within one run).
 //
 // # Fault Tolerance and Degraded Modes
 //

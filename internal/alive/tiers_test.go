@@ -14,7 +14,9 @@ import (
 // scheduler: the input that refuted one candidate kills the next wrong
 // candidate for the same window in tier 0, after a handful of executions
 // instead of a sampling pass — and the counterexample it reports is a
-// genuine, freshly re-executed violation.
+// genuine, freshly re-executed violation. The corner values make the first
+// kill a special-tier one, and a violation no corner value hits falls to
+// the random tier.
 func TestPoolKillsRepeatOffender(t *testing.T) {
 	src := parser.MustParseFunc(`define i8 @src(i8 %x, i8 %y) { %r = add i8 %x, %y ret i8 %r }`)
 	nsw := parser.MustParseFunc(`define i8 @tgt(i8 %x, i8 %y) { %r = add nsw i8 %x, %y ret i8 %r }`)
@@ -23,7 +25,7 @@ func TestPoolKillsRepeatOffender(t *testing.T) {
 	opts := Options{Seed: 1, Samples: 256, Programs: interp.NewCache(), Pool: pool}
 
 	r1 := Verify(src, nsw, opts)
-	if r1.Verdict != Incorrect || r1.Tiers.KillTier == TierPool {
+	if r1.Verdict != Incorrect || r1.Tiers.KillTier != TierSpecial {
 		t.Fatalf("first refutation: verdict %v, tier %d", r1.Verdict, r1.Tiers.KillTier)
 	}
 	if pool.Stats().Deposits != 1 {
@@ -52,6 +54,20 @@ func TestPoolKillsRepeatOffender(t *testing.T) {
 	r3 := Verify(src, comm, opts)
 	if r3.Verdict != Correct || r3.Tiers.PoolChecked == 0 {
 		t.Fatalf("correct pair: verdict %v, pool checked %d", r3.Verdict, r3.Tiers.PoolChecked)
+	}
+	// An i32 identity rewrite broken only on x ≡ 777 (mod 1000): no corner
+	// value hits that residue, so only the random phase can kill it.
+	idSrc := parser.MustParseFunc(`define i32 @src(i32 %x) { ret i32 %x }`)
+	idTgt := parser.MustParseFunc(`define i32 @tgt(i32 %x) {
+  %m = urem i32 %x, 1000
+  %c = icmp eq i32 %m, 777
+  %r = select i1 %c, i32 0, i32 %x
+  ret i32 %r
+}`)
+	ropts := opts
+	ropts.Samples = 4096
+	if r4 := Verify(idSrc, idTgt, ropts); r4.Verdict != Incorrect || r4.Tiers.KillTier != TierRandom {
+		t.Fatalf("residue-only violation: verdict %v, tier %d, want random (%d)", r4.Verdict, r4.Tiers.KillTier, TierRandom)
 	}
 }
 
