@@ -205,7 +205,12 @@
 // into the input columns, one pass per argument lane, and the checker
 // counts tiers once per batch. The generator's rng comes from a pool and
 // is seeded on first draw, so a Verify allocates no random source and an
-// exhaustive run refuted before its poison trials never seeds one. Memory
+// exhaustive run refuted before its poison trials never takes one. The
+// pooled sources, here and in llm.Sim, are seedrand.Source: its draws
+// equal math/rand's own source bit for bit, but Seed is O(1) and each of
+// the 607 words of the register is computed when a draw first reads it
+// (x_n = seed·48271^n mod 2^31−1, from a table of powers), so a simulated
+// response that draws three numbers computes at most six words. Memory
 // fills land directly in the per-lane slabs, and refuted pairs
 // restore the raw input pointer words and initial region bytes so the
 // counterexample text stays byte-identical to alive.ReferenceVerify, the
@@ -274,7 +279,13 @@
 // it differ only in their name. Together they take BenchmarkCampaignJob
 // from 14.9 to 7.3 MB and from 229k to 140k allocations per job, and the
 // campaign workload from 123.4 to 60.8 KiB allocated per window (2-vCPU
-// KVM guest, Go 1.24).
+// KVM guest, Go 1.24). Extraction does not repeat itself either: an
+// extract.Extractor memoizes each function's counts by ir.Hash once the
+// function has been extracted to its end, and a structurally equal
+// function later (a corpus of ~850 functions has 110 distinct hashes)
+// adds those counts, with every sequence that reached the dedup claim
+// counted as a duplicate, and yields nothing, which is what extracting it
+// again would give.
 //
 // CI compares each commit with its parent in the same job, on the same
 // host (.github/perfgate.sh): it builds both trees and runs five

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/seedrand"
 )
 
 // inputGen produces the sequence of concrete environments to check:
@@ -57,11 +58,11 @@ const (
 	phDone
 )
 
-// rngPool recycles the generators' random sources. Reseeding a rand.Rand
-// puts it in exactly the state rand.New(rand.NewSource(seed)) starts in, so
-// the sequence is unchanged; only the ~5 KiB source allocation per Verify
-// is saved.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the generators' random sources. Seeding a
+// seedrand.Source puts it in exactly the state rand.NewSource(seed) starts
+// in, so the sequence is unchanged; the pool saves the ~5 KiB source
+// allocation per Verify.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(seedrand.Source)) }}
 
 // newInputGen builds the generator for f's parameters. Call release once
 // the sequence is no longer needed.
@@ -107,11 +108,10 @@ func newInputGen(f *ir.Func, opts Options) *inputGen {
 	return g
 }
 
-// random returns the generator's rng, seeding it on first use. Seeding
-// recomputes the source's whole 607-word state, and sequences that end
-// before their first random draw — exhaustive runs refuted before the
-// poison trials — skip it. The draws, and so the sequence, are the same
-// either way.
+// random returns the generator's rng, seeding it on first use, so
+// sequences that end before their first random draw — exhaustive runs
+// refuted before the poison trials — take no source from the pool. The
+// draws, and so the sequence, are the same either way.
 func (g *inputGen) random() *rand.Rand {
 	if g.rng == nil {
 		g.rng = rngPool.Get().(*rand.Rand)

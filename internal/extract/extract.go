@@ -7,6 +7,8 @@ package extract
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/ir"
@@ -45,15 +47,18 @@ type Stats struct {
 	Unsupported int // dropped: not wrappable (phi/label operands, void mid-results)
 }
 
-// Extractor holds the cross-module dedup set. The dedup set and counters are
-// guarded by a mutex, so one Extractor may be shared across concurrent
-// extraction workers (the engine's streaming sources do exactly that);
-// deduplication stays global across all of them.
+// Extractor holds the cross-module dedup set. The dedup set, the memo and
+// the counters are guarded by a mutex, so one Extractor may be shared
+// across concurrent extraction workers (the engine's streaming sources do
+// exactly that); deduplication stays global across all of them.
 type Extractor struct {
 	opts  Options
 	mu    sync.Mutex
 	dedup map[uint64]bool
 	stats Stats
+	// memo holds the tally of each function extracted to its end, keyed by
+	// ir.Hash of the function; see (*Extractor).function.
+	memo map[uint64]Stats
 }
 
 // New returns an Extractor with an empty dedup set.
@@ -61,10 +66,11 @@ func New(opts Options) *Extractor {
 	if opts.MinLen == 0 {
 		opts.MinLen = 2
 	}
-	return &Extractor{opts: opts, dedup: make(map[uint64]bool)}
+	return &Extractor{opts: opts, dedup: make(map[uint64]bool), memo: make(map[uint64]Stats)}
 }
 
-// Stats returns a copy of the running counters.
+// Stats returns a copy of the running counters. Counts are added once per
+// function, when its extraction ends or stops.
 func (e *Extractor) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -77,18 +83,10 @@ func (e *Extractor) claim(digest uint64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dedup[digest] {
-		e.stats.Duplicates++
 		return false
 	}
 	e.dedup[digest] = true
-	e.stats.Kept++
 	return true
-}
-
-func (e *Extractor) count(f func(*Stats)) {
-	e.mu.Lock()
-	f(&e.stats)
-	e.mu.Unlock()
 }
 
 // Module extracts all unique, not-already-optimizable sequences from m.
@@ -105,45 +103,136 @@ func (e *Extractor) Module(m *ir.Module) []*Sequence {
 // as it is found, without materializing the whole slice. Extraction stops
 // early when yield returns false. Stream is safe to call concurrently on
 // different modules of the same Extractor.
+//
+// A function structurally equal to one already extracted to its end (the
+// corpus repeats a few templates across hundreds of functions) is not
+// extracted again: its counts are replayed from the memo and it yields
+// nothing, which is what extracting it would give.
 func (e *Extractor) Stream(m *ir.Module, yield func(*Sequence) bool) {
 	for _, f := range m.Funcs {
-		for _, bb := range f.Blocks {
-			for _, seq := range SeqsFromBlock(bb) {
-				e.count(func(s *Stats) { s.Sequences++ })
-				if len(seq) < e.opts.MinLen || (e.opts.MaxLen > 0 && len(seq) > e.opts.MaxLen) {
-					e.count(func(s *Stats) { s.TooShort++ })
-					continue
-				}
-				wrapped, err := WrapAsFunc(seq, "src")
-				if err != nil {
-					e.count(func(s *Stats) { s.Unsupported++ })
-					continue
-				}
-				// Line 7-8 of Alg. 2: if LLVM can further optimize the
-				// isolated sequence, skip it — the missed-optimization
-				// search should only see code the compiler thinks is final.
-				optimized := opt.Run(wrapped, e.opts.Opt)
-				if optimized.NumInstrs(true) < wrapped.NumInstrs(true) {
-					e.count(func(s *Stats) { s.Optimizable++ })
-					continue
-				}
-				// Pure canonicalization (same size, different shape) is
-				// folded into the kept sequence so every consumer sees the
-				// canonical form.
-				if !ir.StructurallyEqual(optimized, wrapped) {
-					wrapped = optimized
-				}
-				if !e.claim(ir.Hash(wrapped)) {
-					continue
-				}
-				if !yield(&Sequence{
-					Fn: wrapped, Module: m.Name, Func: f.Name, Block: bb.Name, Len: len(seq),
-				}) {
-					return
-				}
+		if !e.function(m, f, yield) {
+			return
+		}
+	}
+}
+
+// function extracts f's sequences, reporting false when yield stopped it.
+//
+// The memo is exact. Extraction reads what ir.Hash covers (opcodes, flags,
+// types, predicates, callees, element types and operand structure) plus
+// value names and Align. No opt rule tests Align; one only copies it into
+// the instruction it builds. Names matter only where WrapAsFunc's verify
+// rejects a repeated one, so the memo is used only for functions whose
+// result names are distinct and none of the a<N> form parameters take
+// (namesSafe). Two such functions with one hash therefore give equal
+// counts, and every sequence of the later one that reaches claim hashes
+// like one the earlier one claimed, which is in the dedup set: each is a
+// duplicate, and nothing is yielded. A function stopped by yield records
+// nothing, since its later sequences were never claimed.
+func (e *Extractor) function(m *ir.Module, f *ir.Func, yield func(*Sequence) bool) bool {
+	memoize := namesSafe(f)
+	var key uint64
+	if memoize {
+		key = ir.Hash(f)
+		e.mu.Lock()
+		t, seen := e.memo[key]
+		if seen {
+			t.Duplicates += t.Kept
+			t.Kept = 0
+			e.stats.add(t)
+		}
+		e.mu.Unlock()
+		if seen {
+			return true
+		}
+	}
+	t, done := e.sequences(m, f, yield)
+	e.mu.Lock()
+	e.stats.add(t)
+	if done && memoize {
+		e.memo[key] = t
+	}
+	e.mu.Unlock()
+	return done
+}
+
+// sequences runs Algorithm 2 over f's blocks and returns f's tally,
+// reporting false when yield stopped it.
+func (e *Extractor) sequences(m *ir.Module, f *ir.Func, yield func(*Sequence) bool) (t Stats, done bool) {
+	for _, bb := range f.Blocks {
+		for _, seq := range SeqsFromBlock(bb) {
+			t.Sequences++
+			if len(seq) < e.opts.MinLen || (e.opts.MaxLen > 0 && len(seq) > e.opts.MaxLen) {
+				t.TooShort++
+				continue
+			}
+			wrapped, err := WrapAsFunc(seq, "src")
+			if err != nil {
+				t.Unsupported++
+				continue
+			}
+			// Line 7-8 of Alg. 2: if LLVM can further optimize the
+			// isolated sequence, skip it — the missed-optimization
+			// search should only see code the compiler thinks is final.
+			optimized := opt.Run(wrapped, e.opts.Opt)
+			if optimized.NumInstrs(true) < wrapped.NumInstrs(true) {
+				t.Optimizable++
+				continue
+			}
+			// Pure canonicalization (same size, different shape) is
+			// folded into the kept sequence so every consumer sees the
+			// canonical form.
+			if !ir.StructurallyEqual(optimized, wrapped) {
+				wrapped = optimized
+			}
+			if !e.claim(ir.Hash(wrapped)) {
+				t.Duplicates++
+				continue
+			}
+			t.Kept++
+			if !yield(&Sequence{
+				Fn: wrapped, Module: m.Name, Func: f.Name, Block: bb.Name, Len: len(seq),
+			}) {
+				return t, false
 			}
 		}
 	}
+	return t, true
+}
+
+func (s *Stats) add(t Stats) {
+	s.Sequences += t.Sequences
+	s.TooShort += t.TooShort
+	s.Optimizable += t.Optimizable
+	s.Duplicates += t.Duplicates
+	s.Kept += t.Kept
+	s.Unsupported += t.Unsupported
+}
+
+// namesSafe reports whether no sequence of f can fail WrapAsFunc's verify
+// on a name: f's result names are distinct and none has the form a<digits>
+// that WrapAsFunc gives parameters.
+func namesSafe(f *ir.Func) bool {
+	var buf [32]string
+	names := buf[:0]
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if !in.HasResult() {
+				continue
+			}
+			if len(in.Nm) > 1 && in.Nm[0] == 'a' && strings.Trim(in.Nm[1:], "0123456789") == "" {
+				return false
+			}
+			names = append(names, in.Nm)
+		}
+	}
+	slices.Sort(names)
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // SeqsFromBlock is the paper's ExtractSeqsFromBB: it walks the block's

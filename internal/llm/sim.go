@@ -3,14 +3,15 @@ package llm
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/seedrand"
 )
 
 // Calibration is the per-(model, benchmark) success calibration from the
@@ -157,19 +158,31 @@ func (s *Sim) successFor(h uint64, round int, rng *rand.Rand) (s1, s2 bool) {
 	return slot < c.Minus, slot < c.Plus
 }
 
-// rngPool recycles the simulator's per-response random sources. Seeding a
-// recycled rand.Rand puts it in exactly the state rand.New(rand.NewSource(s))
-// starts in, so every draw is unchanged; only the ~5 KiB source allocation
-// per response is saved.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles the simulator's per-response random sources. Seeding
+// a seedrand.Source puts it in exactly the state rand.NewSource(s) starts
+// in, in O(1); a draw computes only the register words it reads, and a
+// response draws a few numbers, far fewer than the 607 words.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(seedrand.Source)) }}
 
 // rng returns the random source for one (window, round) draw, taken from
-// rngPool; the caller puts it back when done.
+// rngPool; the caller puts it back when done. The seed is the 64-bit
+// FNV-1a digest of "<profile>|<seed>|<hash>|<round>".
 func (s *Sim) rng(h uint64, round int) *rand.Rand {
-	f := fnv.New64a()
-	fmt.Fprintf(f, "%s|%d|%d|%d", s.prof.Name, s.seed, h, round)
+	var buf [96]byte
+	key := append(buf[:0], s.prof.Name...)
+	key = append(key, '|')
+	key = strconv.AppendUint(key, s.seed, 10)
+	key = append(key, '|')
+	key = strconv.AppendUint(key, h, 10)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, int64(round), 10)
+	sum := uint64(14695981039346656037)
+	for _, c := range key {
+		sum ^= uint64(c)
+		sum *= 1099511628211
+	}
 	r := rngPool.Get().(*rand.Rand)
-	r.Seed(int64(f.Sum64()))
+	r.Seed(int64(sum))
 	return r
 }
 
@@ -201,7 +214,6 @@ func ExtractFunc(text string) string {
 func corruptSyntax(f *ir.Func) string {
 	text := f.String()
 	for _, base := range []string{"smax", "smin", "umax", "umin"} {
-		marker := "call"
 		needle := "@llvm." + base + "."
 		if i := strings.Index(text, needle); i >= 0 {
 			// Rewrite "%n = tail call T @llvm.smax.suf(T %a, T %b)" into
@@ -216,7 +228,6 @@ func corruptSyntax(f *ir.Func) string {
 			}
 			args := strings.TrimSuffix(strings.TrimSpace(line[open+1:]), ")")
 			broken := line[:eq+2] + base + " " + args
-			_ = marker
 			return text[:lineStart] + broken + text[lineEnd:]
 		}
 	}
