@@ -112,60 +112,31 @@ func BenchmarkFigure5Spec(b *testing.B) {
 
 // --- Ablations (DESIGN.md §6) ---
 
-func engineFor(attempts int, cfgMod func(*engine.Config)) (*engine.Engine, *ir.Func) {
+// benchAttemptLimit runs one sequence through the loop per op with the
+// given attempt budget. Each op gets a fresh engine, built outside the
+// timer, so no op finds its verdict in an earlier op's verify cache and
+// every op pays the real verification cost.
+func benchAttemptLimit(b *testing.B, attempts int) {
 	src := opt.RunO3(parser.MustParseFunc(clampSrc))
 	sim := llm.NewSim("Gemini2.0T", 9)
 	sim.Calibrate(ir.Hash(src), llm.Calibration{Minus: 2, Plus: 5})
-	cfg := engine.Config{AttemptLimit: attempts, Verify: alive.Options{Samples: 256, Seed: 9},
-		// The ablations measure the loop itself; disable the memoization so
-		// every iteration pays the real verification cost.
-		DisableVerifyCache: true}
-	if cfgMod != nil {
-		cfgMod(&cfg)
+	cfg := engine.Config{AttemptLimit: attempts, Verify: alive.Options{Samples: 256, Seed: 9}}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := engine.New(sim, cfg)
+		b.StartTimer()
+		e.OptimizeSeq(context.Background(), src, i)
 	}
-	return engine.New(sim, cfg), src
 }
 
 // BenchmarkAblationAttemptLimit1 is LPO- (no feedback round).
-func BenchmarkAblationAttemptLimit1(b *testing.B) {
-	e, src := engineFor(1, nil)
-	for i := 0; i < b.N; i++ {
-		e.OptimizeSeq(context.Background(), src, i)
-	}
-}
+func BenchmarkAblationAttemptLimit1(b *testing.B) { benchAttemptLimit(b, 1) }
 
 // BenchmarkAblationAttemptLimit2 is the paper's configuration.
-func BenchmarkAblationAttemptLimit2(b *testing.B) {
-	e, src := engineFor(2, nil)
-	for i := 0; i < b.N; i++ {
-		e.OptimizeSeq(context.Background(), src, i)
-	}
-}
+func BenchmarkAblationAttemptLimit2(b *testing.B) { benchAttemptLimit(b, 2) }
 
 // BenchmarkAblationAttemptLimit4 doubles the feedback budget.
-func BenchmarkAblationAttemptLimit4(b *testing.B) {
-	e, src := engineFor(4, nil)
-	for i := 0; i < b.N; i++ {
-		e.OptimizeSeq(context.Background(), src, i)
-	}
-}
-
-// BenchmarkAblationNoInterestingness shows the cost of skipping the cheap
-// filter: every candidate goes straight to the verifier.
-func BenchmarkAblationNoInterestingness(b *testing.B) {
-	e, src := engineFor(2, func(c *engine.Config) { c.DisableInterestingness = true })
-	for i := 0; i < b.N; i++ {
-		e.OptimizeSeq(context.Background(), src, i)
-	}
-}
-
-// BenchmarkAblationNoOptPreprocess skips candidate canonicalization.
-func BenchmarkAblationNoOptPreprocess(b *testing.B) {
-	e, src := engineFor(2, func(c *engine.Config) { c.DisableOptPreprocess = true })
-	for i := 0; i < b.N; i++ {
-		e.OptimizeSeq(context.Background(), src, i)
-	}
-}
+func BenchmarkAblationAttemptLimit4(b *testing.B) { benchAttemptLimit(b, 4) }
 
 // BenchmarkEngineWorkers measures the wall-clock scaling of the concurrent
 // engine over a fixed extracted batch as the pool grows.
@@ -307,10 +278,10 @@ func BenchmarkOptAllRules(b *testing.B) {
 	rules := opt.AllRuleNames()
 	b.Run("per-run-tables", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			opt.Run(f, opt.Options{Patches: rules})
+			opt.Run(f, opt.Options{Rules: opt.NewRuleSet(rules...)})
 		}
 	})
-	rs := opt.NewRuleSet(opt.Options{Patches: rules})
+	rs := opt.NewRuleSet(rules...)
 	b.Run("prebuilt-ruleset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			opt.Run(f, opt.Options{Rules: rs})

@@ -91,7 +91,7 @@ func main() {
 	// The rule selection and its opcode-indexed dispatch table are built
 	// once and shared by every worker; RuleSet is immutable after creation,
 	// and learned rules join it through a copy-on-extend.
-	rs := opt.NewRuleSet(opt.Options{Patches: rules}).WithRules(learned...)
+	rs := opt.NewRuleSet(rules...).WithRules(learned...)
 	// Functions are optimized independently; ParMap fans them out and keeps
 	// module order, so output is identical at every worker count.
 	out := &ir.Module{Name: m.Name}

@@ -74,7 +74,7 @@ func main() {
 		cpu := mca.BTVer2()
 		sr, tr := mca.Analyze(sf, cpu), mca.Analyze(tf, cpu)
 		verdict := "uninteresting"
-		if engine.Interesting(sf, tf, cpu) {
+		if engine.Interesting(sf, tf) {
 			verdict = "interesting"
 		}
 		fmt.Printf("filter stage: %s (%d->%d instrs, %d->%d cycles)\n",

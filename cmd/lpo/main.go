@@ -117,7 +117,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		optOptions.Rules = opt.NewRuleSet(opt.Options{}).WithRules(rules...)
+		optOptions.Rules = opt.NewRuleSet().WithRules(rules...)
 		fmt.Printf("loaded %d learned rules from %s\n", len(rules), *rulebookPath)
 	}
 

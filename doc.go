@@ -381,8 +381,8 @@
 // corpora are answered byte-identically from disk with no provider or
 // verifier work, and the stored vectors warm the pool's tier-0 replay.
 // The engine side is engine.Config.Lookup — consulted once per sequence
-// after per-run dedup, a hit is returned as a Cached result and counted
-// in Snapshot.StoreHits — and cmd/lpo -store threads the same persistence
+// before any provider round, a hit is returned as a Cached result and
+// counted in Snapshot.StoreHits — and cmd/lpo -store threads the same persistence
 // through one-shot batch runs, so batch campaigns, the daemon and future
 // runs all share one accumulated store.
 //

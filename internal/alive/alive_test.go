@@ -312,7 +312,7 @@ func TestPatchedOptimizerRefines(t *testing.T) {
 	}
 	for patch, src := range cases {
 		f := parser.MustParseFunc(src)
-		g := opt.Run(f, opt.Options{Patches: []string{patch}})
+		g := opt.Run(f, opt.Options{Rules: opt.NewRuleSet(patch)})
 		r := Verify(f, g, Options{Seed: 8})
 		if r.Verdict != Correct {
 			t.Fatalf("patch %s broke refinement:\noriginal:\n%s\npatched:\n%s\n%s",

@@ -10,6 +10,29 @@ import (
 	"repro/internal/parser"
 )
 
+// specialArg builds the k-th corner argument of the given type; lanes are
+// rotated so vector corner cases are not all-uniform.
+func specialArg(ty ir.Type, k int) interp.RVal {
+	table := specialLanes(ty)
+	lanes := ir.Lanes(ty)
+	rv := interp.RVal{Ty: ty, Lanes: make([]interp.Word, lanes)}
+	for l := 0; l < lanes; l++ {
+		rv.Lanes[l] = interp.Word{V: table[(k+l)%len(table)]}
+	}
+	return rv
+}
+
+// randomArg builds a uniformly random argument of the given type.
+func randomArg(ty ir.Type, rng *rand.Rand) interp.RVal {
+	lanes := ir.Lanes(ty)
+	w := ir.ScalarBits(ir.Elem(ty))
+	rv := interp.RVal{Ty: ty, Lanes: make([]interp.Word, lanes)}
+	for l := 0; l < lanes; l++ {
+		rv.Lanes[l] = interp.Word{V: rng.Uint64() & ir.MaskW(w)}
+	}
+	return rv
+}
+
 // eagerVec is one pre-materialized input vector of the historic eager
 // generator, replicated below as the equivalence reference.
 type eagerVec struct {

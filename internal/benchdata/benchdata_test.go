@@ -163,7 +163,7 @@ func TestKnowledgeBaseCoversAllCases(t *testing.T) {
 	check := func(t *testing.T, id string, p Pair) {
 		t.Helper()
 		src := parser.MustParseFunc(p.Src)
-		ideal := opt.Run(src, opt.Options{Patches: all})
+		ideal := opt.Run(src, opt.Options{Rules: opt.NewRuleSet(all...)})
 		if ir.Hash(ideal) == ir.Hash(src) {
 			t.Fatalf("%s: knowledge base has no rewrite for:\n%s", id, src)
 		}
@@ -189,7 +189,7 @@ func TestPatchesCoverFixedFindings(t *testing.T) {
 		}
 		t.Run(f.IssueID, func(t *testing.T) {
 			src := parser.MustParseFunc(f.Pair.Src)
-			patched := opt.Run(src, opt.Options{Patches: []string{f.IssueID}})
+			patched := opt.Run(src, opt.Options{Rules: opt.NewRuleSet(f.IssueID)})
 			if ir.Hash(patched) == ir.Hash(src) {
 				t.Fatalf("patch %s does not fire on its own finding:\n%s", f.IssueID, src)
 			}

@@ -35,10 +35,12 @@ var projectNames = []struct{ name, lang string }{
 // Options sizes the corpus.
 type Options struct {
 	Seed              uint64
-	ModulesPerProject int     // default 6
-	FuncsPerModule    int     // default 8
-	PlantRate         float64 // fraction of modules receiving planted patterns (default 0.5)
+	ModulesPerProject int // default 6
+	FuncsPerModule    int // default 8
 }
+
+// plantRate is the fraction of modules receiving random extra plants.
+const plantRate = 0.5
 
 func (o Options) withDefaults() Options {
 	if o.ModulesPerProject == 0 {
@@ -46,9 +48,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FuncsPerModule == 0 {
 		o.FuncsPerModule = 8
-	}
-	if o.PlantRate == 0 {
-		o.PlantRate = 0.5
 	}
 	return o
 }
@@ -98,7 +97,7 @@ func Generate(opts Options) []*Project {
 			}
 			moduleIdx++
 			// Random extra plants, weighted by Table 5 prevalence.
-			if rng.Float64() < opts.PlantRate {
+			if rng.Float64() < plantRate {
 				n := 1 + rng.Intn(3)
 				for k := 0; k < n; k++ {
 					fidx := (pi*31 + mi*7 + k*13 + rng.Intn(len(findings))) % len(findings)

@@ -34,8 +34,9 @@ import (
 )
 
 // Config tunes the engine. The zero value reproduces the paper's settings
-// (ATTEMPT_LIMIT = 2, btver2 interestingness model, one round) with one
-// worker per CPU.
+// (ATTEMPT_LIMIT = 2, one round) with one worker per CPU. The
+// interestingness filter always uses the btver2 model, and every candidate
+// is canonicalized with opt and verified behind the cross-worker cache.
 type Config struct {
 	// Workers is the size of the worker pool (default runtime.GOMAXPROCS).
 	Workers int
@@ -49,20 +50,14 @@ type Config struct {
 	// AllRounds runs every round even after a Found and records each round's
 	// outcome in Result.RoundOutcomes (used by the RQ1 detection matrix).
 	AllRounds bool
-	// DedupSequences makes the engine skip sequences whose structural hash it
-	// has already processed (Outcome Duplicate). Useful when combining
-	// sources that were not already deduplicated by one shared Extractor.
-	DedupSequences bool
 
 	// Learn lifts every verified Found rewrite into a candidate generalized
 	// rule via internal/generalize: constants become symbolic expressions of
 	// the bit width, the abstraction is re-verified across a width sweep,
 	// and survivors are collected on the engine (Learned, Rulebook) and
 	// attached to their Result. Generalization work is deduplicated across
-	// workers by witness-pair hash.
+	// workers by witness-pair hash. The sweeps run at generalize's defaults.
 	Learn bool
-	// Generalize bounds the learn stage (zero value = generalize defaults).
-	Generalize generalize.Options
 
 	// StageTimeout bounds each propose, verify and generalize invocation
 	// (0 = unbounded). The propose bound rides the request context; the
@@ -71,10 +66,10 @@ type Config struct {
 	StageTimeout time.Duration
 
 	// Lookup optionally short-circuits sequences whose outcome a previous
-	// campaign already computed: it is consulted once per sequence (after
-	// per-run dedup, before any provider round), and a hit is returned as
-	// the sequence's Result — marked Cached, counted in Snapshot.StoreHits —
-	// without touching the provider or the verifier. cmd/lpo -store and the
+	// campaign already computed: it is consulted once per sequence, before
+	// any provider round, and a hit is returned as the sequence's Result —
+	// marked Cached, counted in Snapshot.StoreHits — without touching the
+	// provider or the verifier. cmd/lpo -store and the
 	// lpod service back it with the persistent content-addressed store
 	// (internal/store), which is what makes resubmitting an overlapping
 	// corpus pay only for windows nobody has processed before.
@@ -83,14 +78,11 @@ type Config struct {
 	AttemptLimit int         // max LLM attempts per sequence (paper: 2)
 	Opt          opt.Options // optimizer used for candidate preprocessing
 	Verify       alive.Options
-	CPU          *mca.CPUModel
-	// DisableInterestingness skips the interestingness filter (ablation).
-	DisableInterestingness bool
-	// DisableOptPreprocess skips running opt on candidates (ablation).
-	DisableOptPreprocess bool
-	// DisableVerifyCache disables the cross-worker verification cache.
-	DisableVerifyCache bool
 }
+
+// btver2 is the interestingness filter's cost model: AMD Jaguar, the
+// llvm-mca target the paper uses.
+var btver2 = mca.BTVer2()
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -104,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptLimit == 0 {
 		c.AttemptLimit = 2
-	}
-	if c.CPU == nil {
-		c.CPU = mca.BTVer2()
 	}
 	return c
 }
@@ -123,7 +112,6 @@ const (
 	NoProposal    Outcome = "no-proposal"   // LLM echoed the input
 	Errored       Outcome = "error"         // provider or source error
 	Canceled      Outcome = "canceled"      // context ended mid-sequence
-	Duplicate     Outcome = "duplicate"     // engine-level dedup hit
 	Panicked      Outcome = "panicked"      // sequence panicked; window quarantined
 )
 
@@ -193,16 +181,13 @@ type Engine struct {
 	cfg    Config
 	stats  *Stats
 	// kb is the full rule registry as a prebuilt dispatch table, used to
-	// attribute Found results to the rules that close the window; optSet is
-	// the prebuilt selection for Config.Opt, shared by every preprocess call.
-	kb     *opt.RuleSet
-	optSet *opt.RuleSet
+	// attribute Found results to the rules that close the window.
+	kb *opt.RuleSet
+	// gen configures the learn stage's width sweeps (see New).
+	gen generalize.Options
 
 	vmu    sync.Mutex
 	vcache map[verifyKey]*verifyEntry
-
-	dmu  sync.Mutex
-	seen map[uint64]bool
 
 	// Learned-rule state (Config.Learn): lcache singleflights generalization
 	// by witness-pair hash, learned collects distinct rules by ID.
@@ -254,18 +239,11 @@ type verifyEntry struct {
 // New builds an engine with the given client and config defaults applied.
 func New(client llm.Client, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	optSet := cfg.Opt.Rules
-	if optSet == nil {
-		optSet = opt.NewRuleSet(cfg.Opt)
-	}
 	// One compiled-program cache backs the verify stage and the generalize
 	// width sweeps: every distinct window and candidate compiles once per
 	// engine, across workers and rounds.
 	if cfg.Verify.Programs == nil {
 		cfg.Verify.Programs = interp.NewCache()
-	}
-	if cfg.Generalize.Verify.Programs == nil {
-		cfg.Generalize.Verify.Programs = cfg.Verify.Programs
 	}
 	// One campaign-wide counterexample pool sits beside it: every falsified
 	// candidate deposits its refuting input, and verification tier 0
@@ -281,17 +259,14 @@ func New(client llm.Client, cfg Config) *Engine {
 	if cfg.Verify.Pool == nil {
 		cfg.Verify.Pool = alive.NewCEPool()
 	}
-	if cfg.Generalize.Verify.Pool == nil {
-		cfg.Generalize.Verify.Pool = alive.NewCEPool()
-	}
 	return &Engine{
-		client:  client,
-		cfg:     cfg,
-		stats:   &Stats{},
-		kb:      opt.FullRuleSet(),
-		optSet:  optSet,
+		client: client,
+		cfg:    cfg,
+		stats:  &Stats{},
+		kb:     opt.FullRuleSet(),
+		gen: generalize.Options{Verify: alive.Options{
+			Programs: cfg.Verify.Programs, Pool: alive.NewCEPool()}},
 		vcache:  make(map[verifyKey]*verifyEntry),
-		seen:    make(map[uint64]bool),
 		lcache:  make(map[uint64]*learnEntry),
 		learned: make(map[string]learnedRule),
 	}
@@ -453,18 +428,6 @@ func (e *Engine) RunAll(ctx context.Context, src Source) ([]Result, *Stats) {
 
 // runSeq drives one scheduled sequence through its round budget.
 func (e *Engine) runSeq(ctx context.Context, it item) Result {
-	if e.cfg.DedupSequences && it.seq.Fn != nil {
-		h := ir.Hash(it.seq.Fn)
-		e.dmu.Lock()
-		dup := e.seen[h]
-		if !dup {
-			e.seen[h] = true
-		}
-		e.dmu.Unlock()
-		if dup {
-			return Result{Index: it.idx, Seq: it.seq, Src: it.seq.Fn, Outcome: Duplicate}
-		}
-	}
 	if e.cfg.Lookup != nil && it.seq.Fn != nil {
 		if r, ok := e.cfg.Lookup(it.seq.Fn); ok {
 			r.Index = it.idx
@@ -534,7 +497,7 @@ func (e *Engine) learn(src, cand *ir.Func, it item) *generalize.Rule {
 		start := time.Now()
 		var res generalize.Result
 		err := e.runBounded(StageGeneralize, func() {
-			res = generalize.Generalize(src, cand, e.cfg.Generalize)
+			res = generalize.Generalize(src, cand, e.gen)
 		})
 		e.stats.recordStage(StageGeneralize, time.Since(start).Seconds())
 		// A timed-out sweep learns nothing; the finding itself stands.

@@ -136,7 +136,6 @@ func TestHallucinationsAreRefutedNotAccepted(t *testing.T) {
 }
 
 func TestInterestingnessRules(t *testing.T) {
-	cfg := Config{}.withDefaults()
 	src := parser.MustParseFunc(`define i8 @f(i8 %x) {
   %a = add i8 %x, 1
   %b = add i8 %a, 2
@@ -152,13 +151,13 @@ func TestInterestingnessRules(t *testing.T) {
   %b = add i8 %a, 1
   ret i8 %b
 }`)
-	if !Interesting(src, smaller, cfg.CPU) {
+	if !Interesting(src, smaller) {
 		t.Fatal("fewer instructions must be interesting")
 	}
-	if Interesting(src, identical, cfg.CPU) {
+	if Interesting(src, identical) {
 		t.Fatal("identical candidate must be uninteresting")
 	}
-	if !Interesting(src, differentSameSize, cfg.CPU) {
+	if !Interesting(src, differentSameSize) {
 		t.Fatal("same-size but different candidate must be interesting")
 	}
 	slower := parser.MustParseFunc(`define i8 @f(i8 %x) {
@@ -166,7 +165,7 @@ func TestInterestingnessRules(t *testing.T) {
   %b = mul i8 %a, 3
   ret i8 %b
 }`)
-	if Interesting(src, slower, cfg.CPU) {
+	if Interesting(src, slower) {
 		t.Fatal("slower same-count candidate must be uninteresting")
 	}
 }
@@ -294,25 +293,6 @@ func TestVerifyCacheSharedAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestEngineDedupSequences(t *testing.T) {
-	pair := clampCase()
-	src := parser.MustParseFunc(pair.Src)
-	sim := calibratedSim(t, "Gemini2.0T", src, llm.Calibration{Minus: 5, Plus: 5})
-	e := New(sim, Config{Workers: 1, DedupSequences: true,
-		Verify: alive.Options{Samples: 128, Seed: 3}})
-	results, stats := e.RunAll(context.Background(), Funcs(src, src, src))
-	if results[0].Outcome != Found {
-		t.Fatalf("first copy should be Found, got %v", results[0].Outcome)
-	}
-	if results[1].Outcome != Duplicate || results[2].Outcome != Duplicate {
-		t.Fatalf("later copies should be Duplicate, got %v / %v",
-			results[1].Outcome, results[2].Outcome)
-	}
-	if snap := stats.Snapshot(); snap.Outcomes[Duplicate] != 2 {
-		t.Fatalf("duplicate tally wrong: %v", snap.Outcomes)
-	}
-}
-
 func TestFigure3SyntaxErrorLoop(t *testing.T) {
 	// Reproduce the paper's Figure 3 walk: force the syntax-error channel by
 	// scanning rounds until the first attempt is a parse failure, then check
@@ -403,7 +383,7 @@ func TestEngineLearnsRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := opt.NewRuleSet(opt.Options{}).WithRules(ors...)
+	rs := opt.NewRuleSet().WithRules(ors...)
 	win := parser.MustParseFunc(`define i32 @f(i32 %p, i32 %q) {
   %a = and i32 %p, %q
   %o = or i32 %p, %q
@@ -431,7 +411,7 @@ func TestProgramCacheSharedByVerifyAndGeneralize(t *testing.T) {
 	if cfg.Verify.Programs == nil {
 		t.Fatal("engine did not install a program cache")
 	}
-	if cfg.Generalize.Verify.Programs != cfg.Verify.Programs {
+	if e.gen.Verify.Programs != cfg.Verify.Programs {
 		t.Fatal("generalize width sweeps must share the verify stage's program cache")
 	}
 	results, _ := e.RunAll(context.Background(), Funcs(src))

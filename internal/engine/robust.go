@@ -130,17 +130,15 @@ func (e *Engine) verifyBounded(src, cand *ir.Func) (alive.Result, error) {
 func (e *Engine) degradedSeq(res Result, src *ir.Func) Result {
 	res.Degraded = true
 	e.stats.recordDegraded()
-	o := e.cfg.Opt
-	o.Rules = e.kb
 	start := time.Now()
-	cand := opt.Run(src, o)
+	cand := opt.Run(src, opt.Options{Rules: e.kb})
 	e.stats.recordStage(StagePreprocess, time.Since(start).Seconds())
 	if ir.Hash(cand) == ir.Hash(src) {
 		res.Outcome = NoProposal
 		return res
 	}
 	att := Attempt{Candidate: cand.String(), Parsed: true}
-	if !e.cfg.DisableInterestingness && !e.filter(src, cand) {
+	if !e.filter(src, cand) {
 		res.Attempts = append(res.Attempts, att)
 		res.Outcome = Uninteresting
 		return res
@@ -162,7 +160,7 @@ func (e *Engine) degradedSeq(res Result, src *ir.Func) Result {
 	res.Outcome = Found
 	res.Cand = cand
 	res.RuleHits = e.attribute(src)
-	rep := mca.Analyze(cand, e.cfg.CPU)
+	rep := mca.Analyze(cand, btver2)
 	res.InstrsAfter = rep.Instructions
 	res.CyclesAfter = rep.TotalCycles
 	return res

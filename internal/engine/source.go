@@ -152,42 +152,7 @@ func File(path string, ex *extract.Extractor) Source {
 // engine's Stats so `lpo -stats` and /v1/stats report it.
 func WasmModules(ex *extract.Extractor, stats *Stats, mods ...*wasm.Module) Source {
 	return newStreamSource(func(ctx context.Context, emit func(*extract.Sequence) bool) error {
-		for _, wm := range mods {
-			if ctx.Err() != nil {
-				return nil
-			}
-			name := wm.Name
-			if name == "" {
-				name = "wasm"
-			}
-			m, st := wasm.Lift(wm, name)
-			if stats != nil {
-				stats.RecordLift(st)
-			}
-			ex.Stream(m, emit)
-		}
-		return nil
-	})
-}
-
-// WasmFile lazily reads and decodes a .wasm binary and streams the
-// extraction of its lifted functions.
-func WasmFile(path string, ex *extract.Extractor, stats *Stats) Source {
-	return newStreamSource(func(ctx context.Context, emit func(*extract.Sequence) bool) error {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		wm, err := wasm.Decode(data)
-		if err != nil {
-			return err
-		}
-		wm.Name = path
-		m, st := wasm.Lift(wm, path)
-		if stats != nil {
-			stats.RecordLift(st)
-		}
-		ex.Stream(m, emit)
+		liftWasm(ctx, ex, stats, mods, emit)
 		return nil
 	})
 }
@@ -200,22 +165,28 @@ func WasmCorpus(ex *extract.Extractor, stats *Stats) Source {
 		if err != nil {
 			return err
 		}
-		for _, wm := range mods {
-			if ctx.Err() != nil {
-				return nil
-			}
-			name := wm.Name
-			if name == "" {
-				name = "wasm"
-			}
-			m, st := wasm.Lift(wm, name)
-			if stats != nil {
-				stats.RecordLift(st)
-			}
-			ex.Stream(m, emit)
-		}
+		liftWasm(ctx, ex, stats, mods, emit)
 		return nil
 	})
+}
+
+// liftWasm lifts each module, records its lift coverage into stats when
+// non-nil, and streams the extraction of its functions, until ctx ends.
+func liftWasm(ctx context.Context, ex *extract.Extractor, stats *Stats, mods []*wasm.Module, emit func(*extract.Sequence) bool) {
+	for _, wm := range mods {
+		if ctx.Err() != nil {
+			return
+		}
+		name := wm.Name
+		if name == "" {
+			name = "wasm"
+		}
+		m, st := wasm.Lift(wm, name)
+		if stats != nil {
+			stats.RecordLift(st)
+		}
+		ex.Stream(m, emit)
+	}
 }
 
 // Corpus lazily generates the synthetic corpus and streams the extraction of

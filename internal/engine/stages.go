@@ -70,21 +70,14 @@ func (e *Engine) preprocess(candidate string) (*ir.Func, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !e.cfg.DisableOptPreprocess {
-		// The rule selection for Config.Opt is prebuilt once in New; only
-		// the iteration bound still comes from the per-run options.
-		o := e.cfg.Opt
-		o.Rules = e.optSet
-		cand = opt.Run(cand, o)
-	}
-	return cand, nil
+	return opt.Run(cand, e.cfg.Opt), nil
 }
 
 // filter is stage 3: the interestingness check.
 func (e *Engine) filter(src, cand *ir.Func) bool {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StageFilter, time.Since(start).Seconds()) }()
-	return Interesting(src, cand, e.cfg.CPU)
+	return Interesting(src, cand)
 }
 
 // verify is stage 4: refinement checking, memoized across workers by the
@@ -95,11 +88,6 @@ func (e *Engine) filter(src, cand *ir.Func) bool {
 func (e *Engine) verify(src, cand *ir.Func) alive.Result {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StageVerify, time.Since(start).Seconds()) }()
-	if e.cfg.DisableVerifyCache {
-		res := alive.Verify(src, cand, e.cfg.Verify)
-		e.stats.recordVerify(res.Checked, res.Tiers)
-		return res
-	}
 	key := verifyKey{src: ir.Hash(src), cand: ir.Hash(cand)}
 	e.vmu.Lock()
 	ent, hit := e.vcache[key]
@@ -138,7 +126,7 @@ func (e *Engine) verify(src, cand *ir.Func) alive.Result {
 // provider so repeated rounds resample. It is safe to call concurrently.
 func (e *Engine) OptimizeSeq(ctx context.Context, src *ir.Func, round int) Result {
 	res := Result{Outcome: NoProposal, Src: src, Round: round}
-	srcRep := mca.Analyze(src, e.cfg.CPU)
+	srcRep := mca.Analyze(src, btver2)
 	res.InstrsBefore = srcRep.Instructions
 	res.CyclesBefore = srcRep.TotalCycles
 
@@ -176,7 +164,7 @@ func (e *Engine) OptimizeSeq(ctx context.Context, src *ir.Func, round int) Resul
 			continue
 		}
 		att.Parsed = true
-		if !e.cfg.DisableInterestingness && !e.filter(src, cand) {
+		if !e.filter(src, cand) {
 			res.Attempts = append(res.Attempts, att)
 			res.Outcome = NoProposal
 			if ir.Hash(cand) != ir.Hash(src) {
@@ -197,7 +185,7 @@ func (e *Engine) OptimizeSeq(ctx context.Context, src *ir.Func, round int) Resul
 			res.Outcome = Found
 			res.Cand = cand
 			res.RuleHits = e.attribute(src)
-			rep := mca.Analyze(cand, e.cfg.CPU)
+			rep := mca.Analyze(cand, btver2)
 			res.InstrsAfter = rep.Instructions
 			res.CyclesAfter = rep.TotalCycles
 			return res
@@ -235,9 +223,10 @@ func (e *Engine) attribute(src *ir.Func) map[string]int {
 // Interesting implements the paper's §3.3 check: a candidate is worth
 // verifying if it has fewer instructions, fewer estimated cycles, or the
 // same of both while being syntactically different (enabling later folds).
-func Interesting(src, cand *ir.Func, cpu *mca.CPUModel) bool {
-	sr := mca.Analyze(src, cpu)
-	cr := mca.Analyze(cand, cpu)
+// Cycles are estimated on the btver2 model.
+func Interesting(src, cand *ir.Func) bool {
+	sr := mca.Analyze(src, btver2)
+	cr := mca.Analyze(cand, btver2)
 	if cr.Instructions < sr.Instructions || cr.TotalCycles < sr.TotalCycles {
 		return true
 	}

@@ -113,7 +113,7 @@ func (q *Queue) Next(ctx context.Context) (*extract.Sequence, bool, error) {
 
 // Submitter is a live engine run fed by Submit calls: the streaming
 // counterpart of RunAll for long-running services. Build one with
-// Engine.Submitter, push windows with Submit/SubmitSeq, consume Results
+// Engine.Submitter, push windows with Submit or TrySubmit, consume Results
 // (emitted in submission order, exactly one per submission), and Close to
 // drain. The zero-memory contract of Run applies: abandon Results only by
 // cancelling the context passed to Submitter.
@@ -136,11 +136,6 @@ func (e *Engine) Submitter(ctx context.Context) *Submitter {
 // Submit wraps a bare window function as a sequence and enqueues it.
 func (s *Submitter) Submit(ctx context.Context, fn *ir.Func) error {
 	return s.q.Submit(ctx, &extract.Sequence{Fn: fn, Len: fn.NumInstrs(true)})
-}
-
-// SubmitSeq enqueues an already-extracted sequence.
-func (s *Submitter) SubmitSeq(ctx context.Context, seq *extract.Sequence) error {
-	return s.q.Submit(ctx, seq)
 }
 
 // TrySubmit is the non-blocking Submit: ErrQueueFull when the engine's

@@ -54,10 +54,10 @@ func TestEngineTierKillStats(t *testing.T) {
 	// include vectors rescaled from other widths, which are not in any
 	// window's generated sequence — sharing them with the verify stage
 	// would make verdicts scheduling-dependent.
-	if e.cfg.Generalize.Verify.Pool == nil {
+	if e.gen.Verify.Pool == nil {
 		t.Fatal("generalize sweep must have a campaign pool")
 	}
-	if e.cfg.Generalize.Verify.Pool == e.cfg.Verify.Pool {
+	if e.gen.Verify.Pool == e.cfg.Verify.Pool {
 		t.Fatal("generalize sweep must not share the verify stage's pool")
 	}
 }

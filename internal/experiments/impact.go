@@ -75,13 +75,13 @@ func RunTable5(seed uint64) *Table5Report {
 		}
 		return time.Since(start)
 	}
-	baseSet := opt.NewRuleSet(opt.Options{})
+	baseSet := opt.NewRuleSet()
 
 	rep := &Table5Report{}
 	for _, row := range benchdata.Table5() {
 		modules := map[int]bool{}
 		prjs := map[int]bool{}
-		patchSet := opt.NewRuleSet(opt.Options{Patches: []string{row.IssueID}})
+		patchSet := opt.NewRuleSet(row.IssueID)
 		patched := engine.ParMap(ctx, 0, fns, func(_ context.Context, _ int, f fnRef) uint64 {
 			return ir.Hash(opt.Run(f.fn, opt.Options{Rules: patchSet}))
 		})

@@ -111,7 +111,7 @@ func RunLearnedClosure(opts LearnedClosureOptions) (*LearnedClosureReport, error
 	if err != nil {
 		return nil, err
 	}
-	baseSet := opt.NewRuleSet(opt.Options{Patches: opt.PatchIDs()})
+	baseSet := opt.NewRuleSet(opt.PatchIDs()...)
 	learnedSet := baseSet.WithRules(ors...)
 
 	perRule := make(map[string]int)

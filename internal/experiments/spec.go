@@ -158,7 +158,7 @@ func RunFigure5(iters int) (*SpecReport, error) {
 	// registry rules fired (sorted IDs) — the rule-level attribution of the
 	// speedup.
 	measure := func(patches []string) (float64, []string, error) {
-		rs := opt.NewRuleSet(opt.Options{Patches: patches})
+		rs := opt.NewRuleSet(patches...)
 		fired := make(map[string]bool)
 		logSum := 0.0
 		for i, f := range parsed {

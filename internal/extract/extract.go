@@ -21,8 +21,6 @@ type Options struct {
 	// (default 2 — single instructions rarely manifest missed peepholes and
 	// dominate the sequence count otherwise).
 	MinLen int
-	// MaxLen caps sequence length (0 = unlimited).
-	MaxLen int
 	// Opt configures the "can LLVM already optimize this?" filter.
 	Opt opt.Options
 }
@@ -40,7 +38,7 @@ type Sequence struct {
 // lifetime (paper: ~800 K unique sequences, ~8.7 M duplicates eliminated).
 type Stats struct {
 	Sequences   int // raw dependent sequences found
-	TooShort    int // dropped by MinLen/MaxLen
+	TooShort    int // dropped: shorter than MinLen
 	Optimizable int // dropped: baseline opt already improves them
 	Duplicates  int // dropped: structural hash already seen
 	Kept        int
@@ -162,7 +160,7 @@ func (e *Extractor) sequences(m *ir.Module, f *ir.Func, yield func(*Sequence) bo
 	for _, bb := range f.Blocks {
 		for _, seq := range SeqsFromBlock(bb) {
 			t.Sequences++
-			if len(seq) < e.opts.MinLen || (e.opts.MaxLen > 0 && len(seq) > e.opts.MaxLen) {
+			if len(seq) < e.opts.MinLen {
 				t.TooShort++
 				continue
 			}

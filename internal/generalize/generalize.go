@@ -14,30 +14,24 @@ type Options struct {
 	// Widths is the verification sweep (default 8, 16, 32, 64). The witness
 	// width is always included.
 	Widths []int
-	// MinWidths is how many widths a candidate must verify at to become a
-	// rule (default 2: the witness width alone is not a generalization).
-	MinWidths int
-	// MaxSlots caps the number of constant occurrences (default 4; beyond
-	// that the candidate space stops being a peephole).
-	MaxSlots int
-	// MaxCombos caps how many slot assignments are verified (default 48).
-	MaxCombos int
 	// Verify bounds each per-width alive check (default Samples 1024, Seed 1).
 	Verify alive.Options
 }
 
+const (
+	// minWidths is how many widths a candidate must verify at to become a
+	// rule: the witness width alone is not a generalization.
+	minWidths = 2
+	// maxSlots caps the number of constant occurrences; beyond that the
+	// candidate space stops being a peephole.
+	maxSlots = 4
+	// maxCombos caps how many slot assignments are verified.
+	maxCombos = 48
+)
+
 func (o Options) withDefaults() Options {
 	if len(o.Widths) == 0 {
 		o.Widths = []int{8, 16, 32, 64}
-	}
-	if o.MinWidths == 0 {
-		o.MinWidths = 2
-	}
-	if o.MaxSlots == 0 {
-		o.MaxSlots = 4
-	}
-	if o.MaxCombos == 0 {
-		o.MaxCombos = 48
 	}
 	if o.Verify.Samples == 0 {
 		o.Verify.Samples = 1024
@@ -123,8 +117,8 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 		}
 	}
 	occs := append(append([]constOcc(nil), ss.occs...), ts.occs...)
-	if len(occs) > opts.MaxSlots {
-		return Result{Reason: fmt.Sprintf("too many constant slots (%d > %d)", len(occs), opts.MaxSlots)}
+	if len(occs) > maxSlots {
+		return Result{Reason: fmt.Sprintf("too many constant slots (%d > %d)", len(occs), maxSlots)}
 	}
 
 	W := ss.width
@@ -152,7 +146,7 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 		}
 		if i == len(occs) {
 			valid := validWidths(widths, occs, assign)
-			if len(valid) >= opts.MinWidths {
+			if len(valid) >= minWidths {
 				combos = append(combos, combo{assign: append([]CExpr(nil), assign...), valid: valid})
 			}
 			return
@@ -173,7 +167,7 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 	}
 	tried := 0
 	for _, c := range combos {
-		if tried >= opts.MaxCombos {
+		if tried >= maxCombos {
 			break
 		}
 		tried++
@@ -209,7 +203,7 @@ func Generalize(src, tgt *ir.Func, opts Options) Result {
 	}
 	res.Reason = "no candidate generalization survived the width sweep"
 	if len(combos) == 0 {
-		res.Reason = fmt.Sprintf("no slot assignment is valid at %d or more widths", opts.MinWidths)
+		res.Reason = fmt.Sprintf("no slot assignment is valid at %d or more widths", minWidths)
 	}
 	return res
 }

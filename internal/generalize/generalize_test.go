@@ -47,7 +47,7 @@ func TestGeneralizeStructural(t *testing.T) {
 	}
 	// The learned rule must close the same window at a width the witness
 	// never saw (i64), under a baseline-only selection.
-	rs := opt.NewRuleSet(opt.Options{}).WithRules(or)
+	rs := opt.NewRuleSet().WithRules(or)
 	win := parser.MustParseFunc(`define i64 @f(i64 %p, i64 %q) {
   %a = and i64 %p, %q
   %o = or i64 %p, %q
@@ -89,7 +89,7 @@ func TestGeneralizeWidthDerivedMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := opt.NewRuleSet(opt.Options{}).WithRules(or)
+	rs := opt.NewRuleSet().WithRules(or)
 	// At i32 the mask must become mask(32)>>3 = 0x1FFFFFFF, not 31.
 	win := parser.MustParseFunc(`define i32 @f(i32 %x) {
   %a = shl i32 %x, 3
@@ -250,8 +250,8 @@ func TestRulebookRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs1 := opt.NewRuleSet(opt.Options{}).WithRules(ors1...)
-	rs2 := opt.NewRuleSet(opt.Options{}).WithRules(ors2...)
+	rs1 := opt.NewRuleSet().WithRules(ors1...)
+	rs2 := opt.NewRuleSet().WithRules(ors2...)
 	ids := func(rs *opt.RuleSet) []string {
 		var out []string
 		for _, r := range rs.Rules() {
@@ -350,7 +350,7 @@ func TestGeneralizeIntrinsicOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := opt.NewRuleSet(opt.Options{}).WithRules(or)
+	rs := opt.NewRuleSet().WithRules(or)
 	win := parser.MustParseFunc(`define i32 @f(i32 %x) {
   %a = shl i32 %x, 4
   %b = lshr i32 %x, 28

@@ -71,16 +71,6 @@ func (f *Func) Instrs() []*Instr {
 	return out
 }
 
-// ParamByName returns the parameter with the given name, or nil.
-func (f *Func) ParamByName(name string) *Param {
-	for _, p := range f.Params {
-		if p.Nm == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Module is a translation unit: an ordered list of function definitions.
 type Module struct {
 	Name  string

@@ -309,21 +309,6 @@ func (i *Instr) HasSideEffects() bool {
 	return false
 }
 
-// MayTrap reports whether executing the instruction can raise UB (used by
-// code motion and by the baselines' speculation checks, not by DCE).
-func (i *Instr) MayTrap() bool {
-	switch i.Op {
-	case OpLoad, OpStore:
-		return true
-	case OpUDiv, OpSDiv, OpURem, OpSRem:
-		if c, ok := IntConstValue(i.Args[1]); ok && c != 0 {
-			return false
-		}
-		return true
-	}
-	return false
-}
-
 // DependsOn reports whether any operand of i is exactly the value v.
 func (i *Instr) DependsOn(v Value) bool {
 	for _, a := range i.Args {

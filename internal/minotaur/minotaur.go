@@ -22,9 +22,12 @@ import (
 
 // Options configures a run.
 type Options struct {
-	TestVectors int // default 32
-	Seed        uint64
+	Seed uint64
 }
+
+// numTestVectors is how many random inputs filter candidates before
+// verification.
+const numTestVectors = 32
 
 // Result reports a run.
 type Result struct {
@@ -47,9 +50,6 @@ var components = []struct {
 
 // Optimize attempts to find a cheaper replacement for src.
 func Optimize(src *ir.Func, opts Options) Result {
-	if opts.TestVectors == 0 {
-		opts.TestVectors = 32
-	}
 	res := Result{VirtualSeconds: 0.9}
 	for _, in := range src.Instrs() {
 		switch in.Op {
@@ -73,8 +73,8 @@ func Optimize(src *ir.Func, opts Options) Result {
 	}
 
 	rng := rand.New(rand.NewSource(int64(opts.Seed) ^ 0x3107a))
-	vectors := make([][]interp.RVal, 0, opts.TestVectors)
-	for len(vectors) < opts.TestVectors {
+	vectors := make([][]interp.RVal, 0, numTestVectors)
+	for len(vectors) < numTestVectors {
 		args := make([]interp.RVal, len(src.Params))
 		for i, p := range src.Params {
 			args[i] = randomVal(p.Ty, rng)

@@ -32,7 +32,7 @@ const dispatchSrc = `define i32 @f(i32 %x, i32 %y) {
 func BenchmarkRewriteDispatch(b *testing.B) {
 	f := parser.MustParseFunc(dispatchSrc)
 	all := AllRuleNames()
-	rs := NewRuleSet(Options{Patches: all})
+	rs := NewRuleSet(all...)
 	tr := &transform{src: f, fn: f, rs: rs}
 	instrs := f.Instrs()
 
@@ -96,6 +96,6 @@ func BenchmarkRewriteDispatch(b *testing.B) {
 func BenchmarkRuleSetBuild(b *testing.B) {
 	all := AllRuleNames()
 	for i := 0; i < b.N; i++ {
-		NewRuleSet(Options{Patches: all})
+		NewRuleSet(all...)
 	}
 }

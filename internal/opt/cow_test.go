@@ -65,8 +65,8 @@ func TestRunCopyOnWriteMatchesClone(t *testing.T) {
 		name string
 		rs   *opt.RuleSet
 	}{
-		{"baseline", opt.NewRuleSet(opt.Options{})},
-		{"kb", opt.NewRuleSet(opt.Options{Patches: opt.KBNames()})},
+		{"baseline", opt.NewRuleSet()},
+		{"kb", opt.NewRuleSet(opt.KBNames()...)},
 		{"full", opt.FullRuleSet()},
 	}
 	for _, set := range sets {

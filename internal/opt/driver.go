@@ -10,19 +10,17 @@
 //     InstCombine-style rewrites (rewrite.go) that reproduce the paper's
 //     *baseline* optimizer — always enabled;
 //   - patch: the fixes that later landed in LLVM (patches.go, paper
-//     Table 5 / Figure 5), switched on individually via Options.Patches to
-//     model the compiler after the corresponding fix;
+//     Table 5 / Figure 5), switched on individually by naming them to
+//     NewRuleSet to model the compiler after the corresponding fix;
 //   - kb: the simulated LLM's knowledge base (kb.go) — rewrites no compiler
 //     version performs, which is what makes them discoverable "missed
 //     optimizations".
 //
-// Run resolves Options into a RuleSet once per call: an opcode-indexed
-// dispatch table in deterministic rule order, so the per-instruction hot
-// path walks only the few rules rooted at that instruction's opcode (the
-// seed implementation re-sorted the enabled rule names for every
-// instruction of every fixpoint iteration). Callers that optimize many
-// functions with one configuration prebuild the table with NewRuleSet and
-// pass it via Options.Rules. RunWithStats additionally reports per-rule hit
+// A RuleSet is an opcode-indexed dispatch table in deterministic rule order,
+// so the per-instruction hot path walks only the few rules rooted at that
+// instruction's opcode. Build one with NewRuleSet, once per selection, and
+// pass it to Run via Options.Rules; a nil selection runs the shared
+// baseline set. RunWithStats additionally reports per-rule hit
 // counts, which back rule-level attribution end to end: engine.Stats
 // aggregates them and the experiment harness prints which rule closed each
 // benchmark.
@@ -36,20 +34,13 @@ import (
 
 // Options configures a pipeline run.
 type Options struct {
-	// MaxIters bounds the number of fixpoint iterations (default 25).
-	MaxIters int
-	// Patches enables the named optional rules: issue IDs from the paper's
-	// Table 5 (modelling LLVM after the corresponding fix landed) and "kb:"
-	// knowledge-base rules. Unknown names are ignored.
-	Patches []string
-	// DisableIntrinsicCanon turns off the select->min/max canonicalization
-	// family; used by ablation benchmarks.
-	DisableIntrinsicCanon bool
-	// Rules, when non-nil, is a prebuilt rule selection that overrides
-	// Patches and DisableIntrinsicCanon. Build one with NewRuleSet to reuse
-	// the opcode-indexed dispatch table across many Run calls.
+	// Rules is the rule selection to run, built with NewRuleSet or taken
+	// from FullRuleSet; nil runs the baseline rules only.
 	Rules *RuleSet
 }
+
+// maxIters bounds the number of fixpoint iterations of one run.
+const maxIters = 25
 
 // RunStats reports per-run observability: how many fixpoint iterations ran
 // and how often each rule fired, keyed by rule ID.
@@ -77,7 +68,7 @@ func Run(f *ir.Func, opts Options) *ir.Func {
 // Otherwise it optimizes a clone.
 func RunWithStats(f *ir.Func, opts Options) (*ir.Func, RunStats) {
 	tr := newTransform(f, opts)
-	if tr.maxIters > 0 && tr.quiescent() {
+	if tr.quiescent() {
 		return f, RunStats{Iters: 1}
 	}
 	return tr.run()
@@ -85,12 +76,9 @@ func RunWithStats(f *ir.Func, opts Options) (*ir.Func, RunStats) {
 
 // newTransform resolves opts into the state of one run over f.
 func newTransform(f *ir.Func, opts Options) *transform {
-	t := &transform{src: f, fn: f, rs: opts.Rules, maxIters: opts.MaxIters}
+	t := &transform{src: f, fn: f, rs: opts.Rules}
 	if t.rs == nil {
-		t.rs = NewRuleSet(opts)
-	}
-	if t.maxIters == 0 {
-		t.maxIters = 25
+		t.rs = baselineSet
 	}
 	return t
 }
@@ -100,7 +88,7 @@ func newTransform(f *ir.Func, opts Options) *transform {
 func (t *transform) run() (*ir.Func, RunStats) {
 	t.hits, t.fn, t.used, t.fresh = nil, ir.CloneFunc(t.src), nil, 0
 	var stats RunStats
-	for iter := 0; iter < t.maxIters; iter++ {
+	for iter := 0; iter < maxIters; iter++ {
 		stats.Iters++
 		changed := t.iterate()
 		changed = t.dce() || changed
@@ -114,11 +102,10 @@ func (t *transform) run() (*ir.Func, RunStats) {
 
 // transform holds the per-run rewriting state.
 type transform struct {
-	src      *ir.Func // the caller's function, never written
-	fn       *ir.Func // the function being rewritten
-	rs       *RuleSet
-	maxIters int
-	hits     map[string]int // allocated at the first hit
+	src  *ir.Func // the caller's function, never written
+	fn   *ir.Func // the function being rewritten
+	rs   *RuleSet
+	hits map[string]int // allocated at the first hit
 
 	repl  map[ir.Value]ir.Value
 	live  map[*ir.Instr]bool

@@ -106,7 +106,7 @@ func TestFuzzOptimizerRefinement(t *testing.T) {
 			t.Fatalf("generator produced invalid IR: %v\n%s", err, f)
 		}
 		for _, cfg := range configs {
-			g := Run(f, Options{Patches: cfg.rules})
+			g := Run(f, Options{Rules: NewRuleSet(cfg.rules...)})
 			if err := ir.VerifyFunc(g); err != nil {
 				t.Fatalf("[%s] optimizer produced invalid IR: %v\ninput:\n%s\noutput:\n%s",
 					cfg.name, err, f, g)
@@ -116,7 +116,7 @@ func TestFuzzOptimizerRefinement(t *testing.T) {
 				t.Fatalf("[%s] optimizer broke refinement on fuzz case %d:\ninput:\n%s\noutput:\n%s\n%s",
 					cfg.name, i, f, g, r.CE.Format())
 			}
-			g2 := Run(g, Options{Patches: cfg.rules})
+			g2 := Run(g, Options{Rules: NewRuleSet(cfg.rules...)})
 			if ir.Hash(g) != ir.Hash(g2) {
 				t.Fatalf("[%s] optimizer not idempotent on fuzz case %d:\nfirst:\n%s\nsecond:\n%s",
 					cfg.name, i, g, g2)

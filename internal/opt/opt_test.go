@@ -320,7 +320,7 @@ func TestPatchesFixPaperPatterns(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := optimize(t, tc.src, Options{Patches: []string{tc.patch}})
+			g := optimize(t, tc.src, Options{Rules: NewRuleSet(tc.patch)})
 			if n := g.NumInstrs(true); n > tc.maxInstrs {
 				t.Fatalf("patch %s did not fire (want <= %d instrs, got %d):\n%s",
 					tc.patch, tc.maxInstrs, n, g)
@@ -378,7 +378,7 @@ func TestPatchesPreserveSemantics(t *testing.T) {
 	for patch, src := range srcs {
 		t.Run(patch, func(t *testing.T) {
 			f := parser.MustParseFunc(src)
-			g := Run(f, Options{Patches: []string{patch}})
+			g := Run(f, Options{Rules: NewRuleSet(patch)})
 			// Exhaustive check over the 8-bit (or sampled 32-bit) domain.
 			w := ir.ScalarBits(f.Params[0].Ty)
 			var inputs []uint64
@@ -421,7 +421,7 @@ func TestVectorClampPatch(t *testing.T) {
   %r = select <4 x i1> %c, <4 x i8> zeroinitializer, <4 x i8> %t
   ret <4 x i8> %r
 }`
-	g := optimize(t, src, Options{Patches: []string{"143636"}})
+	g := optimize(t, src, Options{Rules: NewRuleSet("143636")})
 	if !strings.Contains(g.String(), "llvm.smax.v4i32") {
 		t.Fatalf("vector clamp patch did not fire:\n%s", g)
 	}

@@ -10,14 +10,10 @@ import (
 // provenance, so they are always enabled; dispatch happens through the
 // RuleSet's opcode-indexed table, never by scanning unrelated rules.
 
-// ruleIDSelectMinMax is the intrinsic-canonicalization family gated by
-// Options.DisableIntrinsicCanon.
-const ruleIDSelectMinMax = "baseline:select-minmax"
-
 func baselineRewriteRules() []*Rule {
 	return []*Rule{
 		{
-			ID: ruleIDSelectMinMax, Name: ruleIDSelectMinMax, Provenance: ProvBaseline,
+			ID: "baseline:select-minmax", Name: "baseline:select-minmax", Provenance: ProvBaseline,
 			Roots: []ir.Opcode{ir.OpSelect},
 			Doc:   "select (icmp pred A, B), A, B -> smin/smax/umin/umax(A, B)",
 			Example: `define i32 @f(i32 %a, i32 %b) {

@@ -30,16 +30,16 @@ type ruleFn func(t *transform, in *ir.Instr, prior []*ir.Instr) ([]*ir.Instr, ir
 
 // Rule is one first-class rewrite rule in the registry. Rules are enumerable
 // (Rules, cmd/lpo-opt -rules), attributable (RunStats.RuleHits, Attribute)
-// and selectable by enable name (Options.Patches); the apply function itself
+// and selectable by enable name (NewRuleSet); the apply function itself
 // stays private to the package.
 type Rule struct {
 	// ID uniquely identifies the rule, e.g. "baseline:zext-trunc",
 	// "157371/neg-via-xor" or "kb:rotate". Hit counters are keyed by ID.
 	ID string
-	// Name is the enable name used in Options.Patches. Patch rules share
+	// Name is the enable name NewRuleSet selects by. Patch rules share
 	// their issue ID (157371 landed as two patches, so two rules share the
 	// name "157371"); baseline and knowledge-base rules have Name == ID.
-	// Baseline rules are always enabled regardless of Options.Patches.
+	// Baseline rules are always enabled, whatever names are selected.
 	Name string
 	// Provenance classifies the rule (baseline / patch / kb).
 	Provenance Provenance
@@ -90,18 +90,16 @@ func init() {
 			optionalByName[r.Name] = append(optionalByName[r.Name], r)
 		}
 	}
-	// Prebuild the common selections: the two baseline-only sets cover every
-	// Run with no optional rules enabled (the dominant case — extraction
-	// canonicalizes each window with the plain baseline), which the seed
-	// dispatcher served with zero setup cost, and the full set backs the
-	// knowledge-base consumers (llm.Sim, engine attribution).
-	baselineSet = buildRuleSet(Options{})
-	baselineNoCanonSet = buildRuleSet(Options{DisableIntrinsicCanon: true})
-	fullSet = buildRuleSet(Options{Patches: AllRuleNames()})
+	// Prebuild the common selections: the baseline set covers every Run
+	// with no optional rules enabled (the dominant case — extraction
+	// canonicalizes each window with the plain baseline), and the full set
+	// backs the knowledge-base consumers (llm.Sim, engine attribution).
+	baselineSet = buildRuleSet(nil)
+	fullSet = buildRuleSet(AllRuleNames())
 }
 
 // Shared selections (immutable after init, safe for concurrent use).
-var baselineSet, baselineNoCanonSet, fullSet *RuleSet
+var baselineSet, fullSet *RuleSet
 
 // FullRuleSet returns the shared selection with every patch and
 // knowledge-base rule enabled — the "ideal optimizer" the simulated LLM
@@ -189,10 +187,8 @@ func NewDynamicRule(s DynamicSpec) (*Rule, error) {
 const opcodeLimit = int(ir.OpUnreachable) + 1
 
 // RuleSet is an immutable selection of rules with a precomputed dispatch
-// table indexed by root opcode. Run builds one per call from Options; callers
-// that optimize many functions with the same configuration (the simulated
-// LLM, the engine's attribution pass) build one with NewRuleSet and reuse it
-// via Options.Rules.
+// table indexed by root opcode. Build one with NewRuleSet and reuse it via
+// Options.Rules for every function optimized with that selection.
 type RuleSet struct {
 	rules []*Rule
 	names []string // enabled optional names, sorted
@@ -200,37 +196,29 @@ type RuleSet struct {
 	index [opcodeLimit][]*Rule
 }
 
-// NewRuleSet resolves opts.Patches against the registry: baseline rules are
-// always included (minus the select->min/max family when
-// opts.DisableIntrinsicCanon is set), optional rules are included when their
-// enable name is listed. Unknown names are ignored, duplicates are deduped,
-// and the resulting rule order is deterministic regardless of the order of
-// opts.Patches. opts.Rules and opts.MaxIters are ignored here. Baseline-only
-// selections are shared, so the common no-patches Run pays no setup cost.
-func NewRuleSet(opts Options) *RuleSet {
-	if len(opts.Patches) == 0 {
-		if opts.DisableIntrinsicCanon {
-			return baselineNoCanonSet
-		}
+// NewRuleSet resolves enable names against the registry: baseline rules are
+// always included, optional rules are included when their enable name is
+// listed — issue IDs from the paper's Table 5 (modelling LLVM after the
+// corresponding fix landed) and "kb:" knowledge-base rules. Unknown names
+// are ignored, duplicates are deduped, and the resulting rule order is
+// deterministic regardless of the order of names. With no names it returns
+// the shared baseline selection, which costs nothing to build.
+func NewRuleSet(names ...string) *RuleSet {
+	if len(names) == 0 {
 		return baselineSet
 	}
-	return buildRuleSet(opts)
+	return buildRuleSet(names)
 }
 
-func buildRuleSet(opts Options) *RuleSet {
-	enabled := make(map[string]bool, len(opts.Patches))
-	for _, n := range opts.Patches {
+func buildRuleSet(names []string) *RuleSet {
+	enabled := make(map[string]bool, len(names))
+	for _, n := range names {
 		enabled[n] = true
 	}
 	rs := &RuleSet{byID: make(map[string]*Rule)}
 	seenName := make(map[string]bool)
 	for _, r := range registry {
-		switch {
-		case r.Provenance == ProvBaseline:
-			if opts.DisableIntrinsicCanon && r.ID == ruleIDSelectMinMax {
-				continue
-			}
-		default:
+		if r.Provenance != ProvBaseline {
 			if !enabled[r.Name] {
 				continue
 			}

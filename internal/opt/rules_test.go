@@ -55,7 +55,7 @@ func TestRegistryInvariants(t *testing.T) {
 }
 
 // TestRuleSetSelectionIsDeterministic builds the same selection from
-// differently-ordered (and duplicated) Patches inputs and requires the
+// differently-ordered (and duplicated) enable names and requires the
 // identical dispatch order — the property that keeps llm.Sim's seeded
 // proposals reproducible.
 func TestRuleSetSelectionIsDeterministic(t *testing.T) {
@@ -72,9 +72,9 @@ func TestRuleSetSelectionIsDeterministic(t *testing.T) {
 		}
 		return out
 	}
-	a := ids(NewRuleSet(Options{Patches: forward}))
-	b := ids(NewRuleSet(Options{Patches: backward}))
-	c := ids(NewRuleSet(Options{Patches: withDups}))
+	a := ids(NewRuleSet(forward...))
+	b := ids(NewRuleSet(backward...))
+	c := ids(NewRuleSet(withDups...))
 	for i := range a {
 		if a[i] != b[i] || a[i] != c[i] {
 			t.Fatalf("selection order depends on input order at %d: %s / %s / %s",
@@ -84,7 +84,7 @@ func TestRuleSetSelectionIsDeterministic(t *testing.T) {
 	if len(a) != len(b) || len(a) != len(c) {
 		t.Fatalf("selection sizes differ: %d / %d / %d", len(a), len(b), len(c))
 	}
-	names := NewRuleSet(Options{Patches: withDups}).Names()
+	names := NewRuleSet(withDups...).Names()
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("RuleSet.Names not sorted: %v", names)
 	}
@@ -94,27 +94,16 @@ func TestRuleSetSelectionIsDeterministic(t *testing.T) {
 }
 
 // TestRuleSetHonorsOptions checks selection behaviour: unknown names are
-// ignored, DisableIntrinsicCanon drops the select->min/max family, and
-// baseline rules are always present.
+// ignored and baseline rules are always present.
 func TestRuleSetHonorsOptions(t *testing.T) {
-	base := NewRuleSet(Options{})
+	base := NewRuleSet()
 	for _, r := range base.Rules() {
 		if r.Provenance != ProvBaseline {
 			t.Fatalf("empty selection contains optional rule %s", r.ID)
 		}
 	}
-	if got := NewRuleSet(Options{Patches: []string{"no-such-rule"}}).Len(); got != base.Len() {
+	if got := NewRuleSet("no-such-rule").Len(); got != base.Len() {
 		t.Fatalf("unknown enable name changed the selection: %d vs %d", got, base.Len())
-	}
-	noCanon := NewRuleSet(Options{DisableIntrinsicCanon: true})
-	if noCanon.Len() != base.Len()-1 {
-		t.Fatalf("DisableIntrinsicCanon should drop exactly one rule: %d vs %d",
-			noCanon.Len(), base.Len())
-	}
-	for _, r := range noCanon.Rules() {
-		if r.ID == ruleIDSelectMinMax {
-			t.Fatal("DisableIntrinsicCanon left the select->min/max rule enabled")
-		}
 	}
 }
 
@@ -133,7 +122,7 @@ func TestRuleSoundnessSweep(t *testing.T) {
 			}
 			opts := Options{}
 			if r.Provenance != ProvBaseline {
-				opts.Patches = []string{r.Name}
+				opts.Rules = NewRuleSet(r.Name)
 			}
 			g, stats := RunWithStats(f, opts)
 			if stats.RuleHits[r.ID] == 0 {
@@ -165,14 +154,14 @@ func TestRunWithStatsCountsHits(t *testing.T) {
   %5 = select i1 %2, i8 0, i8 %4
   ret i8 %5
 }`)
-	_, stats := RunWithStats(f, Options{Patches: []string{"143636"}})
+	_, stats := RunWithStats(f, Options{Rules: NewRuleSet("143636")})
 	if stats.RuleHits["143636/clamp-smax"] == 0 {
 		t.Fatalf("expected the clamp rule to be attributed, got %v", stats.RuleHits)
 	}
 	if stats.Iters == 0 {
 		t.Fatal("iteration count missing")
 	}
-	kb := NewRuleSet(Options{Patches: AllRuleNames()})
+	kb := NewRuleSet(AllRuleNames()...)
 	ids := AttributedIDs(f, kb)
 	if len(ids) == 0 || ids[0] != "143636/clamp-smax" {
 		t.Fatalf("AttributedIDs = %v, want the clamp rule first", ids)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/generalize"
 	"repro/internal/ir"
-	"repro/internal/opt"
 	"repro/internal/parser"
 	"repro/internal/store"
 )
@@ -74,16 +73,14 @@ func ResultFromFinding(f *store.Finding) (engine.Result, error) {
 
 // SaveResult persists one computed result: the finding record plus, when
 // the result carries a learned rule, the rulebook entry. Results served
-// from the store (res.Cached) and per-run Duplicate outcomes are skipped —
-// there is nothing new to record. Degraded and Panicked results are skipped
-// too: persisting a fault-shaped outcome would make the store diverge from
-// a fault-free same-seed campaign, so those windows stay recomputable (the
-// service serves degraded outcomes from memory meanwhile). It reports
-// whether a new finding record was appended; the store's Flush makes the
-// batch durable.
+// from the store (res.Cached) are skipped — there is nothing new to record.
+// Degraded and Panicked results are skipped too: persisting a fault-shaped
+// outcome would make the store diverge from a fault-free same-seed
+// campaign, so those windows stay recomputable (the service serves
+// degraded outcomes from memory meanwhile). It reports whether a new
+// finding record was appended; the store's Flush makes the batch durable.
 func SaveResult(st store.Backend, res engine.Result) (added bool, err error) {
-	if res.Cached || res.Src == nil || res.Degraded ||
-		res.Outcome == engine.Duplicate || res.Outcome == engine.Canceled ||
+	if res.Cached || res.Src == nil || res.Degraded || res.Outcome == engine.Canceled ||
 		res.Outcome == engine.Errored || res.Outcome == engine.Panicked {
 		return false, nil
 	}
@@ -229,22 +226,4 @@ func StoreRulebook(st store.Backend) (*generalize.Rulebook, error) {
 	}
 	sort.Slice(book.Rules, func(i, j int) bool { return book.Rules[i].ID < book.Rules[j].ID })
 	return book, nil
-}
-
-// StoreOptRules compiles the store's rulebook entries into registry rules
-// ready for RuleSet.WithRules — the warm-start path that lets a store's
-// accumulated rules strengthen a new campaign's extractor and preprocessor.
-func StoreOptRules(st store.Backend) ([]*opt.Rule, error) {
-	book, err := StoreRulebook(st)
-	if err != nil {
-		return nil, err
-	}
-	if len(book.Rules) == 0 {
-		return nil, nil
-	}
-	rules, err := book.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return generalize.OptRules(rules)
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/alive"
 	"repro/internal/engine"
@@ -50,9 +49,6 @@ type Config struct {
 	// Logf receives operational log lines (shutdown pending counts, degraded
 	// transitions). Nil discards them.
 	Logf func(format string, args ...any)
-	// StreamHeartbeat is the SSE keep-alive comment interval for
-	// GET /v1/findings?watch=1 (default 15s).
-	StreamHeartbeat time.Duration
 }
 
 // Server is the lpod discovery service: one warm engine behind an HTTP/JSON
@@ -63,14 +59,13 @@ type Config struct {
 // results drain, so a restarted server resumes exactly where the last one
 // stopped.
 type Server struct {
-	st        store.Backend
-	strm      *stream
-	pool      *alive.CEPool
-	eng       *engine.Engine
-	sub       *engine.Submitter
-	maxBody   int64
-	logf      func(format string, args ...any)
-	heartbeat time.Duration
+	st      store.Backend
+	strm    *stream
+	pool    *alive.CEPool
+	eng     *engine.Engine
+	sub     *engine.Submitter
+	maxBody int64
+	logf    func(format string, args ...any)
 
 	cancel context.CancelFunc
 	drain  sync.WaitGroup
@@ -144,16 +139,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.StreamHeartbeat <= 0 {
-		cfg.StreamHeartbeat = 15 * time.Second
-	}
 
 	s := &Server{
 		st:               cfg.Store,
 		pool:             pool,
 		maxBody:          cfg.MaxBodyBytes,
 		logf:             cfg.Logf,
-		heartbeat:        cfg.StreamHeartbeat,
 		done:             make(chan struct{}),
 		inflight:         make(map[uint64]bool),
 		waiters:          make(map[uint64][]chan error),

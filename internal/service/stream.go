@@ -15,8 +15,8 @@ package service
 //	id: 42
 //	data: {"window":"<16-hex>","finding":{...stored finding JSON...}}
 //
-// with a ": heartbeat" comment frame every Config.StreamHeartbeat to keep
-// idle connections alive. Only durable findings are published — a finding
+// with a ": heartbeat" comment frame every streamHeartbeat to keep idle
+// connections alive. Only durable findings are published — a finding
 // whose persist barrier failed is deferred and published by the next
 // successful barrier, preserving "servable once durable" on the stream.
 
@@ -31,6 +31,10 @@ import (
 
 	"repro/internal/store"
 )
+
+// streamHeartbeat is the SSE keep-alive comment interval for
+// GET /v1/findings?watch=1.
+const streamHeartbeat = 15 * time.Second
 
 // streamEntry is one published finding: the window key and the stored
 // finding's bytes, nil when they are not valid JSON. The bytes are the
@@ -201,7 +205,7 @@ func (s *Server) handleFindingsStream(w http.ResponseWriter, r *http.Request) {
 
 	s.strm.addSub(1)
 	defer s.strm.addSub(-1)
-	heartbeat := time.NewTicker(s.heartbeat)
+	heartbeat := time.NewTicker(streamHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		entries, next, sig := s.strm.since(cursor)

@@ -23,22 +23,15 @@ import (
 type Options struct {
 	// Enum is the maximum number of synthesized instructions (paper: 0-3).
 	Enum int
-	// TimeoutSec is the virtual-clock budget (paper: 20 minutes).
-	TimeoutSec float64
-	// TestVectors is the number of concrete filtering inputs (default 32).
-	TestVectors int
-	Seed        uint64
+	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
-	if o.TimeoutSec == 0 {
-		o.TimeoutSec = 1200
-	}
-	if o.TestVectors == 0 {
-		o.TestVectors = 32
-	}
-	return o
-}
+const (
+	// timeoutSec is the virtual-clock budget (paper: 20 minutes).
+	timeoutSec = 1200
+	// numTestVectors is the number of concrete filtering inputs.
+	numTestVectors = 32
+)
 
 // Cost model constants (virtual seconds). Calibrated so that the default
 // mode averages a few seconds per case, Enum=1 tens of seconds, and wide
@@ -65,7 +58,6 @@ type Result struct {
 
 // Optimize attempts to find a cheaper replacement for src.
 func Optimize(src *ir.Func, opts Options) Result {
-	opts = opts.withDefaults()
 	res := Result{VirtualSeconds: baseCost}
 	if reason, ok := supported(src); !ok {
 		res.Unsupported = true
@@ -151,9 +143,9 @@ func Optimize(src *ir.Func, opts Options) Result {
 	spaceSize := float64(numOps) * float64(len(leaves)) * float64(len(leaves))
 	coef := spaceCostCoef + spaceCostStep*float64(opts.Enum-1)
 	res.VirtualSeconds += spaceSize * widthFactor * coef
-	if res.VirtualSeconds > opts.TimeoutSec {
+	if res.VirtualSeconds > timeoutSec {
 		res.TimedOut = true
-		res.VirtualSeconds = opts.TimeoutSec // a timed-out run occupies exactly the budget
+		res.VirtualSeconds = timeoutSec // a timed-out run occupies exactly the budget
 		return res
 	}
 	// Constant inference still runs (it is part of every strategy).
@@ -172,9 +164,9 @@ func Optimize(src *ir.Func, opts Options) Result {
 		if tryCandidate(cand) {
 			return res
 		}
-		if res.VirtualSeconds > opts.TimeoutSec {
+		if res.VirtualSeconds > timeoutSec {
 			res.TimedOut = true
-			res.VirtualSeconds = opts.TimeoutSec
+			res.VirtualSeconds = timeoutSec
 			return res
 		}
 	}
@@ -185,9 +177,9 @@ func Optimize(src *ir.Func, opts Options) Result {
 			if tryCandidate(cand) {
 				return res
 			}
-			if res.VirtualSeconds > opts.TimeoutSec {
+			if res.VirtualSeconds > timeoutSec {
 				res.TimedOut = true
-				res.VirtualSeconds = opts.TimeoutSec
+				res.VirtualSeconds = timeoutSec
 				return res
 			}
 		}
@@ -275,7 +267,7 @@ func testVectors(f *ir.Func, opts Options) [][]interp.RVal {
 		}
 		out = append(out, args)
 	}
-	for len(out) < opts.TestVectors {
+	for len(out) < numTestVectors {
 		args := make([]interp.RVal, len(f.Params))
 		for i, p := range f.Params {
 			args[i] = interp.Scalar(p.Ty, rng.Uint64())
