@@ -113,16 +113,17 @@ func BenchmarkFigure5Spec(b *testing.B) {
 // --- Ablations (DESIGN.md §6) ---
 
 // benchAttemptLimit runs one sequence through the loop per op with the
-// given attempt budget. Each op gets a fresh engine, built outside the
-// timer, so no op finds its verdict in an earlier op's verify cache and
-// every op pays the real verification cost.
+// given attempt budget. Each op gets a fresh simulator and engine, built
+// outside the timer, so no op finds its reply in an earlier op's window
+// memo or its verdict in an earlier op's verify cache, and every op pays
+// the real proposal and verification cost.
 func benchAttemptLimit(b *testing.B, attempts int) {
 	src := opt.RunO3(parser.MustParseFunc(clampSrc))
-	sim := llm.NewSim("Gemini2.0T", 9)
-	sim.Calibrate(ir.Hash(src), llm.Calibration{Minus: 2, Plus: 5})
 	cfg := engine.Config{AttemptLimit: attempts, Verify: alive.Options{Samples: 256, Seed: 9}}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		sim := llm.NewSim("Gemini2.0T", 9)
+		sim.Calibrate(ir.Hash(src), llm.Calibration{Minus: 2, Plus: 5})
 		e := engine.New(sim, cfg)
 		b.StartTimer()
 		e.OptimizeSeq(context.Background(), src, i)
@@ -134,9 +135,6 @@ func BenchmarkAblationAttemptLimit1(b *testing.B) { benchAttemptLimit(b, 1) }
 
 // BenchmarkAblationAttemptLimit2 is the paper's configuration.
 func BenchmarkAblationAttemptLimit2(b *testing.B) { benchAttemptLimit(b, 2) }
-
-// BenchmarkAblationAttemptLimit4 doubles the feedback budget.
-func BenchmarkAblationAttemptLimit4(b *testing.B) { benchAttemptLimit(b, 4) }
 
 // BenchmarkEngineWorkers measures the wall-clock scaling of the concurrent
 // engine over a fixed extracted batch as the pool grows.

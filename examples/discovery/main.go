@@ -7,7 +7,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
+	"sort"
 
 	"repro/internal/alive"
 	"repro/internal/corpus"
@@ -40,6 +40,24 @@ func main() {
 	st := ex.Stats()
 	fmt.Printf("\nextraction: %d raw, %d duplicates removed, %d already optimizable, %d kept\n",
 		st.Sequences, st.Duplicates, st.Optimizable, st.Kept)
-	stats.Snapshot().Print(os.Stdout)
+	// The run's counters without the stage seconds, which are wall time
+	// (lpo -stats prints them), so same-seed runs print the same bytes.
+	snap := stats.Snapshot()
+	fmt.Printf("sequences: %d\n", snap.Sequences)
+	outcomes := make([]string, 0, len(snap.Outcomes))
+	for o := range snap.Outcomes {
+		outcomes = append(outcomes, string(o))
+	}
+	sort.Strings(outcomes)
+	for _, o := range outcomes {
+		fmt.Printf("  %-14s %d\n", o, snap.Outcomes[engine.Outcome(o)])
+	}
+	fmt.Printf("usage: %d in / %d out tokens, %.1f virtual s\n",
+		snap.Usage.InputTokens, snap.Usage.OutputTokens, snap.Usage.VirtualSeconds)
+	for _, name := range engine.StageNames() {
+		if m, ok := snap.Stages[name]; ok {
+			fmt.Printf("stage %-11s %6d calls\n", name, m.Invocations)
+		}
+	}
 	fmt.Printf("\n%d verified missed optimizations discovered\n", found)
 }

@@ -30,6 +30,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/llm"
 	"repro/internal/mca"
+	"repro/internal/memo"
 	"repro/internal/opt"
 )
 
@@ -79,6 +80,10 @@ type Config struct {
 	Opt          opt.Options // optimizer used for candidate preprocessing
 	Verify       alive.Options
 }
+
+// preprocessMemoCap bounds Engine.pre. A campaign job preprocesses at most
+// about 180 distinct candidate texts, so every job fits without eviction.
+const preprocessMemoCap = 256
 
 // btver2 is the interestingness filter's cost model: AMD Jaguar, the
 // llvm-mca target the paper uses.
@@ -189,6 +194,9 @@ type Engine struct {
 	vmu    sync.Mutex
 	vcache map[verifyKey]*verifyEntry
 
+	// pre memoizes preprocess outcomes by candidate text.
+	pre *memo.Map[string, preprocessed]
+
 	// Learned-rule state (Config.Learn): lcache singleflights generalization
 	// by witness-pair hash, learned collects distinct rules by ID.
 	lmu     sync.Mutex
@@ -267,6 +275,7 @@ func New(client llm.Client, cfg Config) *Engine {
 		gen: generalize.Options{Verify: alive.Options{
 			Programs: cfg.Verify.Programs, Pool: alive.NewCEPool()}},
 		vcache:  make(map[verifyKey]*verifyEntry),
+		pre:     memo.New[string, preprocessed](preprocessMemoCap),
 		lcache:  make(map[uint64]*learnEntry),
 		learned: make(map[string]learnedRule),
 	}
@@ -445,8 +454,9 @@ func (e *Engine) runSeq(ctx context.Context, it item) Result {
 	var usage llm.Usage
 	var roundOutcomes []Outcome
 	firstFound := -1
+	w := newWindow(it.seq.Fn)
 	for round := 0; round < e.cfg.Rounds; round++ {
-		r := e.OptimizeSeq(ctx, it.seq.Fn, round)
+		r := e.optimize(ctx, w, round)
 		usage.Add(r.Usage)
 		if e.cfg.AllRounds {
 			roundOutcomes = append(roundOutcomes, r.Outcome)

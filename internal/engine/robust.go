@@ -113,9 +113,9 @@ func (e *Engine) runBounded(stage string, f func()) error {
 }
 
 // verifyBounded is the verify stage behind the stage deadline.
-func (e *Engine) verifyBounded(src, cand *ir.Func) (alive.Result, error) {
+func (e *Engine) verifyBounded(src, cand *ir.Func, key verifyKey) (alive.Result, error) {
 	var res alive.Result
-	if err := e.runBounded(StageVerify, func() { res = e.verify(src, cand) }); err != nil {
+	if err := e.runBounded(StageVerify, func() { res = e.verify(src, cand, key) }); err != nil {
 		return alive.Result{}, err
 	}
 	return res, nil
@@ -127,23 +127,25 @@ func (e *Engine) verifyBounded(src, cand *ir.Func) (alive.Result, error) {
 // outcome. Results are marked Degraded so consumers can serve them without
 // persisting them — once the provider recovers, a resubmission recomputes
 // the window with the real proposer.
-func (e *Engine) degradedSeq(res Result, src *ir.Func) Result {
+func (e *Engine) degradedSeq(res Result, w window) Result {
+	src := w.src
 	res.Degraded = true
 	e.stats.recordDegraded()
 	start := time.Now()
 	cand := opt.Run(src, opt.Options{Rules: e.kb})
 	e.stats.recordStage(StagePreprocess, time.Since(start).Seconds())
-	if ir.Hash(cand) == ir.Hash(src) {
+	candHash := ir.Hash(cand)
+	if candHash == w.hash {
 		res.Outcome = NoProposal
 		return res
 	}
 	att := Attempt{Candidate: cand.String(), Parsed: true}
-	if !e.filter(src, cand) {
+	if !e.filter(w, preprocessed{fn: cand, hash: candHash}) {
 		res.Attempts = append(res.Attempts, att)
 		res.Outcome = Uninteresting
 		return res
 	}
-	verdict, verr := e.verifyBounded(src, cand)
+	verdict, verr := e.verifyBounded(src, cand, verifyKey{w.hash, candHash})
 	if verr != nil {
 		res.Outcome, res.Err = Errored, verr
 		return res

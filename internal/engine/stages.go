@@ -41,6 +41,19 @@ func prompt(src *ir.Func) string {
 		src.String()
 }
 
+// window is the work on a source window that no round changes: its hash,
+// printed prompt and cost report. runSeq builds it once per window.
+type window struct {
+	src    *ir.Func
+	hash   uint64
+	prompt string
+	rep    mca.Report
+}
+
+func newWindow(src *ir.Func) window {
+	return window{src: src, hash: ir.Hash(src), prompt: prompt(src), rep: mca.Analyze(src, btver2)}
+}
+
 // propose is stage 1: one provider round trip. Its stage latency is the
 // response's *virtual* latency (the profile's throughput model), not wall
 // time, matching the rest of the reproduction's accounting. Config.
@@ -63,32 +76,50 @@ func (e *Engine) propose(ctx context.Context, messages []llm.Message, round int)
 
 // preprocess is stage 2: parse the candidate and canonicalize it with opt.
 // The returned error is the positioned parser diagnostic fed back verbatim.
-func (e *Engine) preprocess(candidate string) (*ir.Func, error) {
+// Outcomes are memoized per candidate text (Engine.pre), so a repeated
+// candidate returns the same function or the same *parser.ParseError; every
+// consumer of a candidate only reads it.
+func (e *Engine) preprocess(candidate string) preprocessed {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StagePreprocess, time.Since(start).Seconds()) }()
-	cand, err := parser.ParseFunc(candidate)
-	if err != nil {
-		return nil, err
+	if p, ok := e.pre.Get(candidate); ok {
+		return p
 	}
-	return opt.Run(cand, e.cfg.Opt), nil
+	var p preprocessed
+	p.fn, p.err = parser.ParseFunc(candidate)
+	if p.err == nil {
+		p.fn = opt.Run(p.fn, e.cfg.Opt)
+		p.hash = ir.Hash(p.fn)
+	}
+	p, _ = e.pre.Add(candidate, p)
+	return p
 }
 
-// filter is stage 3: the interestingness check.
-func (e *Engine) filter(src, cand *ir.Func) bool {
+// preprocessed is one preprocess outcome: the canonical function and its
+// hash, or the parse error.
+type preprocessed struct {
+	fn   *ir.Func
+	hash uint64
+	err  error
+}
+
+// filter is stage 3: the interestingness check against the window's
+// precomputed cost report.
+func (e *Engine) filter(w window, cand preprocessed) bool {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StageFilter, time.Since(start).Seconds()) }()
-	return Interesting(src, cand)
+	return interesting(w.rep, cand.fn, cand.hash != w.hash)
 }
 
 // verify is stage 4: refinement checking, memoized across workers by the
 // structural hashes of the pair. alive.Verify is a pure function of
 // (src, cand, options), so the cache never changes an outcome — it only
 // skips redundant re-verification when different workers (or rounds)
-// produce the same candidate for the same window.
-func (e *Engine) verify(src, cand *ir.Func) alive.Result {
+// produce the same candidate for the same window. key holds the pair's
+// hashes.
+func (e *Engine) verify(src, cand *ir.Func, key verifyKey) alive.Result {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StageVerify, time.Since(start).Seconds()) }()
-	key := verifyKey{src: ir.Hash(src), cand: ir.Hash(cand)}
 	e.vmu.Lock()
 	ent, hit := e.vcache[key]
 	if !hit {
@@ -125,14 +156,19 @@ func (e *Engine) verify(src, cand *ir.Func) alive.Result {
 // Verify, feeding each failure back to the provider. round seeds the
 // provider so repeated rounds resample. It is safe to call concurrently.
 func (e *Engine) OptimizeSeq(ctx context.Context, src *ir.Func, round int) Result {
+	return e.optimize(ctx, newWindow(src), round)
+}
+
+// optimize is OptimizeSeq on a window whose per-window work is done.
+func (e *Engine) optimize(ctx context.Context, w window, round int) Result {
+	src := w.src
 	res := Result{Outcome: NoProposal, Src: src, Round: round}
-	srcRep := mca.Analyze(src, btver2)
-	res.InstrsBefore = srcRep.Instructions
-	res.CyclesBefore = srcRep.TotalCycles
+	res.InstrsBefore = w.rep.Instructions
+	res.CyclesBefore = w.rep.TotalCycles
 
 	messages := []llm.Message{
 		{Role: llm.RoleSystem, Content: llm.SystemPrompt},
-		{Role: llm.RoleUser, Content: prompt(src)},
+		{Role: llm.RoleUser, Content: w.prompt},
 	}
 	sawRefutation := false
 	sawSyntaxError := false
@@ -142,7 +178,7 @@ func (e *Engine) OptimizeSeq(ctx context.Context, src *ir.Func, round int) Resul
 			if errors.Is(err, llm.ErrCircuitOpen) {
 				// Provider down for good (breaker open): fall back to the
 				// knowledge-base proposer instead of failing the sequence.
-				return e.degradedSeq(res, src)
+				return e.degradedSeq(res, w)
 			}
 			res.Outcome = Errored
 			if ctx.Err() != nil {
@@ -155,24 +191,25 @@ func (e *Engine) OptimizeSeq(ctx context.Context, src *ir.Func, round int) Resul
 		messages = append(messages, llm.Message{Role: llm.RoleAssistant, Content: resp.Text})
 
 		att := Attempt{Candidate: llm.ExtractFunc(resp.Text)}
-		cand, perr := e.preprocess(att.Candidate)
-		if perr != nil {
-			att.Feedback = perr.Error()
+		p := e.preprocess(att.Candidate)
+		if p.err != nil {
+			att.Feedback = p.err.Error()
 			res.Attempts = append(res.Attempts, att)
 			sawSyntaxError = true
 			messages = append(messages, llm.Message{Role: llm.RoleUser, Content: att.Feedback})
 			continue
 		}
 		att.Parsed = true
-		if !e.filter(src, cand) {
+		cand := p.fn
+		if !e.filter(w, p) {
 			res.Attempts = append(res.Attempts, att)
 			res.Outcome = NoProposal
-			if ir.Hash(cand) != ir.Hash(src) {
+			if p.hash != w.hash {
 				res.Outcome = Uninteresting
 			}
 			return res // Alg. 1 line 16: abandon the sequence.
 		}
-		verdict, verr := e.verifyBounded(src, cand)
+		verdict, verr := e.verifyBounded(src, cand, verifyKey{w.hash, p.hash})
 		if verr != nil {
 			res.Attempts = append(res.Attempts, att)
 			res.Outcome, res.Err = Errored, verr
@@ -225,11 +262,15 @@ func (e *Engine) attribute(src *ir.Func) map[string]int {
 // same of both while being syntactically different (enabling later folds).
 // Cycles are estimated on the btver2 model.
 func Interesting(src, cand *ir.Func) bool {
-	sr := mca.Analyze(src, btver2)
+	return interesting(mca.Analyze(src, btver2), cand, ir.Hash(src) != ir.Hash(cand))
+}
+
+// interesting is Interesting given the source's cost report sr and
+// whether the candidate's hash differs from the source's.
+func interesting(sr mca.Report, cand *ir.Func, changed bool) bool {
 	cr := mca.Analyze(cand, btver2)
 	if cr.Instructions < sr.Instructions || cr.TotalCycles < sr.TotalCycles {
 		return true
 	}
-	return cr.Instructions == sr.Instructions && cr.TotalCycles == sr.TotalCycles &&
-		ir.Hash(src) != ir.Hash(cand)
+	return cr.Instructions == sr.Instructions && cr.TotalCycles == sr.TotalCycles && changed
 }

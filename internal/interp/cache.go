@@ -1,9 +1,10 @@
 package interp
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/ir"
+	"repro/internal/memo"
 )
 
 // DefaultCacheCap is the program capacity of NewCache. A compiled window is
@@ -20,27 +21,16 @@ const DefaultCacheCap = 4096
 // it treats ir.Hash as identity.
 //
 // The cache is bounded: once it holds its capacity of programs, inserting a
-// new one evicts an old one chosen by the clock (second-chance) policy —
-// each hit marks its entry referenced, and the clock hand sweeps past
-// referenced entries (clearing the mark) until it finds an unreferenced
-// victim. Eviction never changes semantics; an evicted program is simply
-// recompiled on next use. Stats reports hit/miss/eviction counters.
+// new one evicts an old one by the clock policy of memo.Map. Eviction never
+// changes semantics; an evicted program is simply recompiled on next use.
+// Stats reports hit/miss/eviction counters.
 //
 // A nil *Cache is valid and simply compiles on every call, so callers can
 // thread an optional cache without nil checks.
 type Cache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[uint64]*cacheEntry
-	ring []uint64 // hashes in slot order for the clock sweep
-	hand int
+	m *memo.Map[uint64, *Program]
 
-	hits, misses, evictions int64
-}
-
-type cacheEntry struct {
-	p   *Program
-	ref bool
+	hits, misses, evictions atomic.Int64
 }
 
 // CacheStats is a snapshot of a cache's counters.
@@ -58,7 +48,7 @@ func NewCacheSize(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = DefaultCacheCap
 	}
-	return &Cache{cap: capacity, m: make(map[uint64]*cacheEntry)}
+	return &Cache{m: memo.New[uint64, *Program](capacity)}
 }
 
 // Program returns the compiled program for fn, compiling it on first use.
@@ -67,52 +57,18 @@ func (c *Cache) Program(fn *ir.Func) *Program {
 		return Compile(fn)
 	}
 	h := ir.Hash(fn)
-	c.mu.Lock()
-	if e, ok := c.m[h]; ok {
-		e.ref = true
-		c.hits++
-		p := e.p
-		c.mu.Unlock()
+	if p, ok := c.m.Get(h); ok {
+		c.hits.Add(1)
 		return p
 	}
-	c.misses++
-	c.mu.Unlock()
+	c.misses.Add(1)
 	// Compile outside the lock: compilation is pure, so a racing duplicate
 	// is wasted work at worst, and slow compiles never serialize readers.
-	p := Compile(fn)
-	c.mu.Lock()
-	if prev, ok := c.m[h]; ok {
-		p = prev.p
-	} else {
-		c.insert(h, p)
+	p, evicted := c.m.Add(h, Compile(fn))
+	if evicted {
+		c.evictions.Add(1)
 	}
-	c.mu.Unlock()
 	return p
-}
-
-// insert stores a freshly compiled program, evicting by clock when full.
-// Caller holds the lock.
-func (c *Cache) insert(h uint64, p *Program) {
-	if len(c.ring) < c.cap {
-		c.m[h] = &cacheEntry{p: p}
-		c.ring = append(c.ring, h)
-		return
-	}
-	for {
-		vh := c.ring[c.hand]
-		v := c.m[vh]
-		if v.ref {
-			v.ref = false
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		delete(c.m, vh)
-		c.evictions++
-		c.m[h] = &cacheEntry{p: p}
-		c.ring[c.hand] = h
-		c.hand = (c.hand + 1) % len(c.ring)
-		return
-	}
 }
 
 // Len reports how many programs the cache holds.
@@ -120,9 +76,7 @@ func (c *Cache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	return c.m.Len()
 }
 
 // Stats returns a snapshot of the cache's counters. A nil cache reports
@@ -131,8 +85,6 @@ func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Len: len(c.m), Cap: c.cap,
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
+	return CacheStats{Len: c.m.Len(), Cap: c.m.Cap(),
+		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/opt"
 	"repro/internal/parser"
 	"repro/internal/seedrand"
@@ -28,6 +29,18 @@ type Calibration struct {
 // produced by the knowledge base, possibly corrupted through the paper's two
 // observed failure channels (syntax errors, Figure 3b; semantically wrong
 // candidates refuted by the verifier, §3).
+//
+// A reply is a function of the window text and of per-call draws, and the
+// engine asks about each window several times (once per attempt and round),
+// so the work that depends on the text alone is memoized per window text:
+// the parse outcome, the window's hash, the knowledge base's rewrite of it
+// (shared read-only), whether that rewrite changed it, and the four reply
+// texts it can give — the echo, the rewrite, the syntax-corrupted rewrite
+// and the hallucinated one — each printed the first time it is needed.
+// What stays per call, in the same order as without the memo, is the
+// (window, round) random source, the failure-channel draw, the calibration
+// lookup and the success draws. The memo holds at most windowMemoCap
+// windows and evicts by clock, so a long-lived Sim (lpod) stays bounded.
 type Sim struct {
 	prof Profile
 	seed uint64
@@ -36,15 +49,43 @@ type Sim struct {
 	// RuleSet: rule order is deterministic and the opcode-indexed dispatch
 	// table is built once and shared across every Complete call.
 	kb *opt.RuleSet
+	// windows memoizes the text-only work per extracted window text.
+	windows *memo.Map[string, *window]
+}
+
+// windowMemoCap bounds Sim.windows. A campaign job asks about at most
+// about 180 distinct windows, so every job fits without eviction.
+const windowMemoCap = 256
+
+// window is what the simulator knows about one window text.
+type window struct {
+	src   *ir.Func // nil when the text does not parse
+	h     uint64
+	ideal *ir.Func // the knowledge base's rewrite of src; read-only
+	known bool     // the rewrite differs from src
+
+	echo, rewrite, corrupt, hallu reply
+}
+
+// reply is one reply text of a window, printed at its first use.
+type reply struct {
+	once sync.Once
+	text string
+}
+
+func (r *reply) get(print func() string) string {
+	r.once.Do(func() { r.text = print() })
+	return r.text
 }
 
 // NewSim builds a simulated client for the named model.
 func NewSim(model string, seed uint64) *Sim {
 	return &Sim{
-		prof: ProfileByName(model),
-		seed: seed,
-		cal:  make(map[uint64]Calibration),
-		kb:   opt.FullRuleSet(),
+		prof:    ProfileByName(model),
+		seed:    seed,
+		cal:     make(map[uint64]Calibration),
+		kb:      opt.FullRuleSet(),
+		windows: memo.New[string, *window](windowMemoCap),
 	}
 }
 
@@ -101,43 +142,66 @@ func (s *Sim) respond(prompt string, attempt, round int) string {
 	if fnText == "" {
 		return "I could not find an LLVM IR function in the request."
 	}
-	src, err := parser.ParseFunc(fnText)
-	if err != nil {
-		return wrapIR(fnText)
+	w := s.window(fnText)
+	if w.src == nil {
+		return w.echo.get(func() string { return wrapIR(fnText) })
 	}
-	h := ir.Hash(src)
-	rng := s.rng(h, round)
+	rng := s.rng(w.h, round)
 	defer rngPool.Put(rng)
 	uChannel := rng.Float64()
-
-	ideal := opt.Run(src, opt.Options{Rules: s.kb})
-	known := ir.Hash(ideal) != h
-
-	s1, s2 := s.successFor(h, round, rng)
-	if !known {
+	s1, s2 := s.successFor(w.h, round, rng)
+	if !w.known {
 		// Nothing in the knowledge base: echo the input (LPO will classify
 		// it as uninteresting and move on — Alg. 1 line 16).
-		return wrapIR(src.String())
+		return w.echoSrc()
 	}
 	if attempt <= 1 {
 		if s1 {
-			return wrapIR(ideal.String())
+			return w.rewriteText()
 		}
 		// First attempt fails: emit one of the two failure channels so the
 		// feedback loop has something to repair.
 		if uChannel < s.prof.SyntaxErrRate {
-			return wrapIR(corruptSyntax(ideal))
+			return w.corrupt.get(func() string { return wrapIR(corruptSyntax(w.ideal)) })
 		}
-		if wrong, ok := hallucinate(ideal); ok {
-			return wrapIR(wrong.String())
-		}
-		return wrapIR(src.String())
+		return w.hallu.get(func() string {
+			if wrong, ok := hallucinate(w.ideal); ok {
+				return wrapIR(wrong.String())
+			}
+			return w.echoSrc()
+		})
 	}
 	// Second (or later) attempt with feedback.
 	if s2 {
-		return wrapIR(ideal.String())
+		return w.rewriteText()
 	}
-	return wrapIR(src.String())
+	return w.echoSrc()
+}
+
+// window returns the memo entry for a window text, building it on a miss:
+// parse, hash, and run the knowledge base. Concurrent misses on one text
+// build twice and keep the first entry stored.
+func (s *Sim) window(fnText string) *window {
+	if w, ok := s.windows.Get(fnText); ok {
+		return w
+	}
+	w := &window{}
+	if src, err := parser.ParseFunc(fnText); err == nil {
+		w.src = src
+		w.h = ir.Hash(src)
+		w.ideal = opt.Run(src, opt.Options{Rules: s.kb})
+		w.known = ir.Hash(w.ideal) != w.h
+	}
+	w, _ = s.windows.Add(fnText, w)
+	return w
+}
+
+func (w *window) echoSrc() string {
+	return w.echo.get(func() string { return wrapIR(w.src.String()) })
+}
+
+func (w *window) rewriteText() string {
+	return w.rewrite.get(func() string { return wrapIR(w.ideal.String()) })
 }
 
 // successFor decides the two attempt outcomes for a given round. Calibrated
