@@ -168,14 +168,16 @@ func BenchmarkEngineWorkers(b *testing.B) {
 }
 
 // BenchmarkCampaignJob runs one `lpo -corpus -rounds 4 -learn -seed S` job
-// per iteration (seeds 501, 502, ... in turn), wired as the campaign
-// workload of perfbench wires it: the simulated provider, the engine, the
-// corpus source, and the rulebook encoding at the end. It is the
-// end-to-end handle for `go test -bench CampaignJob -cpuprofile`.
+// per iteration, wired as the campaign workload of perfbench wires it: the
+// simulated provider, the engine, the corpus source, and the rulebook
+// encoding at the end. It is the end-to-end handle for `go test -bench
+// CampaignJob -cpuprofile`. Op i runs seed 501 + i*12/b.N, so any b.N
+// spreads evenly over seeds 501–512 and the cost per op does not depend on
+// b.N; at a multiple of 12 every seed runs equally often.
 func BenchmarkCampaignJob(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		seed := uint64(501 + i%12)
+		seed := uint64(501 + i*12/b.N)
 		e := engine.New(llm.NewSim("Gemini2.0T", seed), engine.Config{
 			Rounds: 4,
 			Learn:  true,

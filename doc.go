@@ -32,8 +32,11 @@
 // llm.Usage, per-stage latency) and may be taken while the run is in
 // flight. The same engine.Snapshot is what `lpo -stats` prints and what
 // lpod's GET /v1/stats serves as its engine section. A cross-worker
-// verification cache deduplicates identical (source, candidate) refinement
-// checks by structural hash.
+// verify memo deduplicates identical (source, candidate) refinement checks
+// by structural hash, and a learn memo the generalize sweep of a Found
+// pair. Both are memo.Map tables of constant capacity (256 and 128 pairs,
+// above the most any campaign, test or table run puts in one engine), so
+// a long-lived engine such as lpod's stays bounded.
 //
 // The knobs surface on the CLIs: cmd/lpo takes -workers and -queue,
 // cmd/lpo-bench and cmd/lpo-opt take -workers; engine.ParMap backs the
@@ -118,7 +121,8 @@
 // consuming instruction gathers lane by lane before its kernel runs, their
 // unbound-element guards joining its ordered checks — so every program
 // runs on the batch engine, with no per-vector fallback.
-// interp.Cache memoizes Programs by structural hash: the engine installs
+// interp.Cache memoizes Programs by structural hash, compiling each one
+// once even when workers ask for it at the same time: the engine installs
 // one cache per campaign shared by its verify stage and the generalize
 // width sweeps, and a Souper/Minotaur run shares one across the checkers it
 // builds for its candidates, so the source compiles once per run.
@@ -170,15 +174,24 @@
 // bswap, bitreverse, the four saturating add/sub and fshl/fshr — share one
 // lane-masked batch kernel whose per-lane code is the very function Exec
 // evaluates them with, so the two engines cannot diverge on them.
-// interp.Cache is bounded (clock eviction
-// over a few thousand programs, Stats for hit/miss/eviction counters), so
-// campaign-long caches stay a few MB.
+// interp.Cache is bounded (a memo.Map of 4096 programs with clock
+// eviction), so campaign-long caches stay a few MB.
+//
+// Every keyed cache in the stack is one internal/memo.Map: the program
+// cache, the simulator's window table, the engine's preprocess, verify and
+// learn memos, and each window of the counterexample pool. Map.Do computes
+// a key's value once while concurrent callers wait, re-raises a panic in
+// that computation to every waiter and later caller (a zero verdict would
+// read as Correct), and evicts by one clock sweep that never picks an entry
+// still computing.
 //
 // internal/alive builds on this with alive.NewChecker and a tiered
 // verification scheduler. Tier 0 replays the source window's pooled
 // counterexamples (alive.CEPool — campaign-scoped and concurrency-safe:
 // every falsified candidate deposits the refuting input, CEGIS-style, so
-// repeat offenders die in a handful of executions); tier 1 runs the
+// repeat offenders die in a handful of executions; each window's vectors
+// are a memo.Map of 32, where a duplicate deposit or a pool kill marks a
+// vector referenced and the clock evicts the others first); tier 1 runs the
 // exhaustive/special-value phases and tier 2 the random phases. All three
 // stream through the lane-batched evaluators with one fill, RunBatchFilled
 // and in-order scan: tier-0 vectors carry their pooled memory into the
@@ -360,8 +373,8 @@
 // JSON, store.Finding) double as the service's wire format.
 //
 // cmd/lpod serves discovery from such a store as a long-running daemon.
-// internal/service wires one warm engine — program cache, verification
-// cache, counterexample pool and learned rules all persistent across
+// internal/service wires one warm engine — program cache, verify and
+// learn memos, counterexample pool and learned rules all persistent across
 // requests — behind the engine's incremental submission API
 // (engine.Submitter): POST /v1/windows accepts one window or a batch
 // (JSON {"ir": ...} / {"windows": [...]}, or a raw .ll module), hashes
@@ -505,7 +518,7 @@
 // quarantines that window alone — the worker recovers, emits a Panicked
 // result carrying the panic as an error, records the window hash in the
 // engine's quarantine list (engine.Quarantined, GET /v1/stats), bumps
-// Snapshot.Panics, and the campaign continues. The verify cache propagates a
+// Snapshot.Panics, and the campaign continues. The verify memo propagates a
 // panic to every waiter of the same (source, candidate) pair rather than
 // handing them a zero verdict. Config.StageTimeout bounds each stage:
 // propose inherits a context deadline; verify and learn, which are

@@ -123,6 +123,17 @@ type CounterExample struct {
 	MemDiff string // description of a memory refinement violation, if any
 }
 
+// Filterable reports whether the counterexample can join a test-vector
+// filter (the Souper and Minotaur baselines): its inputs and the source's
+// output on them are poison-free, and the source is defined there.
+func (ce *CounterExample) Filterable() bool {
+	poison := ce.SrcRet.AnyPoison()
+	for _, in := range ce.Inputs {
+		poison = poison || in.AnyPoison()
+	}
+	return !ce.SrcUB && !poison
+}
+
 // Format renders the counterexample in the style Alive2 prints and LPO feeds
 // back to the LLM.
 func (ce *CounterExample) Format() string {

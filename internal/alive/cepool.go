@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/memo"
 )
 
 // defaultPoolCap bounds the vectors retained per source window. Falsifying
@@ -55,17 +56,17 @@ type CEPoolStats struct {
 // A nil *CEPool is valid and stores nothing, so callers can thread an
 // optional pool without nil checks.
 //
-// Each window's vector list is bounded: past the per-window capacity a new
-// deposit evicts an old vector chosen by the clock (second-chance) policy
-// that interp.Cache uses — replayed vectors that actually falsify a
-// candidate are marked referenced (Touch), and the clock hand sweeps past
-// referenced entries (clearing the mark) until it finds an unreferenced
-// victim. A long-running daemon therefore keeps the falsifiers that still
-// kill candidates and sheds the ones that stopped earning their slot.
+// Each window's vectors are a memo.Map keyed by content hash, bounded at
+// defaultPoolCap: past it a new deposit evicts an old vector by the clock
+// (second-chance) policy — replayed vectors that actually falsify a
+// candidate are marked referenced (Touch, or a duplicate deposit), and the
+// clock hand sweeps past referenced entries (clearing the mark) until it
+// finds an unreferenced victim. A long-running daemon therefore keeps the
+// falsifiers that still kill candidates and sheds the ones that stopped
+// earning their slot.
 type CEPool struct {
 	mu      sync.Mutex
-	cap     int
-	buckets map[uint64]*ceBucket
+	windows map[uint64]*memo.Map[uint64, PoolVector]
 
 	// pending accumulates every Add since the last DrainPending — the flush
 	// hook a persistent store uses to pick up new falsifiers incrementally.
@@ -75,25 +76,13 @@ type CEPool struct {
 	deposits, dups, loaded, evictions int64
 }
 
-type ceSlot struct {
-	vec  PoolVector
-	hash uint64 // content hash, for dedup and eviction bookkeeping
-	ref  bool   // clock reference bit: set when the vector kills a candidate
-}
-
-type ceBucket struct {
-	slots []ceSlot
-	seen  map[uint64]int // content hash -> slot index
-	hand  int
-}
-
-// NewCEPool returns an empty pool with the default per-window capacity.
+// NewCEPool returns an empty pool.
 func NewCEPool() *CEPool {
-	return &CEPool{cap: defaultPoolCap, buckets: make(map[uint64]*ceBucket)}
+	return &CEPool{windows: make(map[uint64]*memo.Map[uint64, PoolVector])}
 }
 
 // WindowKey is the pool key for a source function: its structural hash, the
-// same identity the program cache and the engine's verify cache use.
+// same identity the program cache and the engine's verify memo use.
 func WindowKey(src *ir.Func) uint64 { return ir.Hash(src) }
 
 // Add deposits a falsifying vector for the given window, cloning inputs and
@@ -103,128 +92,86 @@ func WindowKey(src *ir.Func) uint64 { return ir.Hash(src) }
 // clock evicts an unreferenced vector to make room. It reports whether a
 // new vector was stored.
 func (p *CEPool) Add(window uint64, inputs []interp.RVal, mem [][]byte) bool {
-	if p == nil {
-		return false
-	}
-	h := hashVector(inputs, mem)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	v := PoolVector{Inputs: cloneRVals(inputs), Mem: cloneByteSlices(mem)}
-	if !p.insert(window, v, h) {
-		return false
-	}
-	p.deposits++
-	p.pending = append(p.pending, WindowVector{Window: window, Vec: v})
-	return true
+	return p.deposit(window, PoolVector{Inputs: inputs, Mem: mem}, true)
 }
 
 // Load installs a vector that came from a persistent store, so a restarted
 // campaign's tier-0 replay starts with the accumulated falsifier corpus.
 // Unlike Add it does not mark the vector pending (it is already stored) and
 // counts toward Loaded instead of Deposits. The vector is cloned.
-func (p *CEPool) Load(window uint64, v PoolVector) bool {
+func (p *CEPool) Load(window uint64, v PoolVector) bool { return p.deposit(window, v, false) }
+
+// deposit stores a clone of v under window unless the window already holds
+// the same vector, counting it as an Add (and pending) or as a Load.
+func (p *CEPool) deposit(window uint64, v PoolVector, add bool) bool {
 	if p == nil {
 		return false
 	}
-	h := hashVector(v.Inputs, v.Mem)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	clone := PoolVector{Inputs: cloneRVals(v.Inputs), Mem: cloneByteSlices(v.Mem)}
-	if !p.insert(window, clone, h) {
-		return false
+	w := p.windows[window]
+	if w == nil {
+		w = memo.New[uint64, PoolVector](defaultPoolCap)
+		p.windows[window] = w
 	}
-	p.loaded++
-	return true
-}
-
-// insert stores v under window with dedup and clock eviction. Caller holds
-// the lock. dup vectors set the existing slot's reference bit.
-func (p *CEPool) insert(window uint64, v PoolVector, h uint64) bool {
-	b := p.buckets[window]
-	if b == nil {
-		b = &ceBucket{seen: make(map[uint64]int)}
-		p.buckets[window] = b
-	}
-	if i, dup := b.seen[h]; dup {
-		b.slots[i].ref = true
+	full := w.Len() == defaultPoolCap
+	v, dup := w.Do(hashVector(v.Inputs, v.Mem), func() PoolVector {
+		return PoolVector{Inputs: cloneRVals(v.Inputs), Mem: cloneByteSlices(v.Mem)}
+	})
+	switch {
+	case dup:
 		p.dups++
 		return false
-	}
-	if len(b.slots) < p.cap {
-		b.seen[h] = len(b.slots)
-		b.slots = append(b.slots, ceSlot{vec: v, hash: h})
-		return true
-	}
-	// Clock sweep, mirroring interp.Cache: skip-and-clear referenced slots
-	// until an unreferenced victim turns up.
-	for {
-		s := &b.slots[b.hand]
-		if s.ref {
-			s.ref = false
-			b.hand = (b.hand + 1) % len(b.slots)
-			continue
-		}
-		delete(b.seen, s.hash)
+	case full:
 		p.evictions++
-		*s = ceSlot{vec: v, hash: h}
-		b.seen[h] = b.hand
-		b.hand = (b.hand + 1) % len(b.slots)
-		return true
 	}
+	if add {
+		p.deposits++
+		p.pending = append(p.pending, WindowVector{Window: window, Vec: v})
+	} else {
+		p.loaded++
+	}
+	return true
 }
 
 // Touch marks the stored copy of a vector as recently useful (it just
 // falsified a candidate), protecting it from the next clock sweep. The
 // checker calls this on every pool-tier kill.
 func (p *CEPool) Touch(window uint64, inputs []interp.RVal, mem [][]byte) {
-	if p == nil {
-		return
-	}
-	h := hashVector(inputs, mem)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if b := p.buckets[window]; b != nil {
-		if i, ok := b.seen[h]; ok {
-			b.slots[i].ref = true
-		}
+	if w := p.window(window); w != nil {
+		w.Get(hashVector(inputs, mem))
 	}
 }
 
 // Contains reports whether the pool currently holds this exact vector for
 // the window — the liveness test store compaction uses to drop vectors the
 // clock has evicted (they stopped killing candidates and lost their slot).
+// It does not mark the vector.
 func (p *CEPool) Contains(window uint64, v PoolVector) bool {
-	if p == nil {
-		return false
-	}
-	h := hashVector(v.Inputs, v.Mem)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.buckets[window]
-	if b == nil {
-		return false
-	}
-	_, ok := b.seen[h]
-	return ok
+	w := p.window(window)
+	return w != nil && w.Has(hashVector(v.Inputs, v.Mem))
 }
 
-// Vectors returns the stored vectors for a window, oldest first. The
+// Vectors returns the stored vectors for a window in slot order. The
 // returned slice is a snapshot; its entries are shared and immutable.
 func (p *CEPool) Vectors(window uint64) []PoolVector {
+	w := p.window(window)
+	if w == nil {
+		return nil
+	}
+	out := make([]PoolVector, 0, w.Len())
+	w.Range(func(_ uint64, v PoolVector) { out = append(out, v) })
+	return out
+}
+
+// window returns the vectors of one window, nil if it has none.
+func (p *CEPool) window(window uint64) *memo.Map[uint64, PoolVector] {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b := p.buckets[window]
-	if b == nil || len(b.slots) == 0 {
-		return nil
-	}
-	out := make([]PoolVector, len(b.slots))
-	for i, s := range b.slots {
-		out[i] = s.vec
-	}
-	return out
+	return p.windows[window]
 }
 
 // DrainPending returns every vector deposited since the last drain and
@@ -250,10 +197,10 @@ func (p *CEPool) Stats() CEPoolStats {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := CEPoolStats{Windows: len(p.buckets), Deposits: p.deposits, Dups: p.dups,
+	s := CEPoolStats{Windows: len(p.windows), Deposits: p.deposits, Dups: p.dups,
 		Loaded: p.loaded, Evictions: p.evictions}
-	for _, b := range p.buckets {
-		s.Vectors += len(b.slots)
+	for _, w := range p.windows {
+		s.Vectors += w.Len()
 	}
 	return s
 }

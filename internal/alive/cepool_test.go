@@ -147,7 +147,7 @@ func TestRescaleVector(t *testing.T) {
 
 // TestCEPoolClockEviction pins the second-chance policy: vectors marked
 // referenced (Touch, or a duplicate re-deposit) survive the sweep that
-// evicts unreferenced ones, mirroring interp.Cache.
+// evicts unreferenced ones, the clock of memo.Map.
 func TestCEPoolClockEviction(t *testing.T) {
 	p := NewCEPool()
 	for i := uint64(0); i < defaultPoolCap; i++ {

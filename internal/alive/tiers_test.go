@@ -273,19 +273,27 @@ func TestTier0BatchedMatchesInOrderCheckOne(t *testing.T) {
 }
 
 // samePoolState compares two pools' counters and, for one window, the
-// stored vectors, their order and their clock reference bits.
+// stored vectors in slot order. It then deposits a window's capacity of
+// fresh vectors into both, comparing after each: a clock hand or reference
+// bit that differs picks a different victim, so the slots diverge.
 func samePoolState(a, b *CEPool, key uint64) string {
 	if sa, sb := a.Stats(), b.Stats(); sa != sb {
 		return fmt.Sprintf("stats %+v vs %+v", sa, sb)
 	}
-	ba, bb := a.buckets[key], b.buckets[key]
-	if len(ba.slots) != len(bb.slots) || ba.hand != bb.hand {
-		return fmt.Sprintf("%d slots (hand %d) vs %d (hand %d)", len(ba.slots), ba.hand, len(bb.slots), bb.hand)
-	}
-	for i := range ba.slots {
-		if ba.slots[i].hash != bb.slots[i].hash || ba.slots[i].ref != bb.slots[i].ref {
-			return fmt.Sprintf("slot %d: hash %x ref %v vs hash %x ref %v",
-				i, ba.slots[i].hash, ba.slots[i].ref, bb.slots[i].hash, bb.slots[i].ref)
+	for probe := 0; probe <= defaultPoolCap; probe++ {
+		if probe > 0 {
+			in := []interp.RVal{interp.Scalar(ir.I16, uint64(1000+probe))}
+			a.Add(key, in, nil)
+			b.Add(key, in, nil)
+		}
+		va, vb := a.Vectors(key), b.Vectors(key)
+		if len(va) != len(vb) {
+			return fmt.Sprintf("after %d probe deposits: %d slots vs %d", probe, len(va), len(vb))
+		}
+		for i := range va {
+			if ha, hb := hashVector(va[i].Inputs, va[i].Mem), hashVector(vb[i].Inputs, vb[i].Mem); ha != hb {
+				return fmt.Sprintf("after %d probe deposits: slot %d holds %x vs %x", probe, i, ha, hb)
+			}
 		}
 	}
 	return ""

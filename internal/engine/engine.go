@@ -81,9 +81,15 @@ type Config struct {
 	Verify       alive.Options
 }
 
-// preprocessMemoCap bounds Engine.pre. A campaign job preprocesses at most
-// about 180 distinct candidate texts, so every job fits without eviction.
-const preprocessMemoCap = 256
+// Capacities of the engine's memos. Each is above the most distinct keys
+// any campaign, test or table run puts in one engine (at most about 180
+// candidate texts, 110 verified pairs and 60 generalized pairs), so such
+// runs never evict; a long-lived engine (lpod) stays bounded.
+const (
+	preprocessMemoCap = 256
+	verifyMemoCap     = 256
+	learnMemoCap      = 128
+)
 
 // btver2 is the interestingness filter's cost model: AMD Jaguar, the
 // llvm-mca target the paper uses.
@@ -191,17 +197,16 @@ type Engine struct {
 	// gen configures the learn stage's width sweeps (see New).
 	gen generalize.Options
 
-	vmu    sync.Mutex
-	vcache map[verifyKey]*verifyEntry
+	// pre memoizes preprocess outcomes by candidate text, verified verdicts
+	// by pair hashes.
+	pre      *memo.Map[string, preprocessed]
+	verified *memo.Map[verifyKey, alive.Result]
 
-	// pre memoizes preprocess outcomes by candidate text.
-	pre *memo.Map[string, preprocessed]
-
-	// Learned-rule state (Config.Learn): lcache singleflights generalization
-	// by witness-pair hash, learned collects distinct rules by ID.
-	lmu     sync.Mutex
-	lcache  map[uint64]*learnEntry
-	learned map[string]learnedRule
+	// Learned-rule state (Config.Learn): generalized memoizes the width
+	// sweep by witness-pair hash, learned collects distinct rules by ID.
+	generalized *memo.Map[uint64, *generalize.Rule]
+	lmu         sync.Mutex
+	learned     map[string]learnedRule
 
 	// runs numbers the engine's Runs, so learned can order witnesses
 	// across runs of a reused engine.
@@ -214,14 +219,6 @@ type Engine struct {
 	quarantined []string
 }
 
-// learnEntry is a singleflight slot for one witness pair: the first worker
-// to claim the key runs the width sweep inside once; later workers block on
-// it and share the (possibly nil) outcome.
-type learnEntry struct {
-	once sync.Once
-	rule *generalize.Rule
-}
-
 // learnedRule is the rulebook entry for one rule ID: the rule as learned
 // from the earliest witness — lowest run, then lowest sequence index —
 // that generalized to the ID.
@@ -232,17 +229,6 @@ type learnedRule struct {
 }
 
 type verifyKey struct{ src, cand uint64 }
-
-// verifyEntry is a singleflight cache slot: the first worker to claim the
-// key computes the verdict inside once; later workers block on it. A panic
-// during the computation is captured in panicked and re-raised for every
-// waiter — the zero alive.Result would otherwise read as a Correct verdict,
-// silently accepting an unverified candidate.
-type verifyEntry struct {
-	once     sync.Once
-	res      alive.Result
-	panicked any
-}
 
 // New builds an engine with the given client and config defaults applied.
 func New(client llm.Client, cfg Config) *Engine {
@@ -274,10 +260,10 @@ func New(client llm.Client, cfg Config) *Engine {
 		kb:     opt.FullRuleSet(),
 		gen: generalize.Options{Verify: alive.Options{
 			Programs: cfg.Verify.Programs, Pool: alive.NewCEPool()}},
-		vcache:  make(map[verifyKey]*verifyEntry),
-		pre:     memo.New[string, preprocessed](preprocessMemoCap),
-		lcache:  make(map[uint64]*learnEntry),
-		learned: make(map[string]learnedRule),
+		pre:         memo.New[string, preprocessed](preprocessMemoCap),
+		verified:    memo.New[verifyKey, alive.Result](verifyMemoCap),
+		generalized: memo.New[uint64, *generalize.Rule](learnMemoCap),
+		learned:     make(map[string]learnedRule),
 	}
 }
 
@@ -496,14 +482,7 @@ func (e *Engine) runSeq(ctx context.Context, it item) Result {
 // worker's sweep finished first.
 func (e *Engine) learn(src, cand *ir.Func, it item) *generalize.Rule {
 	key := ir.Hash(src) ^ bits.RotateLeft64(ir.Hash(cand), 1)
-	e.lmu.Lock()
-	ent, hit := e.lcache[key]
-	if !hit {
-		ent = &learnEntry{}
-		e.lcache[key] = ent
-	}
-	e.lmu.Unlock()
-	ent.once.Do(func() {
+	rule, _ := e.generalized.Do(key, func() *generalize.Rule {
 		start := time.Now()
 		var res generalize.Result
 		err := e.runBounded(StageGeneralize, func() {
@@ -511,11 +490,11 @@ func (e *Engine) learn(src, cand *ir.Func, it item) *generalize.Rule {
 		})
 		e.stats.recordStage(StageGeneralize, time.Since(start).Seconds())
 		// A timed-out sweep learns nothing; the finding itself stands.
-		if err == nil {
-			ent.rule = res.Rule
+		if err != nil {
+			return nil
 		}
+		return res.Rule
 	})
-	rule := ent.rule
 	if rule == nil {
 		return nil
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/alive"
@@ -99,5 +100,30 @@ func TestPreprocessSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a warm preprocess allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestVerifyMemoBounded feeds an engine more distinct (window, candidate)
+// pairs than its verify memo holds: the memo stays at its capacity, and a
+// pair verified again after eviction gets the same verdict.
+func TestVerifyMemoBounded(t *testing.T) {
+	e := New(llm.NewSim("Gemini2.0T", 1), Config{Verify: alive.Options{Samples: 16, Seed: 1}})
+	cand := parser.MustParseFunc(`define i32 @tgt(i32 %x) { ret i32 %x }`)
+	verify := func(i int) alive.Result {
+		src := parser.MustParseFunc(fmt.Sprintf(`define i32 @src(i32 %%x) { %%r = xor i32 %%x, %d ret i32 %%r }`, i))
+		return e.verify(src, cand, verifyKey{ir.Hash(src), ir.Hash(cand)})
+	}
+	first := verify(0).Verdict
+	for i := 1; i < verifyMemoCap+64; i++ {
+		verify(i)
+	}
+	if n := e.verified.Len(); n != verifyMemoCap {
+		t.Fatalf("verify memo holds %d pairs after %d distinct, want its capacity %d", n, verifyMemoCap+64, verifyMemoCap)
+	}
+	if hits := e.Stats().VerifyCacheHits(); hits != 0 {
+		t.Fatalf("%d verify memo hits on distinct pairs", hits)
+	}
+	if again := verify(0).Verdict; again != first {
+		t.Fatalf("re-verified evicted pair: %v, first %v", again, first)
 	}
 }

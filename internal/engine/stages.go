@@ -82,16 +82,15 @@ func (e *Engine) propose(ctx context.Context, messages []llm.Message, round int)
 func (e *Engine) preprocess(candidate string) preprocessed {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StagePreprocess, time.Since(start).Seconds()) }()
-	if p, ok := e.pre.Get(candidate); ok {
+	p, _ := e.pre.Do(candidate, func() preprocessed {
+		var p preprocessed
+		p.fn, p.err = parser.ParseFunc(candidate)
+		if p.err == nil {
+			p.fn = opt.Run(p.fn, e.cfg.Opt)
+			p.hash = ir.Hash(p.fn)
+		}
 		return p
-	}
-	var p preprocessed
-	p.fn, p.err = parser.ParseFunc(candidate)
-	if p.err == nil {
-		p.fn = opt.Run(p.fn, e.cfg.Opt)
-		p.hash = ir.Hash(p.fn)
-	}
-	p, _ = e.pre.Add(candidate, p)
+	})
 	return p
 }
 
@@ -112,43 +111,23 @@ func (e *Engine) filter(w window, cand preprocessed) bool {
 }
 
 // verify is stage 4: refinement checking, memoized across workers by the
-// structural hashes of the pair. alive.Verify is a pure function of
-// (src, cand, options), so the cache never changes an outcome — it only
-// skips redundant re-verification when different workers (or rounds)
-// produce the same candidate for the same window. key holds the pair's
-// hashes.
+// structural hashes of the pair (key). alive.Verify is a pure function of
+// (src, cand, options), so the memo never changes an outcome — it only
+// skips re-verification when different workers (or rounds) produce the same
+// candidate for the same window. Concurrent workers on one pair wait for one
+// verification, and a panic in it reaches all of them.
 func (e *Engine) verify(src, cand *ir.Func, key verifyKey) alive.Result {
 	start := time.Now()
 	defer func() { e.stats.recordStage(StageVerify, time.Since(start).Seconds()) }()
-	e.vmu.Lock()
-	ent, hit := e.vcache[key]
-	if !hit {
-		ent = &verifyEntry{}
-		e.vcache[key] = ent
-	}
-	e.vmu.Unlock()
+	res, hit := e.verified.Do(key, func() alive.Result {
+		res := alive.Verify(src, cand, e.cfg.Verify)
+		e.stats.recordVerify(res.Checked, res.Tiers)
+		return res
+	})
 	if hit {
 		e.stats.recordCacheHit()
 	}
-	// Singleflight: concurrent workers hitting the same pair wait for one
-	// verification instead of racing to compute it twice.
-	ent.once.Do(func() {
-		defer func() {
-			if pv := recover(); pv != nil {
-				// Park the panic on the entry and re-raise: once.Do marks the
-				// slot done even on panic, so every waiter must re-raise too —
-				// the zero ent.res would otherwise read as a Correct verdict.
-				ent.panicked = pv
-				panic(pv)
-			}
-		}()
-		ent.res = alive.Verify(src, cand, e.cfg.Verify)
-		e.stats.recordVerify(ent.res.Checked, ent.res.Tiers)
-	})
-	if ent.panicked != nil {
-		panic(ent.panicked)
-	}
-	return ent.res
+	return res
 }
 
 // OptimizeSeq runs Algorithm 1's inner loop (lines 6-24) on one wrapped

@@ -8,16 +8,20 @@ import (
 // TypedOperand renders "type ident", e.g. "i32 %x".
 func TypedOperand(v Value) string { return v.Type().String() + " " + v.Ident() }
 
+// flagNames spells each instruction flag as .ll prints it.
+var flagNames = map[Flags]string{
+	NUW: "nuw", NSW: "nsw", Exact: "exact", Disjoint: "disjoint",
+	Inbounds: "inbounds", NNeg: "nneg",
+}
+
+// flagStr renders the flags of f that appear in order, each with a leading
+// space.
 func flagStr(f Flags, order ...Flags) string {
 	var sb strings.Builder
-	names := map[Flags]string{
-		NUW: "nuw", NSW: "nsw", Exact: "exact", Disjoint: "disjoint",
-		Inbounds: "inbounds", NNeg: "nneg",
-	}
 	for _, q := range order {
 		if f.Has(q) {
 			sb.WriteString(" ")
-			sb.WriteString(names[q])
+			sb.WriteString(flagNames[q])
 		}
 	}
 	return sb.String()

@@ -178,21 +178,19 @@ func (s *Sim) respond(prompt string, attempt, round int) string {
 	return w.echoSrc()
 }
 
-// window returns the memo entry for a window text, building it on a miss:
-// parse, hash, and run the knowledge base. Concurrent misses on one text
-// build twice and keep the first entry stored.
+// window returns the memo entry for a window text, building it once on a
+// miss: parse, hash, and run the knowledge base.
 func (s *Sim) window(fnText string) *window {
-	if w, ok := s.windows.Get(fnText); ok {
+	w, _ := s.windows.Do(fnText, func() *window {
+		w := &window{}
+		if src, err := parser.ParseFunc(fnText); err == nil {
+			w.src = src
+			w.h = ir.Hash(src)
+			w.ideal = opt.Run(src, opt.Options{Rules: s.kb})
+			w.known = ir.Hash(w.ideal) != w.h
+		}
 		return w
-	}
-	w := &window{}
-	if src, err := parser.ParseFunc(fnText); err == nil {
-		w.src = src
-		w.h = ir.Hash(src)
-		w.ideal = opt.Run(src, opt.Options{Rules: s.kb})
-		w.known = ir.Hash(w.ideal) != w.h
-	}
-	w, _ = s.windows.Add(fnText, w)
+	})
 	return w
 }
 

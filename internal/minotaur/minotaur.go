@@ -108,7 +108,7 @@ func Optimize(src *ir.Func, opts Options) Result {
 			res.Candidate = cand
 			return true
 		}
-		if v.Verdict == alive.Incorrect && v.Tiers.KillTier != alive.TierPool && filterable(v.CE) {
+		if v.Verdict == alive.Incorrect && v.Tiers.KillTier != alive.TierPool && v.CE.Filterable() {
 			filter = append(filter, alive.PoolVector{Inputs: v.CE.Inputs})
 		}
 		return false
@@ -175,21 +175,6 @@ func supported(f *ir.Func) (string, bool) {
 		}
 	}
 	return "", true
-}
-
-// filterable reports whether a counterexample can join the test-vector
-// filter: its inputs and the source's output on them must be poison-free,
-// and the source must be defined there.
-func filterable(ce *alive.CounterExample) bool {
-	if ce.SrcUB || ce.SrcRet.AnyPoison() {
-		return false
-	}
-	for _, in := range ce.Inputs {
-		if in.AnyPoison() {
-			return false
-		}
-	}
-	return true
 }
 
 func randomVal(ty ir.Type, rng *rand.Rand) interp.RVal {

@@ -121,7 +121,7 @@ func Optimize(src *ir.Func, opts Options) Result {
 			res.Candidate = cand
 			return true
 		}
-		if v.Verdict == alive.Incorrect && filterable(v.CE) {
+		if v.Verdict == alive.Incorrect && v.CE.Filterable() {
 			filter = append(filter, alive.PoolVector{Inputs: v.CE.Inputs})
 		}
 		return false
@@ -275,21 +275,6 @@ func testVectors(f *ir.Func, opts Options) [][]interp.RVal {
 		out = append(out, args)
 	}
 	return out
-}
-
-// filterable reports whether a counterexample can join the test-vector
-// filter: its inputs and the source's output on them must be poison-free,
-// and the source must be defined there.
-func filterable(ce *alive.CounterExample) bool {
-	if ce.SrcUB || ce.SrcRet.AnyPoison() {
-		return false
-	}
-	for _, in := range ce.Inputs {
-		if in.AnyPoison() {
-			return false
-		}
-	}
-	return true
 }
 
 // inferConstant returns a ret-constant candidate when the source produced
