@@ -179,7 +179,8 @@
 //
 // Every keyed cache in the stack is one internal/memo.Map: the program
 // cache, the simulator's window table, the engine's preprocess, verify and
-// learn memos, and each window of the counterexample pool. Map.Do computes
+// learn memos, and the counterexample pool's window table and each of its
+// windows. Map.Do computes
 // a key's value once while concurrent callers wait, re-raises a panic in
 // that computation to every waiter and later caller (a zero verdict would
 // read as Correct), and evicts by one clock sweep that never picks an entry
@@ -191,7 +192,9 @@
 // every falsified candidate deposits the refuting input, CEGIS-style, so
 // repeat offenders die in a handful of executions; each window's vectors
 // are a memo.Map of 32, where a duplicate deposit or a pool kill marks a
-// vector referenced and the clock evicts the others first); tier 1 runs the
+// vector referenced and the clock evicts the others first, and the windows
+// sit in a memo.Map of 1024, where a deposit, a replay or a kill marks the
+// window, so a daemon's pool stays bounded); tier 1 runs the
 // exhaustive/special-value phases and tier 2 the random phases. All three
 // stream through the lane-batched evaluators with one fill, RunBatchFilled
 // and in-order scan: tier-0 vectors carry their pooled memory into the
@@ -455,7 +458,8 @@
 // vectors outlive their usefulness. Compact rewrites a log keeping only
 // records a caller-supplied policy blesses — the service's policy
 // (service.CompactKeep) keeps all findings and rules and drops exactly the
-// pool vectors the clock has evicted, after a pool flush so fresh vectors
+// pool vectors the clock has evicted (alone or with their window, so the
+// kept vector corpus is bounded), after a pool flush so fresh vectors
 // are records first. The swap is crash-safe with no tombstones: write the
 // kept records to <log>.compact through the same write shim (fault
 // injection covers compaction too), fsync, rename over the log, fsync the
@@ -501,18 +505,16 @@
 // internal/service, which injects faults at every seam at once).
 //
 // Provider: llm.NewRetrying wraps any llm.Client with bounded retries —
-// exponential backoff with deterministic seeded jitter, a per-request
-// deadline, and transient-vs-permanent classification (an error's
-// `Transient() bool` method opts it in; context cancellation is always
-// permanent). Retry counts flow into llm.Usage. Behind the retrier sits a
-// consecutive-failure circuit breaker: once it opens, Complete fails fast
-// with llm.ErrCircuitOpen (letting every Nth request through as a probe),
-// and the engine switches that sequence to the degraded knowledge-base
-// proposer — opt.Run with the engine's accumulated learned rules stands in
-// for the provider, so rulebook-driven discovery continues through an
-// outage. Degraded results are marked (Result.Degraded), tallied
-// (Snapshot.DegradedSeqs), served from the service's volatile memory, and
-// never persisted — the window stays recomputable so the store converges.
+// exponential backoff with deterministic seeded jitter and
+// transient-vs-permanent classification (llm.IsTransient: an error's
+// `Transient() bool` method speaks for it; context cancellation and expiry
+// are always permanent). Retry counts flow into llm.Usage, and the request
+// context (Config.StageTimeout on propose) bounds the whole loop. A
+// provider error that outlives the retries has one path, since the
+// paper's Algorithm 1 has no second proposer: that round of the sequence
+// ends Errored. An Errored result is never persisted, so the window stays unknown and
+// recomputable, and a submission after the provider recovers computes it
+// for real — which is how the store converges.
 //
 // Engine: each window runs panic-isolated. A panicking stage (or provider)
 // quarantines that window alone — the worker recovers, emits a Panicked

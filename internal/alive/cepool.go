@@ -24,6 +24,12 @@ import (
 // candidates that each fail on a fresh input.
 const defaultPoolCap = 32
 
+// poolWindowCap bounds the source windows a pool keeps vectors for. One
+// pool of a campaign or an lpo-bench table holds at most 47 windows and one
+// of the test suite at most 319, so only a long-lived pool such as lpod's
+// ever reaches it.
+const poolWindowCap = 1024
+
 // PoolVector is one stored falsifying input: the argument vector plus the
 // initial memory contents behind each pointer argument (param order), both
 // owned by the pool and treated as immutable.
@@ -43,12 +49,12 @@ type WindowVector struct {
 // CEPoolStats is a snapshot of a pool's counters. Its JSON tags are the
 // pool section of lpod's GET /v1/stats.
 type CEPoolStats struct {
-	Windows   int   `json:"windows"`   // source windows with at least one vector
+	Windows   int   `json:"windows"`   // source windows with at least one vector (at most poolWindowCap)
 	Vectors   int   `json:"vectors"`   // vectors currently stored
 	Deposits  int64 `json:"deposits"`  // successful Add calls (duplicates excluded)
 	Dups      int64 `json:"dups"`      // Add calls dropped as duplicates
 	Loaded    int64 `json:"loaded"`    // vectors installed by Load (store warm starts)
-	Evictions int64 `json:"evictions"` // vectors displaced by the per-window clock
+	Evictions int64 `json:"evictions"` // vectors displaced by the per-window clock (not those dropped with their window)
 }
 
 // CEPool is a campaign-scoped, concurrency-safe pool of counterexample
@@ -61,12 +67,16 @@ type CEPoolStats struct {
 // (second-chance) policy — replayed vectors that actually falsify a
 // candidate are marked referenced (Touch, or a duplicate deposit), and the
 // clock hand sweeps past referenced entries (clearing the mark) until it
-// finds an unreferenced victim. A long-running daemon therefore keeps the
-// falsifiers that still kill candidates and sheds the ones that stopped
+// finds an unreferenced victim. The windows themselves sit in a memo.Map of
+// poolWindowCap under the same policy: a deposit, a replay (Vectors) or a
+// kill (Touch) marks its window, and a new window past the cap drops an
+// unmarked one with all its vectors. A long-running daemon therefore keeps
+// the falsifiers that still kill candidates and sheds the ones that stopped
 // earning their slot.
 type CEPool struct {
+	// mu serializes deposits and guards pending and the counters.
 	mu      sync.Mutex
-	windows map[uint64]*memo.Map[uint64, PoolVector]
+	windows *memo.Map[uint64, *memo.Map[uint64, PoolVector]]
 
 	// pending accumulates every Add since the last DrainPending — the flush
 	// hook a persistent store uses to pick up new falsifiers incrementally.
@@ -78,7 +88,7 @@ type CEPool struct {
 
 // NewCEPool returns an empty pool.
 func NewCEPool() *CEPool {
-	return &CEPool{windows: make(map[uint64]*memo.Map[uint64, PoolVector])}
+	return &CEPool{windows: memo.New[uint64, *memo.Map[uint64, PoolVector]](poolWindowCap)}
 }
 
 // WindowKey is the pool key for a source function: its structural hash, the
@@ -109,11 +119,9 @@ func (p *CEPool) deposit(window uint64, v PoolVector, add bool) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := p.windows[window]
-	if w == nil {
-		w = memo.New[uint64, PoolVector](defaultPoolCap)
-		p.windows[window] = w
-	}
+	w, _ := p.windows.Do(window, func() *memo.Map[uint64, PoolVector] {
+		return memo.New[uint64, PoolVector](defaultPoolCap)
+	})
 	full := w.Len() == defaultPoolCap
 	v, dup := w.Do(hashVector(v.Inputs, v.Mem), func() PoolVector {
 		return PoolVector{Inputs: cloneRVals(v.Inputs), Mem: cloneByteSlices(v.Mem)}
@@ -138,7 +146,10 @@ func (p *CEPool) deposit(window uint64, v PoolVector, add bool) bool {
 // falsified a candidate), protecting it from the next clock sweep. The
 // checker calls this on every pool-tier kill.
 func (p *CEPool) Touch(window uint64, inputs []interp.RVal, mem [][]byte) {
-	if w := p.window(window); w != nil {
+	if p == nil {
+		return
+	}
+	if w, ok := p.windows.Get(window); ok {
 		w.Get(hashVector(inputs, mem))
 	}
 }
@@ -146,32 +157,29 @@ func (p *CEPool) Touch(window uint64, inputs []interp.RVal, mem [][]byte) {
 // Contains reports whether the pool currently holds this exact vector for
 // the window — the liveness test store compaction uses to drop vectors the
 // clock has evicted (they stopped killing candidates and lost their slot).
-// It does not mark the vector.
+// It marks neither the vector nor its window.
 func (p *CEPool) Contains(window uint64, v PoolVector) bool {
-	w := p.window(window)
-	return w != nil && w.Has(hashVector(v.Inputs, v.Mem))
+	if p == nil {
+		return false
+	}
+	w, ok := p.windows.Peek(window)
+	return ok && w.Has(hashVector(v.Inputs, v.Mem))
 }
 
-// Vectors returns the stored vectors for a window in slot order. The
-// returned slice is a snapshot; its entries are shared and immutable.
+// Vectors returns the stored vectors for a window in slot order and marks
+// the window referenced. The returned slice is a snapshot; its entries are
+// shared and immutable.
 func (p *CEPool) Vectors(window uint64) []PoolVector {
-	w := p.window(window)
-	if w == nil {
+	if p == nil {
+		return nil
+	}
+	w, ok := p.windows.Get(window)
+	if !ok {
 		return nil
 	}
 	out := make([]PoolVector, 0, w.Len())
 	w.Range(func(_ uint64, v PoolVector) { out = append(out, v) })
 	return out
-}
-
-// window returns the vectors of one window, nil if it has none.
-func (p *CEPool) window(window uint64) *memo.Map[uint64, PoolVector] {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.windows[window]
 }
 
 // DrainPending returns every vector deposited since the last drain and
@@ -197,11 +205,9 @@ func (p *CEPool) Stats() CEPoolStats {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s := CEPoolStats{Windows: len(p.windows), Deposits: p.deposits, Dups: p.dups,
+	s := CEPoolStats{Windows: p.windows.Len(), Deposits: p.deposits, Dups: p.dups,
 		Loaded: p.loaded, Evictions: p.evictions}
-	for _, w := range p.windows {
-		s.Vectors += w.Len()
-	}
+	p.windows.Range(func(_ uint64, w *memo.Map[uint64, PoolVector]) { s.Vectors += w.Len() })
 	return s
 }
 

@@ -64,6 +64,37 @@ func TestCEPoolDedupAndCap(t *testing.T) {
 	}
 }
 
+// TestCEPoolBoundsWindows: the window table holds poolWindowCap windows;
+// past it a deposit into a new window drops an unreferenced window with its
+// vectors, and a window replayed since its deposit survives.
+func TestCEPoolBoundsWindows(t *testing.T) {
+	p := NewCEPool()
+	for w := uint64(0); w < poolWindowCap+100; w++ {
+		if w == poolWindowCap {
+			p.Vectors(0) // replay the oldest window just before the table overflows
+		}
+		if !p.Add(w, poolVec(w), nil) {
+			t.Fatalf("deposit into window %d rejected", w)
+		}
+	}
+	if st := p.Stats(); st.Windows != poolWindowCap || st.Vectors != poolWindowCap {
+		t.Fatalf("stats = %+v, want %d windows of one vector", st, poolWindowCap)
+	}
+	if len(p.Vectors(0)) != 1 {
+		t.Fatal("a recently replayed window was evicted")
+	}
+	for _, w := range []uint64{1, 100} {
+		if p.Vectors(w) != nil || p.Contains(w, PoolVector{Inputs: poolVec(w)}) {
+			t.Fatalf("unreferenced window %d survived the overflow", w)
+		}
+	}
+	for _, w := range []uint64{101, poolWindowCap + 99} {
+		if !p.Contains(w, PoolVector{Inputs: poolVec(w)}) {
+			t.Fatalf("window %d lost its vector", w)
+		}
+	}
+}
+
 // TestCEPoolConcurrency hammers one pool from concurrent depositors and
 // readers; run under -race in CI this is the concurrency-safety guard.
 func TestCEPoolConcurrency(t *testing.T) {

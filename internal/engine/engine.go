@@ -169,12 +169,6 @@ type Result struct {
 	// stored outcome) rather than computed by this run — consumers that
 	// persist results use it to avoid re-writing what the store gave them.
 	Cached bool
-
-	// Degraded marks a result computed without the provider: the circuit
-	// breaker was open, so the knowledge base played the proposer (see
-	// degradedSeq). Degraded results are servable but not persisted — a
-	// resubmission after the provider recovers recomputes them for real.
-	Degraded bool
 }
 
 // String renders a result for logs.

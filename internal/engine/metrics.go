@@ -72,9 +72,6 @@ type Snapshot struct {
 	// a Panicked result and a quarantine entry (Engine.Quarantined)
 	// instead of crashing the campaign.
 	Panics int `json:"panics"`
-	// DegradedSeqs counts sequences answered by the knowledge-base
-	// proposer while the provider's circuit breaker was open.
-	DegradedSeqs int `json:"degraded_seqs"`
 	// TierKills counts actual verifications only; cache hits don't
 	// re-count.
 	TierKills TierKills `json:"tier_kills"`
@@ -136,7 +133,6 @@ func (s *Stats) recordStage(name string, seconds float64) {
 func (s *Stats) recordCacheHit() { s.record(func(c *Snapshot) { c.VerifyCacheHits++ }) }
 func (s *Stats) recordStoreHit() { s.record(func(c *Snapshot) { c.StoreHits++ }) }
 func (s *Stats) recordPanic()    { s.record(func(c *Snapshot) { c.Panics++ }) }
-func (s *Stats) recordDegraded() { s.record(func(c *Snapshot) { c.DegradedSeqs++ }) }
 
 // recordVerify tallies one actual (non-cached) verification: the tier that
 // killed the candidate and how many input vectors ran.
@@ -236,9 +232,6 @@ func (s Snapshot) Print(w io.Writer) {
 	}
 	if s.Panics > 0 {
 		fmt.Fprintf(w, "panics recovered (windows quarantined): %d\n", s.Panics)
-	}
-	if s.DegradedSeqs > 0 {
-		fmt.Fprintf(w, "degraded sequences (KB proposer, circuit open): %d\n", s.DegradedSeqs)
 	}
 	if s.LearnedFindings > 0 {
 		fmt.Fprintf(w, "findings backing learned rules: %d\n", s.LearnedFindings)

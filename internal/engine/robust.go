@@ -1,6 +1,6 @@
 package engine
 
-// Fault tolerance for the discovery loop. Three mechanisms keep a campaign
+// Fault tolerance for the discovery loop. Two mechanisms keep a campaign
 // alive when individual windows or the provider misbehave:
 //
 //   - Panic isolation: a panic anywhere inside one sequence's trip through
@@ -11,11 +11,10 @@ package engine
 //     generalize invocation so one pathological window cannot stall the
 //     pool (the substrate stages are CPU-bound and not context-aware, so
 //     the bound is enforced from outside).
-//   - Degraded discovery: when the provider's circuit breaker is open
-//     (llm.ErrCircuitOpen from a Retrying client), the knowledge base plays
-//     the proposer — rule-driven rewrites still flow through the normal
-//     filter and verify stages, so the campaign keeps finding what the
-//     registry can close while the provider is down.
+//
+// A provider error that outlives the client's own retries (llm.Retrying)
+// fails only its sequence: the result is Errored, consumers that persist
+// results skip it, and a later submission recomputes the window.
 
 import (
 	"context"
@@ -25,8 +24,6 @@ import (
 
 	"repro/internal/alive"
 	"repro/internal/ir"
-	"repro/internal/mca"
-	"repro/internal/opt"
 )
 
 // ErrStageTimeout marks a stage abandoned by Config.StageTimeout. The
@@ -119,51 +116,4 @@ func (e *Engine) verifyBounded(src, cand *ir.Func, key verifyKey) (alive.Result,
 		return alive.Result{}, err
 	}
 	return res, nil
-}
-
-// degradedSeq is the propose-free discovery path used while the provider's
-// circuit breaker is open: the full rule registry (baseline + patch + KB)
-// plays the proposer, and the normal filter and verify stages still gate the
-// outcome. Results are marked Degraded so consumers can serve them without
-// persisting them — once the provider recovers, a resubmission recomputes
-// the window with the real proposer.
-func (e *Engine) degradedSeq(res Result, w window) Result {
-	src := w.src
-	res.Degraded = true
-	e.stats.recordDegraded()
-	start := time.Now()
-	cand := opt.Run(src, opt.Options{Rules: e.kb})
-	e.stats.recordStage(StagePreprocess, time.Since(start).Seconds())
-	candHash := ir.Hash(cand)
-	if candHash == w.hash {
-		res.Outcome = NoProposal
-		return res
-	}
-	att := Attempt{Candidate: cand.String(), Parsed: true}
-	if !e.filter(w, preprocessed{fn: cand, hash: candHash}) {
-		res.Attempts = append(res.Attempts, att)
-		res.Outcome = Uninteresting
-		return res
-	}
-	verdict, verr := e.verifyBounded(src, cand, verifyKey{w.hash, candHash})
-	if verr != nil {
-		res.Outcome, res.Err = Errored, verr
-		return res
-	}
-	if verdict.Verdict != alive.Correct {
-		// A registry rewrite should always refine; treat a miss as Refuted
-		// rather than trusting it.
-		res.Attempts = append(res.Attempts, att)
-		res.Outcome = Refuted
-		return res
-	}
-	att.Verified = true
-	res.Attempts = append(res.Attempts, att)
-	res.Outcome = Found
-	res.Cand = cand
-	res.RuleHits = e.attribute(src)
-	rep := mca.Analyze(cand, btver2)
-	res.InstrsAfter = rep.Instructions
-	res.CyclesAfter = rep.TotalCycles
-	return res
 }

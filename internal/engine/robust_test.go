@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,13 +32,24 @@ func (c panicOnClient) Complete(ctx context.Context, req llm.Request) (llm.Respo
 }
 
 // downClient is a provider that is down for good: every call fails with a
-// transient-looking error, so a Retrying wrapper keeps retrying until its
-// breaker trips.
+// transient-looking error, so a Retrying wrapper retries until its attempts
+// run out.
 type downClient struct{}
 
 func (downClient) Profile() llm.Profile { return llm.Profile{Name: "down"} }
 func (downClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
 	return llm.Response{}, errors.New("provider down")
+}
+
+// countingClient counts the calls that reach the wrapped client.
+type countingClient struct {
+	llm.Client
+	calls atomic.Int64
+}
+
+func (c *countingClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	c.calls.Add(1)
+	return c.Client.Complete(ctx, req)
 }
 
 // TestPanicIsolationQuarantinesWindow pins the tentpole contract: a panic
@@ -93,61 +105,28 @@ func windowHex(h uint64) string {
 	return string(out)
 }
 
-// TestDegradedModeKBProposer pins the circuit-open fallback: once the
-// breaker trips, sequences skip the provider and the knowledge base plays
-// the proposer — windows the registry can close are still Found, marked
-// Degraded, with the rule attribution intact.
-func TestDegradedModeKBProposer(t *testing.T) {
+// TestProviderDownErrors: a provider error that outlives the client's
+// retries fails the sequence as Errored, carrying the provider's error, and
+// the next sequence asks the provider again.
+func TestProviderDownErrors(t *testing.T) {
 	pair := clampCase()
 	src := parser.MustParseFunc(pair.Src)
-	r := llm.NewRetrying(downClient{}, llm.RetryPolicy{
-		MaxAttempts:      1,
-		BreakerThreshold: 1,
-		BreakerProbe:     1 << 20, // no probes during the test
-		Sleep:            func(context.Context, time.Duration) error { return nil },
+	down := &countingClient{Client: downClient{}}
+	r := llm.NewRetrying(down, llm.RetryPolicy{
+		MaxAttempts: 2,
+		Sleep:       func(context.Context, time.Duration) error { return nil },
 	})
-	e := New(r, Config{Verify: alive.Options{Samples: 256, Seed: 3}})
-
-	// First sequence trips the breaker and fails conventionally.
-	first := e.OptimizeSeq(context.Background(), src, 0)
-	if first.Outcome != Errored || first.Degraded {
-		t.Fatalf("pre-trip sequence should Errored undegraded: %v", first.Outcome)
-	}
-	if open, _ := r.Breaker(); !open {
-		t.Fatal("breaker did not trip")
-	}
-
-	// With the circuit open the KB proposer takes over.
-	res := e.OptimizeSeq(context.Background(), src, 1)
-	if !res.Degraded {
-		t.Fatalf("circuit-open sequence not marked degraded: %+v", res.Outcome)
-	}
-	if res.Outcome != Found || res.Cand == nil {
-		t.Fatalf("KB proposer missed the clamp window: %v", res.Outcome)
-	}
-	if !strings.Contains(res.Cand.String(), "llvm.smax") {
-		t.Fatalf("expected the smax rewrite, got:\n%s", res.Cand)
-	}
-	if res.RuleHits["143636/clamp-smax"] == 0 {
-		t.Fatalf("degraded finding lost rule attribution: %v", res.RuleHits)
-	}
-	if res.InstrsAfter >= res.InstrsBefore {
-		t.Fatalf("degraded finding should shrink the window: %d -> %d",
-			res.InstrsBefore, res.InstrsAfter)
-	}
-	if n := e.Stats().Snapshot().DegradedSeqs; n != 1 {
-		t.Fatalf("DegradedSeqs = %d, want 1", n)
-	}
-
-	// A window the registry cannot close degrades to NoProposal, not Errored:
-	// the campaign keeps moving.
-	opaque := parser.MustParseFunc(`define i8 @opaque(i8 %x, i8 %y) {
-  %r = udiv i8 %x, %y
-  ret i8 %r
-}`)
-	res = e.OptimizeSeq(context.Background(), opaque, 0)
-	if !res.Degraded || res.Outcome == Errored || res.Outcome == Found {
-		t.Fatalf("uncloseable window: degraded=%v outcome=%v", res.Degraded, res.Outcome)
+	e := New(r, Config{Verify: alive.Options{Samples: 64, Seed: 3}})
+	for round := range 2 {
+		res := e.OptimizeSeq(context.Background(), src, round)
+		if res.Outcome != Errored || res.Err == nil ||
+			!strings.Contains(res.Err.Error(), "provider down") {
+			t.Fatalf("round %d: outcome=%v err=%v, want Errored with the provider's error",
+				round, res.Outcome, res.Err)
+		}
+		if want := 2 * (round + 1); down.calls.Load() != int64(want) {
+			t.Fatalf("round %d: %d provider calls, want %d", round, down.calls.Load(), want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"time"
 
 	"repro/internal/alive"
@@ -154,11 +153,6 @@ func (e *Engine) optimize(ctx context.Context, w window, round int) Result {
 	for attempt := 0; attempt < e.cfg.AttemptLimit; attempt++ {
 		resp, err := e.propose(ctx, messages, round)
 		if err != nil {
-			if errors.Is(err, llm.ErrCircuitOpen) {
-				// Provider down for good (breaker open): fall back to the
-				// knowledge-base proposer instead of failing the sequence.
-				return e.degradedSeq(res, w)
-			}
 			res.Outcome = Errored
 			if ctx.Err() != nil {
 				res.Outcome = Canceled

@@ -18,16 +18,12 @@ import (
 // LearnedClosureOptions sizes the discovery→learn→re-optimize experiment.
 type LearnedClosureOptions struct {
 	Seed       uint64
-	Model      string // default Gemini2.0T
-	Rounds     int    // discovery rounds per sequence (default 8)
+	Rounds     int // discovery rounds per sequence (default 8)
 	Workers    int
 	CorpusOpts corpus.Options
 }
 
 func (o LearnedClosureOptions) withDefaults() LearnedClosureOptions {
-	if o.Model == "" {
-		o.Model = "Gemini2.0T"
-	}
 	if o.Rounds == 0 {
 		o.Rounds = 8
 	}
@@ -78,7 +74,7 @@ func RunLearnedClosure(opts LearnedClosureOptions) (*LearnedClosureReport, error
 	rep.Windows = len(seqs)
 
 	// Discovery with the learn hook.
-	eng := engine.New(llm.NewSim(opts.Model, opts.Seed), engine.Config{
+	eng := engine.New(llm.NewSim("Gemini2.0T", opts.Seed), engine.Config{
 		Workers: opts.Workers,
 		Rounds:  opts.Rounds,
 		Learn:   true,

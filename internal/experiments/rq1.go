@@ -27,16 +27,12 @@ import (
 type RQ1Options struct {
 	Rounds  int    // paper: 5
 	Seed    uint64 // provider seed
-	Models  []string
-	Workers int // engine worker pool (default GOMAXPROCS)
+	Workers int    // engine worker pool (default GOMAXPROCS)
 }
 
 func (o RQ1Options) withDefaults() RQ1Options {
 	if o.Rounds == 0 {
 		o.Rounds = 5
-	}
-	if len(o.Models) == 0 {
-		o.Models = benchdata.ModelNames
 	}
 	return o
 }
@@ -67,7 +63,7 @@ func RunRQ1(opts RQ1Options) *RQ1Report {
 	opts = opts.withDefaults()
 	cases := benchdata.RQ1Cases()
 	rep := &RQ1Report{
-		Rounds: opts.Rounds, Models: opts.Models,
+		Rounds: opts.Rounds, Models: benchdata.ModelNames,
 		Cells:   make(map[string]map[string]RQ1Cell),
 		SouperD: make(map[string]bool), SouperE: make(map[string]bool),
 		Minotaur: make(map[string]bool),
@@ -110,7 +106,7 @@ func RunRQ1(opts RQ1Options) *RQ1Report {
 	for i, c := range cases {
 		srcs[i] = canon[c.IssueID]
 	}
-	for _, model := range opts.Models {
+	for _, model := range rep.Models {
 		sim := llm.NewSim(model, opts.Seed)
 		for _, c := range cases {
 			src := canon[c.IssueID]

@@ -23,17 +23,12 @@ import (
 type RQ2Options struct {
 	Seed           uint64
 	DiscoverRounds int // LPO rounds per sequence during discovery (default 25)
-	Model          string
-	CorpusOpts     corpus.Options
 	Workers        int // engine worker pool (default GOMAXPROCS)
 }
 
 func (o RQ2Options) withDefaults() RQ2Options {
 	if o.DiscoverRounds == 0 {
 		o.DiscoverRounds = 25
-	}
-	if o.Model == "" {
-		o.Model = "Llama3.3" // the paper's long-running local model
 	}
 	return o
 }
@@ -67,7 +62,7 @@ func RunRQ2(opts RQ2Options) *RQ2Report {
 	opts = opts.withDefaults()
 	rep := &RQ2Report{}
 
-	projects := corpus.Generate(opts.CorpusOpts)
+	projects := corpus.Generate(corpus.Options{})
 	rep.CorpusStats = corpus.Summarize(projects)
 	ex := extract.New(extract.Options{})
 	byHash := make(map[uint64]*extract.Sequence)
@@ -80,7 +75,7 @@ func RunRQ2(opts RQ2Options) *RQ2Report {
 	}
 	rep.Extracted = ex.Stats()
 
-	sim := llm.NewSim(opts.Model, opts.Seed)
+	sim := llm.NewSim("Llama3.3", opts.Seed) // the paper's long-running local model
 	eng := engine.New(sim, engine.Config{
 		Verify:  alive.Options{Samples: 512, Seed: opts.Seed},
 		Workers: opts.Workers,

@@ -1,12 +1,13 @@
 package llm
 
 // Retrying is the fault-tolerance middleware for providers: exponential
-// backoff with deterministic seeded jitter around transient failures, a
-// per-request deadline, and a circuit breaker that sheds load onto the
-// engine's degraded mode instead of failing campaigns when the provider is
-// down for good. It is the production answer to the observation that both
-// LPO-style fuzzing loops and superoptimizer services run unattended for
-// days: a flaky provider must cost retries, not campaigns.
+// backoff with deterministic seeded jitter around transient failures. It is
+// the production answer to the observation that both LPO-style fuzzing
+// loops and superoptimizer services run unattended for days: a flaky
+// provider must cost retries, not campaigns. An error that outlives the
+// retries fails that round of its sequence (engine.Errored), and the
+// request context, which the engine bounds by Config.StageTimeout, bounds
+// the whole loop.
 
 import (
 	"context"
@@ -17,27 +18,20 @@ import (
 	"time"
 )
 
-// ErrCircuitOpen is returned by Retrying.Complete without touching the
-// provider while the circuit breaker is open. It is permanent (not
-// retryable); the engine reacts by switching the sequence to its degraded,
-// knowledge-base-driven propose path.
-var ErrCircuitOpen = errors.New("llm: circuit breaker open")
-
 // transienter is the classification convention: errors that know whether
 // they are worth retrying implement it (e.g. fault-injected errors, a real
 // provider's 429/5xx wrappers).
 type transienter interface{ Transient() bool }
 
-// IsTransient is the default retry classification: context cancellation,
-// deadline expiry and an open breaker are permanent; errors implementing
-// Transient() bool speak for themselves; anything else — network flakes,
-// provider 5xx — is presumed transient and retried.
+// IsTransient is the retry classification: context cancellation and
+// deadline expiry are permanent; errors implementing Transient() bool speak
+// for themselves; anything else — network flakes, provider 5xx — is
+// presumed transient and retried.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrCircuitOpen) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var t transienter
@@ -48,7 +42,7 @@ func IsTransient(err error) bool {
 }
 
 // RetryPolicy tunes a Retrying client. The zero value gets sensible
-// defaults; set a field negative to disable it where noted.
+// defaults.
 type RetryPolicy struct {
 	// MaxAttempts is the total Complete attempts per request, including the
 	// first (default 4).
@@ -58,23 +52,9 @@ type RetryPolicy struct {
 	// (defaults 50ms and 2s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// Deadline bounds each Complete call (all attempts and backoff sleeps
-	// included) via a derived context; 0 means no per-request deadline.
-	Deadline time.Duration
 	// Seed fixes the jitter sequence so retry schedules replay
 	// deterministically (default 1).
 	Seed uint64
-	// Classify decides whether an error is worth retrying (default
-	// IsTransient). Permanent errors return immediately.
-	Classify func(error) bool
-	// BreakerThreshold trips the circuit after this many consecutive
-	// failed requests (default 8; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerProbe lets every Nth rejected request through as a probe while
-	// the circuit is open (default 16); a successful probe closes the
-	// circuit. Count-based rather than time-based so breaker behaviour is
-	// deterministic under test.
-	BreakerProbe int
 	// Sleep is the backoff wait (default a context-aware timer). Tests
 	// substitute an instant recorder.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -93,15 +73,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.Seed == 0 {
 		p.Seed = 1
 	}
-	if p.Classify == nil {
-		p.Classify = IsTransient
-	}
-	if p.BreakerThreshold == 0 {
-		p.BreakerThreshold = 8
-	}
-	if p.BreakerProbe <= 0 {
-		p.BreakerProbe = 16
-	}
 	if p.Sleep == nil {
 		p.Sleep = sleepCtx
 	}
@@ -119,19 +90,14 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Retrying wraps a Client with the RetryPolicy. Safe for concurrent use —
-// the jitter source and breaker state are mutex-guarded; the breaker is
-// shared across all callers, which is the point: one provider outage trips
-// one breaker for the whole engine.
+// Retrying wraps a Client with the RetryPolicy. Safe for concurrent use:
+// the jitter source is mutex-guarded.
 type Retrying struct {
 	inner Client
 	p     RetryPolicy
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	fails    int  // consecutive failed requests
-	open     bool // breaker state
-	rejected int  // requests shed since the breaker opened
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
 // NewRetrying wraps inner with the policy (zero value = defaults).
@@ -146,48 +112,6 @@ func NewRetrying(inner Client, p RetryPolicy) *Retrying {
 
 // Profile passes through to the wrapped client.
 func (r *Retrying) Profile() Profile { return r.inner.Profile() }
-
-// Breaker reports the breaker state: whether the circuit is open and how
-// many requests it has shed since opening.
-func (r *Retrying) Breaker() (open bool, rejected int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.open, r.rejected
-}
-
-// admit decides whether a request may reach the provider. While the circuit
-// is open, every BreakerProbe-th rejected request is let through as a probe.
-func (r *Retrying) admit() bool {
-	if r.p.BreakerThreshold < 0 {
-		return true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.open {
-		return true
-	}
-	r.rejected++
-	return r.rejected%r.p.BreakerProbe == 0
-}
-
-// report folds one request outcome into the breaker.
-func (r *Retrying) report(ok bool) {
-	if r.p.BreakerThreshold < 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ok {
-		r.fails = 0
-		r.open = false
-		r.rejected = 0
-		return
-	}
-	r.fails++
-	if r.fails >= r.p.BreakerThreshold {
-		r.open = true
-	}
-}
 
 // backoff computes the jittered delay before retry number attempt (0-based:
 // the wait after the first failure is attempt 0).
@@ -205,27 +129,18 @@ func (r *Retrying) backoff(attempt int) time.Duration {
 // Complete drives the wrapped client through the retry loop. Usage from
 // every attempt (failed ones may still bill) accumulates into the returned
 // response, and Usage.Retries counts the extra attempts this request cost.
+// Permanent errors (IsTransient false) return at once.
 func (r *Retrying) Complete(ctx context.Context, req Request) (Response, error) {
-	if r.p.Deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.p.Deadline)
-		defer cancel()
-	}
-	if !r.admit() {
-		return Response{}, ErrCircuitOpen
-	}
 	var usage Usage
 	for attempt := 0; ; attempt++ {
 		resp, err := r.inner.Complete(ctx, req)
 		usage.Add(resp.Usage)
 		if err == nil {
-			r.report(true)
 			resp.Usage = usage
 			resp.Usage.Retries += attempt
 			return resp, nil
 		}
-		r.report(false)
-		if !r.p.Classify(err) || attempt+1 >= r.p.MaxAttempts || ctx.Err() != nil {
+		if !IsTransient(err) || attempt+1 >= r.p.MaxAttempts || ctx.Err() != nil {
 			return Response{Usage: usage}, fmt.Errorf("llm: attempt %d: %w", attempt+1, err)
 		}
 		if serr := r.p.Sleep(ctx, r.backoff(attempt)); serr != nil {

@@ -113,7 +113,7 @@ func TestRetryPermanentFailsFast(t *testing.T) {
 func TestRetryExhaustion(t *testing.T) {
 	inner := &flakyClient{failN: 100, err: &transientErr{transient: true}}
 	var delays []time.Duration
-	r := NewRetrying(inner, RetryPolicy{MaxAttempts: 3, BreakerThreshold: -1, Sleep: instantSleep(&delays)})
+	r := NewRetrying(inner, RetryPolicy{MaxAttempts: 3, Sleep: instantSleep(&delays)})
 	if _, err := r.Complete(context.Background(), Request{}); err == nil {
 		t.Fatal("exhausted retries reported success")
 	}
@@ -122,65 +122,23 @@ func TestRetryExhaustion(t *testing.T) {
 	}
 }
 
-// TestRetryDeadline: the per-request deadline bounds the whole retry loop.
+// TestRetryDeadline: the request context's deadline bounds the whole retry
+// loop, backoff sleeps included.
 func TestRetryDeadline(t *testing.T) {
 	inner := &flakyClient{failN: 100, err: &transientErr{transient: true}}
 	r := NewRetrying(inner, RetryPolicy{
 		MaxAttempts: 100,
-		Deadline:    20 * time.Millisecond,
 		BaseDelay:   5 * time.Millisecond,
 	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := r.Complete(context.Background(), Request{})
+	_, err := r.Complete(ctx, Request{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline error, got %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline did not bound the loop: %v", elapsed)
-	}
-}
-
-// TestCircuitBreaker: consecutive failures trip the breaker, shed requests
-// return ErrCircuitOpen without touching the provider, every Nth rejected
-// request probes, and a successful probe closes the circuit.
-func TestCircuitBreaker(t *testing.T) {
-	inner := &flakyClient{failN: 4, err: &transientErr{transient: true}}
-	var delays []time.Duration
-	r := NewRetrying(inner, RetryPolicy{
-		MaxAttempts:      2,
-		BreakerThreshold: 4,
-		BreakerProbe:     3,
-		Sleep:            instantSleep(&delays),
-	})
-	// Two requests x two attempts = four consecutive failures: trips.
-	for i := 0; i < 2; i++ {
-		if _, err := r.Complete(context.Background(), Request{}); err == nil {
-			t.Fatal("failing provider reported success")
-		}
-	}
-	if open, _ := r.Breaker(); !open {
-		t.Fatal("breaker did not trip after threshold failures")
-	}
-	calls := inner.calls
-	// Shed: the next two requests are rejected without a provider call.
-	for i := 0; i < 2; i++ {
-		if _, err := r.Complete(context.Background(), Request{}); !errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("open breaker: want ErrCircuitOpen, got %v", err)
-		}
-	}
-	if inner.calls != calls {
-		t.Fatal("open breaker let non-probe requests through")
-	}
-	// Third rejected request is the probe; the provider has recovered
-	// (failN exhausted), so the probe succeeds and closes the circuit.
-	if _, err := r.Complete(context.Background(), Request{}); err != nil {
-		t.Fatalf("probe request failed: %v", err)
-	}
-	if open, _ := r.Breaker(); open {
-		t.Fatal("successful probe did not close the breaker")
-	}
-	if _, err := r.Complete(context.Background(), Request{}); err != nil {
-		t.Fatalf("closed breaker rejected a request: %v", err)
 	}
 }
 
@@ -193,7 +151,6 @@ func TestIsTransientClassification(t *testing.T) {
 		{nil, false},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, false},
-		{ErrCircuitOpen, false},
 		{&transientErr{transient: true}, true},
 		{&transientErr{transient: false}, false},
 		{errors.New("mystery network flake"), true},

@@ -1,8 +1,8 @@
 // Package memo is a bounded, concurrency-safe memo table with clock
 // (second-chance) eviction and one singleflight entry point, Do. The
 // interpreter's program cache, the simulated model's window table, the
-// engine's preprocess, verify and learn tables and each window of the
-// counterexample pool are all one.
+// engine's preprocess, verify and learn tables, the counterexample pool's
+// window table and each of its windows are all one.
 package memo
 
 import "sync"
@@ -112,12 +112,20 @@ func (c *Map[K, V]) Get(k K) (v V, ok bool) {
 	return v, false
 }
 
-// Has reports whether Get would find k, without marking the entry.
-func (c *Map[K, V]) Has(k K) bool {
+// Peek returns what Get would, without marking the entry.
+func (c *Map[K, V]) Peek(k K) (v V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[k]
-	return ok && !e.busy && e.panicked == nil
+	if e := c.m[k]; e != nil && !e.busy && e.panicked == nil {
+		return e.v, true
+	}
+	return v, false
+}
+
+// Has reports whether Get would find k, without marking the entry.
+func (c *Map[K, V]) Has(k K) bool {
+	_, ok := c.Peek(k)
+	return ok
 }
 
 // Len reports how many entries the map holds.

@@ -220,8 +220,9 @@ func TestRangeWalksSlotOrder(t *testing.T) {
 	}
 }
 
-// TestHasDoesNotMark checks that Has, unlike Get, leaves the reference bit
-// alone: an entry only ever asked about with Has is the next victim.
+// TestHasDoesNotMark checks that Has and Peek, unlike Get, leave the
+// reference bit alone: an entry only ever asked about with them is the next
+// victim.
 func TestHasDoesNotMark(t *testing.T) {
 	m := New[int, int](2)
 	m.Do(0, value(0))
@@ -229,6 +230,9 @@ func TestHasDoesNotMark(t *testing.T) {
 	m.Get(1)
 	if !m.Has(0) {
 		t.Fatal("Has(0) = false on a held key")
+	}
+	if v, ok := m.Peek(0); !ok || v != 0 {
+		t.Fatalf("Peek(0) = %d, %v on a held key", v, ok)
 	}
 	m.Do(2, value(2))
 	if m.Has(0) || !m.Has(1) || !m.Has(2) {

@@ -17,6 +17,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,6 +92,137 @@ func (c blockClient) Complete(ctx context.Context, req llm.Request) (llm.Respons
 		return llm.Response{Text: "ok"}, nil
 	case <-ctx.Done():
 		return llm.Response{}, ctx.Err()
+	}
+}
+
+// failFirstClient fails its first n Complete calls with a provider error and
+// then delegates to the wrapped client: a provider outage that outlives any
+// retries, followed by recovery.
+type failFirstClient struct {
+	llm.Client
+	mu    sync.Mutex
+	n     int
+	calls int
+}
+
+func (c *failFirstClient) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	c.mu.Lock()
+	c.calls++
+	fail := c.calls <= c.n
+	c.mu.Unlock()
+	if fail {
+		return llm.Response{}, fmt.Errorf("provider down (call %d)", c.calls)
+	}
+	return c.Client.Complete(ctx, req)
+}
+
+// Calls reports how many Complete calls reached the client.
+func (c *failFirstClient) Calls() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls
+}
+
+// postWait submits windows with ?wait=1 and returns the status code and the
+// per-window statuses.
+func postWait(t *testing.T, base string, windows ...string) (int, []map[string]string) {
+	t.Helper()
+	body, _ := json.Marshal(map[string]any{"windows": windows})
+	resp, err := http.Post(base+"/v1/windows?wait=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reply struct {
+		Windows []map[string]string `json:"windows"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, reply.Windows
+}
+
+// getBody fetches one route, returning its status code and body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestServiceProviderErrorRecomputes pins lpod's one failure path for the
+// provider: a window whose every round hit a provider error is an Errored
+// result, which persists nothing and leaves the window unknown; once the
+// provider recovers, a resubmission computes it and stores the bytes a
+// fault-free same-seed server stores.
+func TestServiceProviderErrorRecomputes(t *testing.T) {
+	serve := func(client llm.Client) (*store.Sharded, *httptest.Server) {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Store: st, Client: client, Seed: 1, Engine: chaosEngineConfig()})
+		if err != nil {
+			st.Close()
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		stopDaemonT(t, hs, srv, st)
+		return st, hs
+	}
+
+	_, clean := serve(nil)
+	code, ws := postWait(t, clean.URL, knownWindow)
+	if code != http.StatusOK || ws[0]["status"] != "queued" {
+		t.Fatalf("fault-free submit: %d %v", code, ws)
+	}
+	window := ws[0]["window"]
+	wantFinding := waitFinding(t, clean.URL, window)
+	_, wantRules := getBody(t, clean.URL+"/v1/rulebook")
+
+	// One Complete call per round, and every round fails.
+	rounds := chaosEngineConfig().Rounds
+	client := &failFirstClient{Client: llm.NewSim("Gemini2.0T", 1), n: rounds}
+	st, hs := serve(client)
+	code, ws = postWait(t, hs.URL, knownWindow)
+	if code != http.StatusOK || ws[0]["status"] != "queued" {
+		t.Fatalf("submit during the outage: %d %v", code, ws)
+	}
+	if n := client.Calls(); n != rounds {
+		t.Fatalf("outage submit made %d provider calls, want %d", n, rounds)
+	}
+	if ss := st.Stats(); ss.Records != 0 || ss.Pending != 0 {
+		t.Fatalf("errored window persisted something: %+v", ss)
+	}
+	code, body := getBody(t, hs.URL+"/v1/findings/"+window)
+	var unknown windowStatus
+	json.Unmarshal(body, &unknown)
+	if code != http.StatusNotFound || unknown.Status != "unknown" {
+		t.Fatalf("errored window: GET answered %d %s, want 404 unknown", code, body)
+	}
+	stats := getStats(t, hs.URL)
+	if stats.Engine.Outcomes[engine.Errored] != 1 || stats.Server.Persisted != 0 ||
+		stats.Server.DegradedAccepts != 0 {
+		t.Fatalf("outage accounting: outcomes %v, persisted %d, degraded accepts %d",
+			stats.Engine.Outcomes, stats.Server.Persisted, stats.Server.DegradedAccepts)
+	}
+
+	// The provider is back: the resubmission recomputes the window.
+	if code, ws := postWait(t, hs.URL, knownWindow); code != http.StatusOK || ws[0]["status"] != "queued" {
+		t.Fatalf("submit after recovery: %d %v", code, ws)
+	}
+	if got := waitFinding(t, hs.URL, window); !bytes.Equal(got, wantFinding) {
+		t.Fatalf("recomputed finding diverges from the fault-free server:\n%s\n--vs--\n%s", wantFinding, got)
+	}
+	if _, got := getBody(t, hs.URL+"/v1/rulebook"); !bytes.Equal(got, wantRules) {
+		t.Fatalf("recomputed rulebook diverges from the fault-free server:\n%s\n--vs--\n%s", wantRules, got)
 	}
 }
 
@@ -400,11 +532,10 @@ func TestChaosCampaignConverges(t *testing.T) {
 	client := llm.NewRetrying(
 		fault.NewClient(llm.NewSim("Gemini2.0T", 1), inj),
 		llm.RetryPolicy{
-			MaxAttempts:      20,
-			BaseDelay:        time.Millisecond,
-			MaxDelay:         4 * time.Millisecond,
-			Seed:             chaosSeed,
-			BreakerThreshold: -1,
+			MaxAttempts: 20,
+			BaseDelay:   time.Millisecond,
+			MaxDelay:    4 * time.Millisecond,
+			Seed:        chaosSeed,
 		})
 	srv, err := New(Config{Store: st, Client: client, Seed: 1, Engine: chaosEngineConfig()})
 	if err != nil {

@@ -74,13 +74,13 @@ func ResultFromFinding(f *store.Finding) (engine.Result, error) {
 // SaveResult persists one computed result: the finding record plus, when
 // the result carries a learned rule, the rulebook entry. Results served
 // from the store (res.Cached) are skipped — there is nothing new to record.
-// Degraded and Panicked results are skipped too: persisting a fault-shaped
-// outcome would make the store diverge from a fault-free same-seed
-// campaign, so those windows stay recomputable (the service serves
-// degraded outcomes from memory meanwhile). It reports whether a new
-// finding record was appended; the store's Flush makes the batch durable.
+// Canceled, Errored and Panicked results are skipped too: persisting a
+// fault-shaped outcome would make the store diverge from a fault-free
+// same-seed campaign, so those windows stay recomputable and a later
+// submission computes them for real. It reports whether a new finding
+// record was appended; the store's Flush makes the batch durable.
 func SaveResult(st store.Backend, res engine.Result) (added bool, err error) {
-	if res.Cached || res.Src == nil || res.Degraded || res.Outcome == engine.Canceled ||
+	if res.Cached || res.Src == nil || res.Outcome == engine.Canceled ||
 		res.Outcome == engine.Errored || res.Outcome == engine.Panicked {
 		return false, nil
 	}
@@ -186,9 +186,12 @@ func FlushPool(st store.Backend, pool *alive.CEPool) (int, error) {
 
 // CompactKeep is the service's store-compaction policy: findings and rules
 // are immutable campaign output and always survive; a pool vector survives
-// only while the live pool still holds it — a vector the clock evicted
-// stopped killing candidates and is dead weight on disk. Vectors that fail
-// to decode are kept (compaction must never turn corruption into loss).
+// only while the live pool still holds it — a vector the clock evicted,
+// from its window or with its whole window, stopped killing candidates and
+// is dead weight on disk. The pool holds a bounded number of windows of
+// bounded size, so compaction keeps the on-disk vector corpus bounded too.
+// Vectors that fail to decode are kept (compaction must never turn
+// corruption into loss).
 func CompactKeep(pool *alive.CEPool) func(kind store.Kind, key string, val []byte) bool {
 	return func(kind store.Kind, key string, val []byte) bool {
 		if kind != store.KindVector {

@@ -78,20 +78,13 @@ type Server struct {
 	submitted int64
 	persisted int64
 	// degradedAccepts counts results accepted but not durable when their
-	// persist barrier ran (failed Flush, or volatile degraded outcomes) —
-	// the traffic behind every Lpod-Degraded response on the submit path.
+	// persist barrier ran (failed Flush) — the traffic behind every
+	// Lpod-Degraded response on the submit path.
 	degradedAccepts int64
 	// waiters carries per-window persist notifications to wait-mode submits
-	// (POST /v1/windows?wait=1): nil for durable, an error for
-	// accepted-but-degraded.
+	// (POST /v1/windows?wait=1): nil once durable (or when the result had
+	// nothing to persist), an error for accepted-but-degraded.
 	waiters map[uint64][]chan error
-	// volatileFindings serves results the store must not persist (degraded,
-	// knowledge-base-proposed outcomes computed while the provider's circuit
-	// was open), keyed by window hash. Resubmitting a window after the
-	// provider recovers replaces the volatile entry with a real, durable
-	// finding — which is what lets a faulted campaign converge byte-for-byte
-	// with a fault-free same-seed run.
-	volatileFindings map[uint64][]byte
 
 	closeOnce sync.Once
 	closeErr  error
@@ -141,14 +134,13 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		st:               cfg.Store,
-		pool:             pool,
-		maxBody:          cfg.MaxBodyBytes,
-		logf:             cfg.Logf,
-		done:             make(chan struct{}),
-		inflight:         make(map[uint64]bool),
-		waiters:          make(map[uint64][]chan error),
-		volatileFindings: make(map[uint64][]byte),
+		st:       cfg.Store,
+		pool:     pool,
+		maxBody:  cfg.MaxBodyBytes,
+		logf:     cfg.Logf,
+		done:     make(chan struct{}),
+		inflight: make(map[uint64]bool),
+		waiters:  make(map[uint64][]chan error),
 	}
 	s.strm = newStream(cfg.Store)
 	n, err := LoadPool(cfg.Store, pool)
@@ -222,21 +214,7 @@ func (s *Server) persistBatch(batch []engine.Result) {
 			continue
 		}
 		h := ir.Hash(res.Src)
-		if res.Degraded {
-			// A degraded (KB-proposed) outcome is servable but never durable:
-			// SaveResult skips it below, and this volatile copy answers
-			// /v1/findings until a post-recovery resubmission computes the
-			// window for real.
-			if data, err := FindingFromResult(res).Encode(); err == nil {
-				s.mu.Lock()
-				s.volatileFindings[h] = data
-				s.mu.Unlock()
-			}
-		}
 		added, err := SaveResult(s.st, res)
-		if res.Degraded && err == nil {
-			err = errVolatile
-		}
 		outs = append(outs, saved{h: h, added: added, err: err})
 	}
 	if _, ferr := FlushPool(s.st, s.pool); ferr != nil {
@@ -288,10 +266,6 @@ func (s *Server) persistBatch(batch []engine.Result) {
 		}
 	}
 }
-
-// errVolatile marks a window whose outcome is servable from memory but
-// deliberately never persisted (degraded KB-proposed results).
-var errVolatile = errors.New("service: degraded result, served volatile")
 
 // LoadedVectors reports how many counterexample vectors the startup warm
 // load installed into the pool.
@@ -351,11 +325,14 @@ type submitRequest struct {
 // Handler returns the HTTP API:
 //
 //	POST /v1/windows          submit one window or a batch (JSON or raw .ll);
-//	                          ?wait=1 blocks until submitted windows persist
-//	                          (202 + Lpod-Degraded when accepted, not durable)
+//	                          ?wait=1 blocks until each submitted window's
+//	                          persist barrier ran (202 + Lpod-Degraded when
+//	                          accepted, not durable; a provider error that
+//	                          outlived the retries persists nothing)
 //	GET  /v1/findings         durable findings since ?cursor=N; ?watch=1
 //	                          upgrades to an SSE stream
-//	GET  /v1/findings/{hash}  a stored finding, verbatim bytes
+//	GET  /v1/findings/{hash}  a stored finding, verbatim bytes (202 while
+//	                          pending, 404 "unknown" otherwise)
 //	GET  /v1/rulebook         the store's assembled rulebook
 //	GET  /v1/stats            engine + store + pool + server counters
 //	GET  /v1/healthz          liveness + degraded-durability signal
@@ -455,10 +432,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // when the engine queue rejected any window — the caller sees every
 // per-window status either way and retries only the rejected ones. In wait
 // mode it first blocks until every submitted window's persist barrier ran;
-// a window that was accepted but is NOT yet durable (failed barrier, or a
-// volatile degraded outcome) turns the reply into 202 + Lpod-Degraded
-// instead of an error: the record is safe in memory and on the store's
-// retry path, which is the PR-9 "no accepted record lost" contract.
+// a window that was accepted but is NOT yet durable (failed barrier) turns
+// the reply into 202 + Lpod-Degraded instead of an error: the record is
+// safe in memory and on the store's retry path, so no accepted record is
+// lost. A window whose result was not persisted at all (a provider error
+// that outlived the client's retries) answers 200 and stays recomputable.
 func (s *Server) respondStatuses(w http.ResponseWriter, r *http.Request, statuses []windowStatus, waits []chan error) {
 	degraded := false
 	for _, ch := range waits {
@@ -524,8 +502,8 @@ func (s *Server) handleSubmitWasm(w http.ResponseWriter, r *http.Request, body [
 // submitWindow dedups one window against the store and the inflight set,
 // scheduling it on the engine only when it is genuinely novel. When wait is
 // set and the window is in flight (newly queued or already), the returned
-// channel delivers the window's persist outcome: nil once durable, an error
-// when accepted but degraded.
+// channel delivers the window's persist outcome: nil once durable (or when
+// the result had nothing to persist), an error when accepted but degraded.
 func (s *Server) submitWindow(fn *ir.Func, wait bool) (windowStatus, chan error) {
 	h := ir.Hash(fn)
 	key := store.WindowKey(h)
@@ -636,20 +614,9 @@ func (s *Server) handleFinding(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	pending := s.inflight[h]
-	volatile, degraded := s.volatileFindings[h]
 	s.mu.Unlock()
 	if pending {
 		writeJSON(w, http.StatusAccepted, windowStatus{Window: key, Status: "pending"})
-		return
-	}
-	if degraded {
-		// A degraded (KB-proposed) outcome: servable from memory, never
-		// durable. The header flags it so clients know a resubmission after
-		// the provider recovers yields the authoritative answer.
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Lpod-Degraded", "true")
-		w.WriteHeader(http.StatusOK)
-		w.Write(volatile)
 		return
 	}
 	writeJSON(w, http.StatusNotFound, windowStatus{Window: key, Status: "unknown"})
@@ -719,13 +686,9 @@ type Stats struct {
 		// Degraded mirrors /v1/healthz: the store has a commit backlog, so
 		// recent findings are servable but not yet durable.
 		Degraded bool `json:"degraded"`
-		// VolatileFindings counts degraded (KB-proposed) results held only
-		// in memory — never persisted, replaced by real findings when their
-		// windows are resubmitted after the provider recovers.
-		VolatileFindings int `json:"volatile_findings"`
 		// DegradedAccepts counts results whose persist barrier did not reach
-		// durable (failed Flush, or volatile degraded outcomes) — every one
-		// answered on the submit path with 202 + Lpod-Degraded.
+		// durable (failed Flush) — every one answered on the submit path
+		// with 202 + Lpod-Degraded.
 		DegradedAccepts int64 `json:"degraded_accepts"`
 		// StreamFindings/StreamSubscribers describe GET /v1/findings?watch=1:
 		// durable findings published to the stream log, and live SSE
@@ -747,7 +710,6 @@ func (s *Server) StatsSnapshot() Stats {
 	rep.Server.Submitted = s.submitted
 	rep.Server.Persisted = s.persisted
 	rep.Server.Inflight = len(s.inflight)
-	rep.Server.VolatileFindings = len(s.volatileFindings)
 	rep.Server.DegradedAccepts = s.degradedAccepts
 	s.mu.Unlock()
 	rep.Server.LoadedVectors = s.loadedVectors

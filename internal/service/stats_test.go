@@ -23,7 +23,6 @@ var statsWireKeys = map[string]string{
 	"engine.store_hits":         "number",
 	"engine.learned_findings":   "number",
 	"engine.panics":             "number",
-	"engine.degraded_seqs":      "number",
 	"engine.tier_kills":         "object",
 	"engine.tier_kills.pool":    "number",
 	"engine.tier_kills.special": "number",
@@ -64,7 +63,6 @@ var statsWireKeys = map[string]string{
 	"server.inflight":           "number",
 	"server.loaded_vectors":     "number",
 	"server.degraded":           "bool",
-	"server.volatile_findings":  "number",
 	"server.degraded_accepts":   "number",
 	"server.stream_findings":    "number",
 	"server.stream_subscribers": "number",
